@@ -10,10 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluation, pipeline
 from .features import MfccConfig, write_fseq
@@ -45,8 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(path: str) -> dict:
     """Simple key=value config; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise DataError(f"cannot read config file {path}: {e.strerror}") from e
     values = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -69,13 +70,16 @@ def _merge_config(args: argparse.Namespace) -> None:
             continue
         default = parser.get_default(key)
         if getattr(args, key) == default:
-            cur = default
-            if isinstance(cur, bool):
+            if isinstance(default, bool):
                 val = val.lower() in ("1", "true", "yes")
-            elif isinstance(cur, int):
-                val = int(val)
-            elif isinstance(cur, float):
-                val = float(val)
+            elif isinstance(default, (int, float)):
+                try:
+                    val = type(default)(val)
+                except ValueError:
+                    raise DataError(
+                        f"{args.config}: {key} must be "
+                        f"{type(default).__name__}, got {val!r}"
+                    ) from None
             setattr(args, key, val)
 
 
@@ -120,9 +124,7 @@ def _base_dir(args) -> Path:
 
 # --- subcommands ---
 
-def cmd_segment(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
+def cmd_segment(args, out):
     with open(out / "windows.jsonl", "w") as f:
         for rec in read_manifest(args.manifest):
             clip = load_clip(rec, _base_dir(args))
@@ -135,9 +137,7 @@ def cmd_segment(args):
     return 0
 
 
-def cmd_augment(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
+def cmd_augment(args, out):
     records = read_manifest(args.manifest)
     groups: dict[tuple[str, str], list] = {}
     for rec in records:
@@ -146,6 +146,10 @@ def cmd_augment(args):
         for (speaker, text), recs in groups.items():
             if len(recs) < 2:
                 continue
+            for r in recs:
+                if not r.spans:
+                    raise DataError(f"{r.utterance_id}: augment needs a "
+                                    "labelled span per record")
             clips = [load_clip(r, _base_dir(args)) for r in recs]
             emotions = [r.spans[0].code for r in recs]
             joined, final, spans = concat_augment(clips, emotions, args.gap_s)
@@ -164,9 +168,7 @@ def cmd_augment(args):
     return 0
 
 
-def cmd_label(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
+def cmd_label(args, out):
     lab = _lab_cfg(args)
     with open(out / "labels.jsonl", "w") as f:
         for rec in read_manifest(args.manifest):
@@ -183,39 +185,31 @@ def cmd_label(args):
     return 0
 
 
-def cmd_extract(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
+def cmd_extract(args, out):
     mfcc_cfg = MfccConfig(include_deltas=args.deltas)
     for rec in read_manifest(args.manifest):
         clip = load_clip(rec, _base_dir(args))
-        n_windows = len(segment(clip))
         mat = pipeline.clip_feature_matrix(
-            rec, _base_dir(args), args.features, n_windows, mfcc_cfg
+            clip, segment(clip), args.features, mfcc_cfg
         )
         write_fseq(out / f"{rec.utterance_id}.fseq", mat)
     return 0
 
 
-def _load_split_samples(args, lab):
-    records = read_manifest(args.manifest)
+def _recordings_by_split(args) -> dict[str, list]:
+    lab = _lab_cfg(args)
     mfcc_cfg = MfccConfig(include_deltas=getattr(args, "deltas", False))
-    recordings = []
-    for rec in records:
-        recordings.extend(pipeline.load_recording(
-            rec, _base_dir(args), args.features, lab, mfcc_cfg
-        ))
     by_split: dict[str, list] = {}
-    for rd in recordings:
-        by_split.setdefault(rd.split, []).append(rd)
+    for rec in read_manifest(args.manifest):
+        for rd in pipeline.load_recording(
+            rec, _base_dir(args), args.features, lab, mfcc_cfg
+        ):
+            by_split.setdefault(rd.split, []).append(rd)
     return by_split
 
 
-def cmd_train(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
-    lab = _lab_cfg(args)
-    by_split = _load_split_samples(args, lab)
+def cmd_train(args, out):
+    by_split = _recordings_by_split(args)
     train_recs = by_split.get("train", [])
     val_recs = by_split.get("val") or by_split.get("test") or train_recs
     train_samples = pipeline.build_samples(train_recs, args.n)
@@ -241,24 +235,27 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
+def _eval_recordings(args) -> list:
+    """Recordings of ``--split``; every split when it has none."""
+    by_split = _recordings_by_split(args)
+    return by_split.get(args.split) or [r for v in by_split.values() for r in v]
+
+
+def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
+    preds, truths = [], []
+    for rd in recs:
+        preds.extend(pipeline.predict_stress_flags(rd.features, n, params, mcfg))
+        truths.extend(is_stress(c) for c in rd.stress_codes)
+    return evaluation.score_segment_level(preds, truths)
+
+
+def cmd_eval(args, out):
     params, mcfg = load_checkpoint(args.ckpt)
-    lab = _lab_cfg(args)
-    by_split = _load_split_samples(args, lab)
-    recs = by_split.get(args.split) or [r for v in by_split.values() for r in v]
+    recs = _eval_recordings(args)
     if not recs:
         raise DataError("no recordings to evaluate")
     if args.level == "segment":
-        preds, truths = [], []
-        for rd in recs:
-            flags = pipeline.predict_stress_flags(
-                rd.features, args.n, params, mcfg
-            )
-            preds.extend(flags)
-            truths.extend(is_stress(c) for c in rd.stress_codes)
-        report = evaluation.score_segment_level(preds, truths)
+        report = _segment_report(recs, args.n, params, mcfg)
     else:
         groups, truth = {}, {}
         for rd in recs:
@@ -288,9 +285,7 @@ def _parse_range(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def cmd_sweep(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
+def cmd_sweep(args, out):
     records = read_manifest(args.manifest)
     sequences = []
     # Reference labels come from each record's stress_spans; the dummy
@@ -317,23 +312,13 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_ablate(args):
-    out = _out_dir(args)
-    _write_resolved(args, out)
-    lab = _lab_cfg(args)
-    by_split = _load_split_samples(args, lab)
-    recs = by_split.get(args.split) or [r for v in by_split.values() for r in v]
+def cmd_ablate(args, out):
+    recs = _eval_recordings(args)
     cells = []
     for ckpt in args.ckpt:
         params, mcfg = load_checkpoint(ckpt)
         for n in _parse_range(args.n_values):
-            preds, truths = [], []
-            for rd in recs:
-                preds.extend(pipeline.predict_stress_flags(
-                    rd.features, n, params, mcfg
-                ))
-                truths.extend(is_stress(c) for c in rd.stress_codes)
-            report = evaluation.score_segment_level(preds, truths)
+            report = _segment_report(recs, n, params, mcfg)
             cells.append(evaluation.AblationCell(
                 str(ckpt), args.features, n, report
             ))
@@ -419,7 +404,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _merge_config(args)
-        return args.func(args)
+        out = _out_dir(args)
+        _write_resolved(args, out)
+        return args.func(args, out)
     except TrainingDiverged as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_DIVERGED

@@ -36,62 +36,25 @@ class LabellingConfig:
         return self.tau * theta_max(self.n, self.lam)
 
 
-def decay_weight(lam: float, age: int) -> float:
-    """Weight of a window ``age`` steps in the past: e^(-lam * age)."""
-    if age < 0:
-        raise ValueError(f"age must be >= 0, got {age}")
-    return math.exp(-lam * age)
-
-
-def theta_total(history: Sequence[VadCode], lam: float) -> float:
-    """Decayed sum of stress distances over a window history.
-
-    ``history`` is ordered oldest to current; the last element has age 0.
-    Summation runs newest to oldest, matching the threshold computation so
-    exact boundary ties are decided consistently.
-    """
-    if not history:
-        raise ValueError("history must be non-empty")
-    total = 0.0
-    last = len(history) - 1
-    for age in range(len(history)):
-        d = hamming_distance(STRESS_CODE, history[last - age])
-        total += math.exp(-lam * age) * d
-    return total
-
-
 def theta_max(n: int, lam: float) -> float:
-    """Upper bound of theta_total over n+1 windows (all at distance 2)."""
+    """Upper bound of the decayed distance total over n+1 windows (all at
+    distance 2)."""
     return 2.0 * sum(math.exp(-lam * k) for k in range(n + 1))
-
-
-def assign_label(
-    history: Sequence[VadCode], current: VadCode, config: LabellingConfig
-) -> VadCode:
-    """Label one window: stress if the decayed distance total is at or below
-    the threshold, otherwise the window's own emotion code."""
-    if len(history) > config.n:
-        raise ValueError(
-            f"history holds {len(history)} codes, config allows at most {config.n}"
-        )
-    total = theta_total(list(history) + [current], config.lam)
-    if total <= config.threshold():
-        return STRESS_CODE
-    return current
 
 
 def relabel_sequence(
     emotions: Sequence[VadCode], config: LabellingConfig
 ) -> list[VadCode]:
-    """Apply assign_label across a whole sequence.
+    """Stress where the decayed distance total over a window and its ``n``
+    predecessors is at or below the threshold, else the window's own code.
 
     Windows near the start use all available past windows (fewer than n).
     """
     if not emotions:
         raise ValueError("emotions must be non-empty")
     n, lam = config.n, config.lam
-    # Precomputed per-age weights; same values and summation order as
-    # theta_total (newest first).
+    # Per-age weights e^(-lam * age), summed newest first like theta_max so
+    # exact threshold ties are decided consistently.
     weights = [math.exp(-lam * k) for k in range(n + 1)]
     threshold = config.threshold()
     dists = [hamming_distance(STRESS_CODE, e) for e in emotions]

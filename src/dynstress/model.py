@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, concat, softmax, stack
 from .segmentation import DataError
-from .vad import DEFAULT_CODE, VadCode, is_stress
+from .vad import DEFAULT_CODE, VadCode
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ class ModelConfig:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.hidden % self.heads != 0:
             raise ValueError("hidden size must be divisible by head count")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    probs: tuple[float, float, float]
-    code: VadCode
-    stress: bool
 
 
 # --- parameter initialisation ---
@@ -270,64 +263,13 @@ def forward_batch(
     return logits.sigmoid()
 
 
-def forward(
-    X: np.ndarray, S: Sequence[VadCode], params, cfg: ModelConfig
-) -> Prediction:
-    """Predict the current window's stress code from one aligned pair."""
-    X = np.asarray(X, dtype=np.float64)
-    ctx = context_array(S)
-    probs = forward_batch(X[None, :, :], ctx[None, :, :], params, cfg).data[0]
-    code = VadCode(*(int(p > 0.5) for p in probs))
-    return Prediction(tuple(float(p) for p in probs), code, is_stress(code))
+def decode(probs: np.ndarray) -> VadCode:
+    """Binary code of one (3,) probability row: 1 where p > 0.5."""
+    return VadCode(*(int(p > 0.5) for p in probs))
 
-
-# --- single-sequence wrappers (inference/diagnostics) ---
-
-def recurrent_encode(seq: np.ndarray, params, prefix: str = "speech_lstm",
-                     hidden: int | None = None) -> np.ndarray:
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise DataError("recurrent_encode expects a non-empty (T, d) sequence")
-    if hidden is None:
-        hidden = params[f"{prefix}.u"].shape[0]
-    return lstm_states(Tensor(seq[None]), params, prefix, hidden).data[0]
-
-
-def transformer_encode(seq: np.ndarray, params, cfg: ModelConfig,
-                       use_positions: bool = True) -> np.ndarray:
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise DataError("transformer_encode expects a non-empty (T, d) sequence")
-    return transformer_states(
-        Tensor(seq[None]), params, cfg, "enc", "proj", cfg.layers,
-        use_positions=use_positions,
-    ).data[0]
-
-
-def cross_attention(primary: np.ndarray, context: np.ndarray, params) -> np.ndarray:
-    return cross_attention_states(
-        Tensor(np.asarray(primary, dtype=np.float64)[None]),
-        Tensor(np.asarray(context, dtype=np.float64)[None]),
-        params,
-    ).data[0]
-
-
-# --- flattening helpers (gradient checking, Adam state) ---
 
 def param_names(params) -> list[str]:
     return sorted(params)
-
-
-def params_to_vector(params) -> np.ndarray:
-    return np.concatenate([params[n].data.ravel() for n in param_names(params)])
-
-
-def vector_to_params(vec: np.ndarray, params) -> None:
-    offset = 0
-    for n in param_names(params):
-        size = params[n].data.size
-        params[n].data = vec[offset : offset + size].reshape(params[n].data.shape).copy()
-        offset += size
 
 
 # --- checkpoints: "SPCK" header, tensor directory, f32 payload, CRC32 ---

@@ -9,15 +9,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .features import MfccConfig, load_embeddings, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
-from .model import ModelConfig, context_array, forward_batch, make_context
+from .model import ModelConfig, context_array, decode, forward_batch, make_context
 from .segmentation import (
+    AudioClip,
     ClipRecord,
     DataError,
+    SegmentWindow,
     align_labels,
     load_clip,
     segment,
@@ -55,25 +58,23 @@ def _labelled_runs(labels: list[VadCode | None]) -> list[tuple[int, int]]:
 
 
 def clip_feature_matrix(
-    rec: ClipRecord, base_dir: str | Path, feature_spec: str,
-    n_windows: int, mfcc_cfg: MfccConfig,
+    clip: AudioClip, windows: Sequence[SegmentWindow], feature_spec: str,
+    mfcc_cfg: MfccConfig,
 ) -> np.ndarray:
-    """Features for every window of one clip: from-scratch MFCC or rows of a
-    precomputed embedding file (`file:<dir>`)."""
+    """Features for every window of one decoded clip: from-scratch MFCC or
+    rows of a precomputed embedding file (`file:<dir>`)."""
     if feature_spec == "mfcc":
-        clip = load_clip(rec, base_dir)
-        windows = segment(clip)
         return np.stack([
             window_mfcc(window_samples(clip, w), mfcc_cfg) for w in windows
         ])
     if feature_spec.startswith("file:"):
         emb_dir = Path(feature_spec[5:])
-        mat = load_embeddings(emb_dir / f"{rec.utterance_id}.fseq",
+        mat = load_embeddings(emb_dir / f"{clip.utterance_id}.fseq",
                               expected_dim=None)
-        if mat.shape[0] != n_windows:
+        if mat.shape[0] != len(windows):
             raise DataError(
-                f"{rec.utterance_id}: embedding file has {mat.shape[0]} rows, "
-                f"clip has {n_windows} windows"
+                f"{clip.utterance_id}: embedding file has {mat.shape[0]} rows, "
+                f"clip has {len(windows)} windows"
             )
         return mat
     raise DataError(f"unknown feature spec {feature_spec!r}")
@@ -91,9 +92,7 @@ def load_recording(
     if feature_spec is None:
         feats = np.zeros((len(windows), 0))
     else:
-        feats = clip_feature_matrix(
-            rec, base_dir, feature_spec, len(windows), mfcc_cfg
-        )
+        feats = clip_feature_matrix(clip, windows, feature_spec, mfcc_cfg)
     ref_windows = (
         align_labels(windows, rec.stress_spans) if rec.stress_spans else None
     )
@@ -165,7 +164,7 @@ def predict_recording(
         X = features[lo : t + 1]
         ctx = context_array(make_context(preds[lo:t]))
         probs = forward_batch(X[None], ctx[None], params, cfg).data[0]
-        preds.append(VadCode(*(int(p > 0.5) for p in probs)))
+        preds.append(decode(probs))
     return preds
 
 

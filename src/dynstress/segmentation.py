@@ -8,7 +8,6 @@ synthesise temporal emotion progressions.
 from __future__ import annotations
 
 import json
-import struct
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path

@@ -3,21 +3,23 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Tensor
+from .evaluation import EvalReport
 from .model import (
     ModelConfig,
+    decode,
     forward_batch,
     init_params,
     param_names,
     save_checkpoint,
 )
-from .vad import VadCode
+from .vad import VadCode, is_stress
 
 _CLAMP = 1e-7
 
@@ -57,15 +59,18 @@ class LossReport:
         return (self.valence + self.arousal + self.dominance) / 3.0
 
 
-def bce_loss(probs: Sequence[float], target: VadCode) -> LossReport:
-    """Per-dimension binary cross-entropy; probabilities clamped to
+def _bce_terms(probs: Tensor, targets) -> Tensor:
+    """Elementwise binary cross-entropy; probabilities clamped to
     [1e-7, 1 - 1e-7] before the logs."""
-    t = target.as_tuple()
-    comps = []
-    for p, ti in zip(probs, t):
-        p = min(max(p, _CLAMP), 1.0 - _CLAMP)
-        comps.append(-(ti * np.log(p) + (1 - ti) * np.log(1.0 - p)))
-    return LossReport(*comps)
+    p = probs.clip(_CLAMP, 1.0 - _CLAMP)
+    t = Tensor(targets)
+    return -(t * p.log() + (1.0 - t) * (1.0 - p).log())
+
+
+def bce_loss(probs: Sequence[float], target: VadCode) -> LossReport:
+    """Per-dimension binary cross-entropy of one prediction."""
+    terms = _bce_terms(Tensor(probs), target.as_tuple()).data
+    return LossReport(*(float(x) for x in terms))
 
 
 def batch_loss_graph(probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -73,10 +78,7 @@ def batch_loss_graph(probs: Tensor, targets: np.ndarray) -> Tensor:
 
     ``probs`` is (B, 3); ``targets`` is a float (B, 3) array of 0/1.
     """
-    p = probs.clip(_CLAMP, 1.0 - _CLAMP)
-    t = Tensor(targets)
-    loss = -(t * p.log() + (1.0 - t) * (1.0 - p).log())
-    return loss.mean()
+    return _bce_terms(probs, targets).mean()
 
 
 def gradient(
@@ -231,49 +233,39 @@ def _rollout_contexts(
     return out
 
 
-def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig,
-                  batch_size: int = 64) -> float:
-    """Mean BCE over samples with ground-truth contexts."""
-    total, count = 0.0, 0
+def _targets(samples: Sequence[TrainSample]) -> np.ndarray:
+    return np.array([s.target.as_tuple() for s in samples], dtype=np.float64)
+
+
+def _batched_probs(samples: Sequence[TrainSample], params, cfg: ModelConfig,
+                   batch_size: int):
+    """(chunk, probabilities) per batch of samples, ground-truth contexts."""
     for lo in range(0, len(samples), batch_size):
         chunk = samples[lo : lo + batch_size]
         X = np.stack([s.features for s in chunk])
         S = np.stack([s.context for s in chunk])
-        T = np.array([s.target.as_tuple() for s in chunk], dtype=np.float64)
-        probs = forward_batch(X, S, params, cfg).data
-        p = np.clip(probs, _CLAMP, 1.0 - _CLAMP)
-        losses = -(T * np.log(p) + (1.0 - T) * np.log(1.0 - p)).mean(axis=1)
+        yield chunk, forward_batch(X, S, params, cfg)
+
+
+def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig,
+                  batch_size: int = 64) -> float:
+    """Mean BCE over samples with ground-truth contexts."""
+    total = 0.0
+    for chunk, probs in _batched_probs(samples, params, cfg, batch_size):
+        losses = _bce_terms(probs, _targets(chunk)).data.mean(axis=1)
         total += float(losses.sum())
-        count += len(chunk)
-    return total / max(count, 1)
+    return total / max(len(samples), 1)
 
 
 def evaluate_accuracy(samples: Sequence[TrainSample], params, cfg: ModelConfig,
                       batch_size: int = 64) -> tuple[float, float]:
     """Segment accuracy / F1 on the stress decision, ground-truth contexts."""
-    from .vad import STRESS_CODE
-    tp = fp = tn = fn = 0
-    for lo in range(0, len(samples), batch_size):
-        chunk = samples[lo : lo + batch_size]
-        X = np.stack([s.features for s in chunk])
-        S = np.stack([s.context for s in chunk])
-        probs = forward_batch(X, S, params, cfg).data
-        codes = probs > 0.5
-        for s, c in zip(chunk, codes):
-            pred = bool(c[0] == 0 and c[1] == 1 and c[2] == 0)
-            truth = s.target == STRESS_CODE
-            if pred and truth:
-                tp += 1
-            elif pred and not truth:
-                fp += 1
-            elif not pred and truth:
-                fn += 1
-            else:
-                tn += 1
-    total = tp + fp + tn + fn
-    acc = (tp + tn) / total if total else 0.0
-    f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-    return acc, f1
+    preds, truths = [], []
+    for chunk, probs in _batched_probs(samples, params, cfg, batch_size):
+        preds += [is_stress(decode(p)) for p in probs.data]
+        truths += [is_stress(s.target) for s in chunk]
+    report = EvalReport.from_pairs(preds, truths)
+    return report.accuracy, report.f1
 
 
 def train(
@@ -317,10 +309,7 @@ def train(
                 rollouts[i] if roll else train_samples[i].context
                 for i, roll in zip(idx, use_rollout)
             ])
-            T = np.array(
-                [train_samples[i].target.as_tuple() for i in idx],
-                dtype=np.float64,
-            )
+            T = _targets([train_samples[i] for i in idx])
             loss, grads = gradient(params, X, S, T, mcfg, train=True, rng=rng)
             opt.step(grads)
             epoch_loss += loss

@@ -1,0 +1,12 @@
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_tracer_finds_every_traced_name(monkeypatch):
+    """The benchmark's tracer looks up every library function it wraps when
+    it is built; a deleted or renamed one would fail every benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    tracing.Tracer("check")  # AttributeError if a traced name is missing

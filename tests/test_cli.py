@@ -114,6 +114,25 @@ def test_config_file_merge(data_dir):
     assert resolved["tau"] == 0.25  # explicit flag beats the file
 
 
+@pytest.mark.parametrize("case", ["missing-config", "non-numeric", "no-spans"])
+def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
+    manifest = data_dir / "manifest.jsonl"
+    args = ["label", "--manifest", manifest, "--out", data_dir / case]
+    if case == "missing-config":
+        args += ["--config", data_dir / "absent.cfg"]
+    elif case == "non-numeric":
+        (data_dir / "bad.cfg").write_text("n = four\n")
+        args += ["--config", data_dir / "bad.cfg"]
+    else:
+        manifest.write_text("".join(
+            manifest_line(name, []) + "\n" for name in ("a", "b")
+        ))
+        args[0] = "augment"
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_extract_writes_fseq(data_dir):
     out = data_dir / "feats"
     assert run(["extract", "--manifest", data_dir / "manifest.jsonl",

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from dynstress.labelling import (
-    LabellingConfig,
-    assign_label,
-    decay_weight,
-    relabel_sequence,
-    theta_max,
-    theta_total,
-)
+from dynstress.labelling import LabellingConfig, relabel_sequence, theta_max
 from dynstress.vad import STRESS_CODE, Emotion, VadCode, encode_emotion, hamming_distance
 
 FEAR = encode_emotion(Emotion.FEAR)
@@ -35,29 +28,6 @@ def brute_force_relabel(seq, n, lam, tau):
     return out
 
 
-def test_decay_weight_values():
-    assert decay_weight(0.8, 0) == 1.0
-    assert decay_weight(0.8, 1) == pytest.approx(0.449329, abs=1e-5)
-    assert decay_weight(0.01, 3) == pytest.approx(0.970446, abs=1e-5)
-    with pytest.raises(ValueError):
-        decay_weight(0.8, -1)
-
-
-def test_decay_monotone():
-    for lam in (0.01, 0.1, 0.8, 1.0, 5.0):
-        for age in range(10):
-            assert decay_weight(lam, age) > decay_weight(lam, age + 1)
-
-
-def test_theta_total_examples():
-    assert theta_total([FEAR], 0.8) == 0.0
-    assert theta_total([HAPPY, FEAR], 0.8) == pytest.approx(2 * math.exp(-0.8), abs=1e-5)
-    expect = math.exp(-1.6) + math.exp(-0.8) + 1.0
-    assert theta_total([ANGER, ANGER, ANGER], 0.8) == pytest.approx(expect, abs=1e-5)
-    with pytest.raises(ValueError):
-        theta_total([], 0.8)
-
-
 def test_theta_max_examples():
     assert theta_max(0, 0.8) == 2.0
     assert theta_max(0, 123.0) == 2.0
@@ -75,17 +45,6 @@ def test_config_validation():
         LabellingConfig(n=0, lam=0.8, tau=1.5)
 
 
-def test_assign_label_examples():
-    cfg = LabellingConfig(n=2, lam=0.8, tau=0.5)
-    assert assign_label([FEAR, FEAR], FEAR, cfg) == STRESS_CODE
-    cfg0 = LabellingConfig(n=0, lam=0.8, tau=0.5)
-    assert assign_label([], HAPPY, cfg0) == HAPPY  # theta 2 > T 1
-    cfg3 = LabellingConfig(n=3, lam=0.8, tau=0.5)
-    assert assign_label([FEAR, FEAR, FEAR], ANGER, cfg3) == STRESS_CODE
-    with pytest.raises(ValueError):
-        assign_label([FEAR, FEAR], FEAR, cfg0)  # history longer than n
-
-
 def test_relabel_examples():
     cfg = LabellingConfig(n=2, lam=0.8, tau=0.5)
     assert relabel_sequence([FEAR] * 5, cfg) == [STRESS_CODE] * 5
@@ -94,6 +53,17 @@ def test_relabel_examples():
     assert relabel_sequence([SAD, FEAR, FEAR], cfg) == [
         STRESS_CODE, STRESS_CODE, STRESS_CODE,
     ]
+    # Last window: theta = 1 + e^-0.8 + e^-1.6 equals T exactly.
+    assert relabel_sequence([ANGER] * 3, cfg) == [STRESS_CODE] * 3
+    # n=0: a lone happy window has theta 2 > T = 1.
+    assert relabel_sequence([HAPPY], LabellingConfig(n=0, lam=0.8)) == [HAPPY]
+    # n=1: theta = 2 e^-0.8 at the fear window, below T = 1 + e^-0.8.
+    assert relabel_sequence([HAPPY, FEAR], LabellingConfig(n=1, lam=0.8)) == [
+        HAPPY, STRESS_CODE,
+    ]
+    # n=3: three fear windows pull anger (theta 1 <= T ~ 1.74) to stress.
+    out = relabel_sequence([FEAR, FEAR, FEAR, ANGER], LabellingConfig(n=3, lam=0.8))
+    assert out == [STRESS_CODE] * 4
     with pytest.raises(ValueError):
         relabel_sequence([], cfg)
 

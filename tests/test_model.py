@@ -4,15 +4,17 @@ import pytest
 from dynstress.autodiff import Tensor, softmax
 from dynstress.model import (
     ModelConfig,
-    cross_attention,
-    forward,
+    context_array,
+    cross_attention_states,
+    decode,
+    forward_batch,
     init_params,
     load_checkpoint,
+    lstm_states,
     param_names,
     positional_encoding,
-    recurrent_encode,
     save_checkpoint,
-    transformer_encode,
+    transformer_states,
 )
 from dynstress.segmentation import DataError
 from dynstress.vad import DEFAULT_CODE, VadCode, is_stress
@@ -69,7 +71,8 @@ def test_recurrent_zero_params():
     params = make_params(cfg)
     for name in ("speech_lstm.w", "speech_lstm.u", "speech_lstm.b"):
         params[name].data[:] = 0.0
-    states = recurrent_encode(np.random.default_rng(0).normal(size=(4, 6)), params)
+    seq = np.random.default_rng(0).normal(size=(1, 4, 6))
+    states = lstm_states(Tensor(seq), params, "speech_lstm", H).data
     assert np.allclose(states, 0.0)
 
 
@@ -77,7 +80,7 @@ def test_recurrent_matches_naive_reference():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=3)
     seq = np.random.default_rng(1).normal(size=(4, 6))
-    got = recurrent_encode(seq, params)
+    got = lstm_states(Tensor(seq[None]), params, "speech_lstm", H).data[0]
     want = naive_lstm(seq, params["speech_lstm.w"].data,
                       params["speech_lstm.u"].data,
                       params["speech_lstm.b"].data, H)
@@ -89,7 +92,7 @@ def test_recurrent_single_step():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=5)
     seq = np.random.default_rng(2).normal(size=(1, 6))
-    got = recurrent_encode(seq, params)
+    got = lstm_states(Tensor(seq[None]), params, "speech_lstm", H).data[0]
     want = naive_lstm(seq, params["speech_lstm.w"].data,
                       params["speech_lstm.u"].data,
                       params["speech_lstm.b"].data, H)
@@ -100,10 +103,10 @@ def test_recurrent_causality_bitwise():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=7)
     seq = np.random.default_rng(3).normal(size=(5, 6))
-    base = recurrent_encode(seq, params)
+    base = lstm_states(Tensor(seq[None]), params, "speech_lstm", H).data[0]
     bumped = seq.copy()
     bumped[3] += 1.0
-    after = recurrent_encode(bumped, params)
+    after = lstm_states(Tensor(bumped[None]), params, "speech_lstm", H).data[0]
     assert after[:3].tobytes() == base[:3].tobytes()
     assert not np.allclose(after[3:], base[3:])
 
@@ -112,7 +115,7 @@ def test_recurrent_dim_mismatch():
     cfg = lstm_cfg()
     params = make_params(cfg)
     with pytest.raises(DataError):
-        recurrent_encode(np.zeros((3, 5)), params)
+        lstm_states(Tensor(np.zeros((1, 3, 5))), params, "speech_lstm", H)
 
 
 # --- cross-attention ---
@@ -140,7 +143,9 @@ def test_cross_attention_single_context():
     rng = np.random.default_rng(4)
     primary = rng.normal(size=(3, H))
     ctx = rng.normal(size=(1, H))
-    got = cross_attention(primary, ctx, params)
+    got = cross_attention_states(
+        Tensor(primary[None]), Tensor(ctx[None]), params
+    ).data[0]
     # softmax over one position is exactly 1: output = q + v
     q = primary @ params["attn.wq"].data + params["attn.bq"].data
     v = ctx @ params["attn.wv"].data + params["attn.bv"].data
@@ -151,11 +156,11 @@ def test_cross_attention_identical_context_states():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=11)
     rng = np.random.default_rng(5)
-    primary = rng.normal(size=(2, H))
+    primary = Tensor(rng.normal(size=(1, 2, H)))
     row = rng.normal(size=H)
-    got_a = cross_attention(primary, np.stack([row] * 3), params)
-    got_b = cross_attention(primary, np.stack([row] * 5), params)
-    assert np.allclose(got_a, got_b)
+    got_a = cross_attention_states(primary, Tensor(np.stack([[row] * 3])), params)
+    got_b = cross_attention_states(primary, Tensor(np.stack([[row] * 5])), params)
+    assert np.allclose(got_a.data, got_b.data)
 
 
 def test_cross_attention_matches_dense_oracle():
@@ -164,7 +169,9 @@ def test_cross_attention_matches_dense_oracle():
     rng = np.random.default_rng(6)
     primary = rng.normal(size=(2, H)) * 0.3
     ctx = rng.normal(size=(3, H)) * 0.3
-    got = cross_attention(primary, ctx, params)
+    got = cross_attention_states(
+        Tensor(primary[None]), Tensor(ctx[None]), params
+    ).data[0]
     want = naive_cross_attention(primary, ctx, params)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -182,31 +189,36 @@ def test_attention_weights_normalised():
 def test_transformer_shapes_and_determinism():
     cfg = tr_cfg()
     params = make_params(cfg, seed=15)
-    seq = np.random.default_rng(8).normal(size=(4, 6))
-    a = transformer_encode(seq, params, cfg)
-    b = transformer_encode(seq, params, cfg)
-    assert a.shape == (4, H)
+    x = Tensor(np.random.default_rng(8).normal(size=(1, 4, 6)))
+    a = transformer_states(x, params, cfg, "enc", "proj", cfg.layers).data
+    b = transformer_states(x, params, cfg, "enc", "proj", cfg.layers).data
+    assert a.shape == (1, 4, H)
     assert a.tobytes() == b.tobytes()
 
 
 def test_transformer_permutation_equivariance_without_positions():
     cfg = tr_cfg()
     params = make_params(cfg, seed=17)
-    seq = np.random.default_rng(9).normal(size=(5, 6))
+    seq = np.random.default_rng(9).normal(size=(1, 5, 6))
     perm = np.array([3, 0, 4, 1, 2])
-    base = transformer_encode(seq, params, cfg, use_positions=False)
-    permuted = transformer_encode(seq[perm], params, cfg, use_positions=False)
-    assert np.max(np.abs(permuted - base[perm])) < 1e-10
+    base, permuted = (
+        transformer_states(Tensor(x), params, cfg, "enc", "proj", cfg.layers,
+                           use_positions=False).data
+        for x in (seq, seq[:, perm])
+    )
+    assert np.max(np.abs(permuted - base[:, perm])) < 1e-10
 
 
 def test_positions_break_equivariance():
     cfg = tr_cfg()
     params = make_params(cfg, seed=17)
-    seq = np.random.default_rng(9).normal(size=(5, 6))
+    seq = np.random.default_rng(9).normal(size=(1, 5, 6))
     perm = np.array([3, 0, 4, 1, 2])
-    base = transformer_encode(seq, params, cfg)
-    permuted = transformer_encode(seq[perm], params, cfg)
-    assert not np.allclose(permuted, base[perm])
+    base, permuted = (
+        transformer_states(Tensor(x), params, cfg, "enc", "proj", cfg.layers).data
+        for x in (seq, seq[:, perm])
+    )
+    assert not np.allclose(permuted, base[:, perm])
 
 
 def test_positional_encoding_values():
@@ -215,44 +227,44 @@ def test_positional_encoding_values():
     assert np.allclose(enc[0], [0, 1, 0, 1, 0, 1])
 
 
-# --- forward ---
+# --- forward_batch on one sequence ---
 
 def test_forward_zero_params_gives_half_probs():
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg)
         for n in param_names(params):
             params[n].data[:] = 0.0
-        X = np.random.default_rng(10).normal(size=(3, 6))
-        pred = forward(X, context(3), params, cfg)
-        assert pred.probs == (0.5, 0.5, 0.5)
+        X = np.random.default_rng(10).normal(size=(1, 3, 6))
+        S = context_array(context(3))[None]
+        probs = forward_batch(X, S, params, cfg).data[0]
+        assert probs.tolist() == [0.5, 0.5, 0.5]
         # strict > 0.5 threshold: all-zero code, not stress
-        assert pred.code == VadCode(0, 0, 0)
-        assert pred.stress is False
+        assert decode(probs) == VadCode(0, 0, 0)
+        assert not is_stress(decode(probs))
 
 
 def test_forward_threshold_contract():
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg, seed=19)
-        X = np.random.default_rng(11).normal(size=(4, 6))
-        pred = forward(X, context(4), params, cfg)
-        assert all(0.0 < p < 1.0 for p in pred.probs)
-        assert pred.code == VadCode(*(int(p > 0.5) for p in pred.probs))
-        assert pred.stress == is_stress(pred.code)
+        X = np.random.default_rng(11).normal(size=(1, 4, 6))
+        S = context_array(context(4))[None]
+        probs = forward_batch(X, S, params, cfg).data[0]
+        assert all(0.0 < p < 1.0 for p in probs)
+        assert decode(probs) == VadCode(*(int(p > 0.5) for p in probs))
 
 
 def test_forward_length_mismatch():
     cfg = lstm_cfg()
     params = make_params(cfg)
+    S = context_array(context(2))[None]
     with pytest.raises(DataError):
-        forward(np.zeros((3, 6)), context(2), params, cfg)
+        forward_batch(np.zeros((1, 3, 6)), S, params, cfg)
 
 
 def test_forward_context_must_start_with_default():
-    cfg = lstm_cfg()
-    params = make_params(cfg)
     bad = [VadCode(1, 1, 1)] + context(3)[1:]
     with pytest.raises(DataError):
-        forward(np.zeros((3, 6)), bad, params, cfg)
+        context_array(bad)
 
 
 # Golden regressions: frozen at the first verified build; guards against
@@ -266,11 +278,10 @@ GOLDEN = {
 def test_forward_golden_regression():
     for arch, cfg in (("lstm", lstm_cfg()), ("transformer", tr_cfg())):
         params = make_params(cfg, seed=21)
-        X = np.random.default_rng(12).normal(size=(3, 6))
-        pred = forward(X, context(3), params, cfg)
-        assert np.allclose(pred.probs, GOLDEN[arch], atol=1e-12), (
-            arch, pred.probs,
-        )
+        X = np.random.default_rng(12).normal(size=(1, 3, 6))
+        S = context_array(context(3))[None]
+        probs = forward_batch(X, S, params, cfg).data[0]
+        assert np.allclose(probs, GOLDEN[arch], atol=1e-12), (arch, probs)
 
 
 # --- checkpoints ---

@@ -1,15 +1,31 @@
 import numpy as np
 import pytest
 
+from dynstress import segmentation
+from dynstress.features import MfccConfig, window_mfcc
 from dynstress.labelling import LabellingConfig, relabel_sequence
-from dynstress.model import ModelConfig, forward, init_params, make_context, param_names
+from dynstress.model import (
+    ModelConfig,
+    context_array,
+    forward_batch,
+    init_params,
+    make_context,
+    param_names,
+)
 from dynstress.pipeline import (
     build_samples,
     load_recording,
     predict_recording,
     predict_stress_flags,
 )
-from dynstress.segmentation import ClipRecord, LabelSpan, write_wav
+from dynstress.segmentation import (
+    ClipRecord,
+    LabelSpan,
+    load_clip,
+    segment,
+    window_samples,
+    write_wav,
+)
 from dynstress.vad import VadCode, is_stress
 
 SR = 16000
@@ -117,6 +133,27 @@ def test_build_samples_history_zero(clip_dir):
         assert s.prev_indices == ()
 
 
+def test_load_recording_decodes_each_wav_once(clip_dir, monkeypatch):
+    rec = record("full", [LabelSpan(0, 30, FEAR)])
+    calls = []
+    load_wav = segmentation.load_wav
+
+    def counting_load_wav(*args, **kwargs):
+        calls.append(args[0])
+        return load_wav(*args, **kwargs)
+
+    monkeypatch.setattr(segmentation, "load_wav", counting_load_wav)
+    (rd,) = load_recording(rec, clip_dir, "mfcc", LAB)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # rows match the per-window MFCC of the same decoded clip
+    clip = load_clip(rec, clip_dir)
+    windows = segment(clip)
+    assert rd.features.shape == (len(windows), MfccConfig().dim)
+    for row, w in zip(rd.features, windows):
+        assert np.array_equal(row, window_mfcc(window_samples(clip, w)))
+
+
 def test_build_samples_skips_short_runs(clip_dir):
     rec = record("full", [LabelSpan(0, 12, FEAR), LabelSpan(18, 30, HAPPY)])
     rds = load_recording(rec, clip_dir, None, LAB)
@@ -144,8 +181,10 @@ def test_predict_recording_matches_manual_rollout():
     manual = []
     for t in range(5):
         lo = max(0, t - history)
-        pred = forward(feats[lo : t + 1], make_context(manual[lo:t]), params, cfg)
-        manual.append(pred.code)
+        X = feats[lo : t + 1][None]
+        S = context_array(make_context(manual[lo:t]))[None]
+        probs = forward_batch(X, S, params, cfg).data[0]
+        manual.append(VadCode(*(int(p > 0.5) for p in probs)))
     assert got == manual
     assert [is_stress(c) for c in got] == predict_stress_flags(
         feats, history, params, cfg

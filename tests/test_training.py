@@ -11,6 +11,8 @@ from dynstress.training import (
     TrainSample,
     bce_loss,
     batch_loss_graph,
+    evaluate_accuracy,
+    evaluate_loss,
     gradient,
     numerical_gradient,
     sample_context,
@@ -215,3 +217,42 @@ def test_train_config_validation():
         TrainConfig(teacher_forcing_p=1.2)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_validation_matches_numpy_bce_and_confusion_counts(arch):
+    """evaluate_loss equals a numpy BCE bit for bit, and evaluate_accuracy a
+    hand-counted confusion matrix, including probabilities clamped at 0/1."""
+    rng = np.random.default_rng(31)
+    samples = make_samples(rng, 40)
+    cfg = reduced_cfg(arch)
+    params = init_params(cfg, rng)
+    # valence saturates at 0 and arousal at 1, so both hit the clamp and
+    # dominance alone decides stress
+    params["head.b"].data[:] = [-40.0, 40.0, 0.0]
+    batch = 16
+    total = 0.0
+    tp = fp = tn = fn = 0
+    for lo in range(0, len(samples), batch):
+        chunk = samples[lo : lo + batch]
+        X = np.stack([s.features for s in chunk])
+        S = np.stack([s.context for s in chunk])
+        T = np.array([s.target.as_tuple() for s in chunk], dtype=float)
+        probs = forward_batch(X, S, params, cfg).data
+        p = np.clip(probs, 1e-7, 1.0 - 1e-7)
+        total += float(
+            (-(T * np.log(p) + (1.0 - T) * np.log(1.0 - p))).mean(axis=1).sum()
+        )
+        for s, q in zip(chunk, probs):
+            pred = q[0] <= 0.5 and q[1] > 0.5 and q[2] <= 0.5
+            truth = s.target.as_tuple() == (0, 1, 0)
+            tp += pred and truth
+            fp += pred and not truth
+            fn += truth and not pred
+            tn += not pred and not truth
+    assert tp and tn and (fp or fn)  # every branch of the scorer is reached
+    got = evaluate_loss(samples, params, cfg, batch_size=batch)
+    assert got.hex() == (total / len(samples)).hex()
+    acc, f1 = evaluate_accuracy(samples, params, cfg, batch_size=batch)
+    assert acc == (tp + tn) / len(samples)
+    assert f1 == 2 * tp / (2 * tp + fp + fn)
