@@ -278,11 +278,15 @@ def cmd_eval(args, out):
     return 0
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated values; an int list may also be `lo..hi` (inclusive)."""
+    try:
+        if kind is int and ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise DataError(f"bad {kind.__name__} list {text!r}") from None
 
 
 def cmd_sweep(args, out):
@@ -303,8 +307,8 @@ def cmd_sweep(args, out):
                 sequences.append(([p[0] for p in pairs], [p[1] for p in pairs]))
     if not sequences:
         raise DataError("sweep needs records with stress_spans references")
-    n_values = _parse_range(args.n)
-    lambdas = [float(x) for x in args.lam.split(",")]
+    n_values = _parse_list(args.n, int)
+    lambdas = _parse_list(args.lam, float)
     cells = evaluation.labelling_sweep(sequences, n_values, lambdas, args.tau)
     evaluation.write_sweep_csv(cells, out / "sweep_binary.csv", "binary")
     evaluation.write_sweep_csv(cells, out / "sweep_exact.csv", "exact")
@@ -317,7 +321,7 @@ def cmd_ablate(args, out):
     cells = []
     for ckpt in args.ckpt:
         params, mcfg = load_checkpoint(ckpt)
-        for n in _parse_range(args.n_values):
+        for n in _parse_list(args.n_values, int):
             report = _segment_report(recs, n, params, mcfg)
             cells.append(evaluation.AblationCell(
                 str(ckpt), args.features, n, report

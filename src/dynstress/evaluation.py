@@ -85,10 +85,6 @@ def score_sequence_level(
 
 # --- labelling sweep (Table-III-style grid) ---
 
-DEFAULT_SWEEP_N = (0, 1, 2, 3, 4, 5)
-DEFAULT_SWEEP_LAMBDA = (0.01, 0.1, 0.8, 1.0)
-
-
 @dataclass(frozen=True)
 class SweepCell:
     n: int
@@ -99,8 +95,8 @@ class SweepCell:
 
 def labelling_sweep(
     sequences: Sequence[tuple[Sequence[VadCode], Sequence[VadCode]]],
-    n_values: Sequence[int] = DEFAULT_SWEEP_N,
-    lambdas: Sequence[float] = DEFAULT_SWEEP_LAMBDA,
+    n_values: Sequence[int],
+    lambdas: Sequence[float],
     tau: float = 0.5,
 ) -> list[SweepCell]:
     """Agreement of the relabelling output against reference stress labels.

@@ -6,30 +6,28 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .segmentation import REQUIRED_SAMPLE_RATE, DataError
+from .segmentation import REQUIRED_SAMPLE_RATE, WINDOW_S, DataError
 
 
 @dataclass(frozen=True)
 class MfccConfig:
-    frame_len_s: float = 0.025
-    frame_hop_s: float = 0.010
-    n_fft: int = 512
-    n_mels: int = 64
-    n_coeffs: int = 40
-    pre_emphasis: float = 0.97
-    fmin: float = 0.0
-    fmax: float = 8000.0
-    log_floor: float = 1e-10
-    include_deltas: bool = False  # appends pooled deltas, doubling d
+    """The paper's MFCC recipe; only the delta option is settable."""
 
-    def __post_init__(self):
-        if self.n_coeffs > self.n_mels:
-            raise ValueError("n_coeffs must not exceed n_mels")
-        if self.fmax > REQUIRED_SAMPLE_RATE / 2:
-            raise ValueError("fmax above Nyquist")
+    frame_len_s: ClassVar[float] = 0.025
+    frame_hop_s: ClassVar[float] = 0.010
+    n_fft: ClassVar[int] = 512
+    n_mels: ClassVar[int] = 64
+    n_coeffs: ClassVar[int] = 40
+    pre_emphasis: ClassVar[float] = 0.97
+    fmin: ClassVar[float] = 0.0
+    fmax: ClassVar[float] = 8000.0
+    log_floor: ClassVar[float] = 1e-10
+    include_deltas: bool = False  # appends pooled deltas, doubling d
 
     @property
     def dim(self) -> int:
@@ -44,12 +42,13 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: MfccConfig, sample_rate: int = REQUIRED_SAMPLE_RATE) -> np.ndarray:
+def mel_filterbank() -> np.ndarray:
     """Triangular mel filters on the HTK scale, shape (n_mels, n_fft//2 + 1)."""
+    cfg = MfccConfig
     n_bins = cfg.n_fft // 2 + 1
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
-    bin_freqs = np.arange(n_bins) * sample_rate / cfg.n_fft
+    bin_freqs = np.arange(n_bins) * REQUIRED_SAMPLE_RATE / cfg.n_fft
     fb = np.zeros((cfg.n_mels, n_bins))
     for j in range(cfg.n_mels):
         lo, mid, hi = hz_pts[j], hz_pts[j + 1], hz_pts[j + 2]
@@ -69,8 +68,14 @@ def dct_basis(n: int) -> np.ndarray:
     return basis
 
 
-def mfcc_frames(samples: np.ndarray, cfg: MfccConfig = MfccConfig(),
-                sample_rate: int = REQUIRED_SAMPLE_RATE) -> np.ndarray:
+_WINDOW_SAMPLES = int(WINDOW_S * REQUIRED_SAMPLE_RATE)
+_FRAME_LEN = int(round(MfccConfig.frame_len_s * REQUIRED_SAMPLE_RATE))
+_FRAME_HOP = int(round(MfccConfig.frame_hop_s * REQUIRED_SAMPLE_RATE))
+_FILTERBANK = mel_filterbank()
+_DCT = dct_basis(MfccConfig.n_mels).T[:, : MfccConfig.n_coeffs]
+
+
+def mfcc_frames(samples: np.ndarray) -> np.ndarray:
     """MFCC matrix for one 10 s window, shape (n_frames, n_coeffs).
 
     Pipeline: pre-emphasis, 25 ms / 10 ms Hann frames, magnitude spectrum
@@ -78,32 +83,24 @@ def mfcc_frames(samples: np.ndarray, cfg: MfccConfig = MfccConfig(),
     40 coefficients.  A 10 s window yields 998 frames.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    expected = 10 * sample_rate
-    if len(samples) != expected:
+    if len(samples) != _WINDOW_SAMPLES:
         raise DataError(
-            f"expected exactly {expected} samples (10 s at {sample_rate} Hz), "
-            f"got {len(samples)}"
+            f"expected exactly {_WINDOW_SAMPLES} samples ({WINDOW_S:.0f} s at "
+            f"{REQUIRED_SAMPLE_RATE} Hz), got {len(samples)}"
         )
     emph = np.empty_like(samples)
     emph[0] = samples[0]
-    emph[1:] = samples[1:] - cfg.pre_emphasis * samples[:-1]
-
-    flen = int(round(cfg.frame_len_s * sample_rate))
-    fhop = int(round(cfg.frame_hop_s * sample_rate))
-    n_frames = (len(emph) - flen) // fhop + 1
-    idx = np.arange(flen)[None, :] + fhop * np.arange(n_frames)[:, None]
-    frames = emph[idx] * np.hanning(flen)
-
-    mag = np.abs(np.fft.rfft(frames, n=cfg.n_fft, axis=1))
-    fb = mel_filterbank(cfg, sample_rate)
-    mel = mag @ fb.T
-    logmel = np.log(np.maximum(mel, cfg.log_floor))
-    coeffs = logmel @ dct_basis(cfg.n_mels).T[:, : cfg.n_coeffs]
-    return coeffs
+    emph[1:] = samples[1:] - MfccConfig.pre_emphasis * samples[:-1]
+    frames = sliding_window_view(emph, _FRAME_LEN)[::_FRAME_HOP] * np.hanning(_FRAME_LEN)
+    mag = np.abs(np.fft.rfft(frames, n=MfccConfig.n_fft, axis=1))
+    mel = mag @ _FILTERBANK.T
+    logmel = np.log(np.maximum(mel, MfccConfig.log_floor))
+    return logmel @ _DCT
 
 
-def delta_frames(frames: np.ndarray, width: int = 2) -> np.ndarray:
-    """Temporal derivatives via standard regression over +-width frames."""
+def delta_frames(frames: np.ndarray) -> np.ndarray:
+    """Temporal derivatives via standard regression over +-2 frames."""
+    width = 2
     padded = np.pad(frames, ((width, width), (0, 0)), mode="edge")
     num = sum(
         k * (padded[width + k : len(frames) + width + k] -
@@ -124,7 +121,7 @@ def pool_window(frames: np.ndarray) -> np.ndarray:
 
 def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """One pooled feature vector for a 10 s window (d=40, or 80 with deltas)."""
-    frames = mfcc_frames(samples, cfg)
+    frames = mfcc_frames(samples)
     vec = pool_window(frames)
     if cfg.include_deltas:
         vec = np.concatenate([vec, pool_window(delta_frames(frames))])
@@ -166,13 +163,9 @@ def read_fseq(path: str | Path) -> np.ndarray:
     return data.astype(np.float64)
 
 
-def load_embeddings(path: str | Path, expected_dim: int | None = 1024) -> np.ndarray:
-    """Load precomputed per-window embeddings, one row per window."""
+def load_embeddings(path: str | Path) -> np.ndarray:
+    """Load precomputed per-window embeddings of any width, one row per window."""
     mat = read_fseq(path)
-    if expected_dim is not None and mat.shape[1] != expected_dim:
-        raise DataError(
-            f"{path}: embedding dim {mat.shape[1]}, expected {expected_dim}"
-        )
     if not np.all(np.isfinite(mat)):
         raise DataError(f"{path}: non-finite values in embeddings")
     return mat

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .segmentation import DataError
 from .vad import STRESS_CODE, VadCode, hamming_distance
 
 
@@ -26,11 +27,11 @@ class LabellingConfig:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+            raise DataError(f"n must be >= 0, got {self.n}")
         if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+            raise DataError(f"lam must be > 0, got {self.lam}")
         if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+            raise DataError(f"tau must be in [0, 1], got {self.tau}")
 
     def threshold(self) -> float:
         return self.tau * theta_max(self.n, self.lam)

@@ -34,9 +34,11 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.arch not in ("lstm", "transformer"):
-            raise ValueError(f"unknown architecture {self.arch!r}")
-        if self.hidden % self.heads != 0:
-            raise ValueError("hidden size must be divisible by head count")
+            raise DataError(f"unknown architecture {self.arch!r}")
+        if self.heads < 1 or self.hidden % self.heads != 0:
+            raise DataError("hidden size must be divisible by a positive head count")
+        if not 0.0 <= self.dropout < 1.0:
+            raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 # --- parameter initialisation ---
@@ -130,11 +132,11 @@ def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
     return stack(outs, axis=1)
 
 
-def layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * ((var + eps) ** -0.5) * g + b
+    return xc * ((var + 1e-5) ** -0.5) * g + b
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -181,8 +183,7 @@ def transformer_layer(x: Tensor, params, prefix: str, heads: int) -> Tensor:
 
 
 def transformer_states(
-    x: Tensor, params, cfg: ModelConfig, prefix: str, proj: str,
-    n_layers: int, use_positions: bool = True,
+    x: Tensor, params, cfg: ModelConfig, prefix: str, proj: str, n_layers: int,
 ) -> Tensor:
     w = params[f"{proj}.w"]
     if x.shape[-1] != w.shape[0]:
@@ -190,8 +191,7 @@ def transformer_states(
             f"{proj}: input dim {x.shape[-1]} does not match weights {w.shape[0]}"
         )
     h = x @ w + params[f"{proj}.b"]
-    if use_positions:
-        h = h + Tensor(positional_encoding(x.shape[1], cfg.hidden))
+    h = h + Tensor(positional_encoding(x.shape[1], cfg.hidden))
     for i in range(n_layers):
         h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads)
     return layer_norm(h, params[f"{prefix}.lnf.g"], params[f"{prefix}.lnf.b"])
@@ -263,9 +263,14 @@ def forward_batch(
     return logits.sigmoid()
 
 
+def binarise(probs: np.ndarray) -> np.ndarray:
+    """The paper's decision rule: True where p > 0.5."""
+    return probs > 0.5
+
+
 def decode(probs: np.ndarray) -> VadCode:
-    """Binary code of one (3,) probability row: 1 where p > 0.5."""
-    return VadCode(*(int(p > 0.5) for p in probs))
+    """Binary code of one (3,) probability row."""
+    return VadCode(*(int(b) for b in binarise(probs)))
 
 
 def param_names(params) -> list[str]:
@@ -315,38 +320,33 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
     if zlib.crc32(body) != crc:
         raise DataError(f"{path}: checkpoint CRC mismatch")
     off = 4
-    version, arch_len = struct.unpack_from("<IB", body, off)
-    off += 5
-    if version != _CKPT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    arch = body[off : off + arch_len].decode()
-    off += arch_len
-    feature_dim, hidden, layers, heads, ffn, ctx_layers = struct.unpack_from(
-        "<6I", body, off
-    )
-    off += 24
-    (n_tensors,) = struct.unpack_from("<I", body, off)
-    off += 4
-    entries = []
-    for _ in range(n_tensors):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off : off + nlen].decode()
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", body, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, off)
-        off += 4 * ndim
-        (start,) = struct.unpack_from("<Q", body, off)
-        off += 8
-        entries.append((name, shape, start))
-    payload = body[off:]
-    params = {}
-    for name, shape, start in entries:
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=start)
-        params[name] = Tensor(
-            arr.astype(np.float64).reshape(shape), requires_grad=True
-        )
-    cfg = ModelConfig(arch, feature_dim, hidden, layers, heads, ffn, ctx_layers)
-    return params, cfg
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        values = struct.unpack_from(fmt, body, off)
+        off += struct.calcsize(fmt)
+        return values
+
+    # struct.error: header cut short; ValueError: a field fails to decode or validate
+    try:
+        version, arch_len = take("<IB")
+        if version != _CKPT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version}")
+        arch = take(f"{arch_len}s")[0].decode()
+        dims = take("<6I")
+        entries = []
+        for _ in range(take("<I")[0]):
+            (nlen,) = take("<H")
+            name = take(f"{nlen}s")[0].decode()
+            (ndim,) = take("<B")
+            entries.append((name, take(f"<{ndim}I"), take("<Q")[0]))
+        params = {}
+        for name, shape, start in entries:
+            size = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(body, dtype="<f4", count=size, offset=off + start)
+            params[name] = Tensor(
+                arr.astype(np.float64).reshape(shape), requires_grad=True
+            )
+        return params, ModelConfig(arch, *dims)
+    except (struct.error, ValueError) as e:
+        raise DataError(f"{path}: malformed checkpoint ({e})") from None

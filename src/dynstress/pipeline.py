@@ -69,8 +69,7 @@ def clip_feature_matrix(
         ])
     if feature_spec.startswith("file:"):
         emb_dir = Path(feature_spec[5:])
-        mat = load_embeddings(emb_dir / f"{clip.utterance_id}.fseq",
-                              expected_dim=None)
+        mat = load_embeddings(emb_dir / f"{clip.utterance_id}.fseq")
         if mat.shape[0] != len(windows):
             raise DataError(
                 f"{clip.utterance_id}: embedding file has {mat.shape[0]} rows, "

@@ -8,6 +8,7 @@ synthesise temporal emotion progressions.
 from __future__ import annotations
 
 import json
+import math
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,10 +19,12 @@ import numpy as np
 from .vad import VadCode, parse_label
 
 REQUIRED_SAMPLE_RATE = 16000
+WINDOW_S, HOP_S = 10.0, 5.0  # the paper's window length and hop, in seconds
 
 
-class DataError(Exception):
-    """Malformed or unusable input data (bad WAV, bad manifest, ...)."""
+class DataError(ValueError):
+    """Malformed or unusable input data (bad WAV, bad manifest, ...) or a
+    setting outside its valid range."""
 
 
 @dataclass
@@ -60,23 +63,28 @@ class LabelSpan:
     end: float
     code: VadCode
 
+    def __post_init__(self):
+        # NaN fails every comparison, so only an infinite end needs its own test
+        if not (0.0 <= self.start < self.end and math.isfinite(self.end)):
+            raise DataError(
+                f"span [{self.start}, {self.end}) needs finite 0 <= start < end"
+            )
 
-def segment(
-    clip: AudioClip, window_s: float = 10.0, hop_s: float = 5.0
-) -> list[SegmentWindow]:
+
+def segment(clip: AudioClip) -> list[SegmentWindow]:
     """Cut a clip into overlapping windows; trailing audio shorter than a
     full window is dropped."""
-    if clip.duration < window_s:
+    if clip.duration < WINDOW_S:
         raise DataError(
             f"clip {clip.utterance_id!r} is {clip.duration:.2f}s, "
-            f"shorter than one {window_s:.0f}s window"
+            f"shorter than one {WINDOW_S:.0f}s window"
         )
-    count = int((clip.duration - window_s) // hop_s) + 1
+    count = int((clip.duration - WINDOW_S) // HOP_S) + 1
     return [
         SegmentWindow(
             index=k,
-            start=k * hop_s,
-            end=k * hop_s + window_s,
+            start=k * HOP_S,
+            end=k * HOP_S + WINDOW_S,
             clip_id=clip.utterance_id,
         )
         for k in range(count)
@@ -185,13 +193,12 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
     return AudioClip(pcm, rate, speaker_id, utterance_id or path.stem, text_id)
 
 
-def write_wav(path: str | Path, samples: np.ndarray,
-              sample_rate: int = REQUIRED_SAMPLE_RATE) -> None:
+def write_wav(path: str | Path, samples: np.ndarray) -> None:
     pcm = np.clip(np.asarray(samples) * 32768.0, -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
+        wf.setframerate(REQUIRED_SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())
 
 

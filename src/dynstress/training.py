@@ -13,15 +13,20 @@ from .autodiff import Tensor
 from .evaluation import EvalReport
 from .model import (
     ModelConfig,
+    binarise,
     decode,
     forward_batch,
     init_params,
     param_names,
     save_checkpoint,
 )
+from .segmentation import DataError
 from .vad import VadCode, is_stress
 
 _CLAMP = 1e-7
+LR_DECAY, LR_DECAY_EVERY = 0.5, 5  # the learning rate halves every 5 epochs
+EVAL_BATCH = 64  # samples per validation forward pass
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
 
 
 class TrainingDiverged(RuntimeError):
@@ -37,15 +42,13 @@ class TrainConfig:
     teacher_forcing_p: float = 0.8
     seed: int = 0
     patience: int = 5
-    lr_decay: float = 0.5
-    lr_decay_every: int = 5
 
     def __post_init__(self):
         if not 0.0 <= self.teacher_forcing_p <= 1.0:
-            raise ValueError("teacher_forcing_p must be in [0, 1]")
+            raise DataError("teacher_forcing_p must be in [0, 1]")
         for name in ("epochs", "iterations_per_epoch", "batch_size"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise DataError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,26 +147,25 @@ def sample_context(
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.001):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         for n, p in self.params.items():
             g = grads[n]
-            self.m[n] = self.beta1 * self.m[n] + (1.0 - self.beta1) * g
-            self.v[n] = self.beta2 * self.v[n] + (1.0 - self.beta2) * g * g
+            self.m[n] = _BETA1 * self.m[n] + (1.0 - _BETA1) * g
+            self.v[n] = _BETA2 * self.v[n] + (1.0 - _BETA2) * g * g
             p.data = p.data - self.lr * (self.m[n] / b1c) / (
-                np.sqrt(self.v[n] / b2c) + self.eps
+                np.sqrt(self.v[n] / b2c) + _EPS
             )
 
 
@@ -219,8 +221,7 @@ def _rollout_contexts(
         X = np.stack([samples[j].features for j in needed])
         S = np.stack([samples[j].context for j in needed])
         probs = forward_batch(X, S, params, cfg).data
-        for j, p in zip(needed, probs):
-            preds[j] = (p > 0.5).astype(np.float64)
+        preds = dict(zip(needed, binarise(probs).astype(np.float64)))
     out = {}
     for i in idx:
         s = samples[i]
@@ -237,31 +238,29 @@ def _targets(samples: Sequence[TrainSample]) -> np.ndarray:
     return np.array([s.target.as_tuple() for s in samples], dtype=np.float64)
 
 
-def _batched_probs(samples: Sequence[TrainSample], params, cfg: ModelConfig,
-                   batch_size: int):
+def _batched_probs(samples: Sequence[TrainSample], params, cfg: ModelConfig):
     """(chunk, probabilities) per batch of samples, ground-truth contexts."""
-    for lo in range(0, len(samples), batch_size):
-        chunk = samples[lo : lo + batch_size]
+    for lo in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[lo : lo + EVAL_BATCH]
         X = np.stack([s.features for s in chunk])
         S = np.stack([s.context for s in chunk])
         yield chunk, forward_batch(X, S, params, cfg)
 
 
-def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig,
-                  batch_size: int = 64) -> float:
+def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig) -> float:
     """Mean BCE over samples with ground-truth contexts."""
     total = 0.0
-    for chunk, probs in _batched_probs(samples, params, cfg, batch_size):
+    for chunk, probs in _batched_probs(samples, params, cfg):
         losses = _bce_terms(probs, _targets(chunk)).data.mean(axis=1)
         total += float(losses.sum())
     return total / max(len(samples), 1)
 
 
-def evaluate_accuracy(samples: Sequence[TrainSample], params, cfg: ModelConfig,
-                      batch_size: int = 64) -> tuple[float, float]:
+def evaluate_accuracy(samples: Sequence[TrainSample], params,
+                      cfg: ModelConfig) -> tuple[float, float]:
     """Segment accuracy / F1 on the stress decision, ground-truth contexts."""
     preds, truths = [], []
-    for chunk, probs in _batched_probs(samples, params, cfg, batch_size):
+    for chunk, probs in _batched_probs(samples, params, cfg):
         preds += [is_stress(decode(p)) for p in probs.data]
         truths += [is_stress(s.target) for s in chunk]
     report = EvalReport.from_pairs(preds, truths)
@@ -292,9 +291,7 @@ def train(
     rows = []
     step = 0
     for epoch in range(tcfg.epochs):
-        opt.lr = tcfg.learning_rate * (
-            tcfg.lr_decay ** (epoch // tcfg.lr_decay_every)
-        )
+        opt.lr = tcfg.learning_rate * LR_DECAY ** (epoch // LR_DECAY_EVERY)
         epoch_loss = 0.0
         for it in range(tcfg.iterations_per_epoch):
             rng = _step_rng(tcfg.seed, 1, epoch, it)

@@ -1,10 +1,13 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from dynstress.cli import main
 from dynstress.features import read_fseq
+from dynstress.model import ModelConfig, init_params, save_checkpoint
 from dynstress.segmentation import write_wav
 
 SR = 16000
@@ -114,20 +117,46 @@ def test_config_file_merge(data_dir):
     assert resolved["tau"] == 0.25  # explicit flag beats the file
 
 
-@pytest.mark.parametrize("case", ["missing-config", "non-numeric", "no-spans"])
+def write_checkpoints(d):
+    """A valid checkpoint plus two CRC-valid ones with a bad header: one cut
+    inside the model dimensions, one naming the architecture 'gru'."""
+    cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
+    save_checkpoint(d / "good.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
+    body = (d / "good.ckpt").read_bytes()[:-4]
+    # magic (4), version (4), arch length (1), arch, six model dimensions
+    assert body[8:13] == b"\x04lstm"
+    for name, edited in (("cut", body[:23]), ("gru", body[:8] + b"\x03gru" + body[13:])):
+        (d / f"{name}.ckpt").write_bytes(edited + struct.pack("<I", zlib.crc32(edited)))
+
+
+INPUT_ERRORS = {
+    "missing-config": ["label", "--config", "absent.cfg"],
+    "non-numeric": ["label", "--config", "bad.cfg"],
+    "no-spans": ["augment"],
+    "negative-n": ["label", "--n", "-1"],
+    "hidden-not-divisible-by-heads": ["train", "--hidden", "6"],
+    "teacher-forcing-p-above-1": ["train", "--teacher-forcing-p", "2"],
+    "dropout-1": ["train", "--dropout", "1.0"],
+    "bad-n-values": ["ablate", "--ckpt", "good.ckpt", "--n-values", "0..x"],
+    "bad-lambda": ["sweep", "--lambda", "a"],
+    "bad-sweep-n": ["sweep", "--n", "1..q"],
+    "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
+    "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
 def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
     manifest = data_dir / "manifest.jsonl"
-    args = ["label", "--manifest", manifest, "--out", data_dir / case]
-    if case == "missing-config":
-        args += ["--config", data_dir / "absent.cfg"]
-    elif case == "non-numeric":
-        (data_dir / "bad.cfg").write_text("n = four\n")
-        args += ["--config", data_dir / "bad.cfg"]
-    else:
+    cmd, *flags = INPUT_ERRORS[case]
+    (data_dir / "bad.cfg").write_text("n = four\n")
+    write_checkpoints(data_dir)
+    if case == "no-spans":
         manifest.write_text("".join(
             manifest_line(name, []) + "\n" for name in ("a", "b")
         ))
-        args[0] = "augment"
+    flags = [data_dir / f if f.endswith((".cfg", ".ckpt")) else f for f in flags]
+    args = [cmd, "--manifest", manifest, "--out", data_dir / case, *flags]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

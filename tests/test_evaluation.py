@@ -162,9 +162,9 @@ def test_sweep_lagged_fear_fixture():
 
 def test_sweep_empty_rejected():
     with pytest.raises(ValueError):
-        labelling_sweep([])
+        labelling_sweep([], [0], [0.8])
     with pytest.raises(ValueError):
-        labelling_sweep([([FEAR], [FEAR, FEAR])])
+        labelling_sweep([([FEAR], [FEAR, FEAR])], [0], [0.8])
 
 
 def test_sweep_csv_layout(tmp_path):

@@ -9,11 +9,13 @@ from dynstress.model import (
     decode,
     forward_batch,
     init_params,
+    layer_norm,
     load_checkpoint,
     lstm_states,
     param_names,
     positional_encoding,
     save_checkpoint,
+    transformer_layer,
     transformer_states,
 )
 from dynstress.segmentation import DataError
@@ -201,11 +203,14 @@ def test_transformer_permutation_equivariance_without_positions():
     params = make_params(cfg, seed=17)
     seq = np.random.default_rng(9).normal(size=(1, 5, 6))
     perm = np.array([3, 0, 4, 1, 2])
-    base, permuted = (
-        transformer_states(Tensor(x), params, cfg, "enc", "proj", cfg.layers,
-                           use_positions=False).data
-        for x in (seq, seq[:, perm])
-    )
+
+    def encode(x):  # transformer_states without the positional encoding
+        h = Tensor(x) @ params["proj.w"] + params["proj.b"]
+        for i in range(cfg.layers):
+            h = transformer_layer(h, params, f"enc{i}", cfg.heads)
+        return layer_norm(h, params["enc.lnf.g"], params["enc.lnf.b"]).data
+
+    base, permuted = encode(seq), encode(seq[:, perm])
     assert np.max(np.abs(permuted - base[:, perm])) < 1e-10
 
 
@@ -282,6 +287,15 @@ def test_forward_golden_regression():
         S = context_array(context(3))[None]
         probs = forward_batch(X, S, params, cfg).data[0]
         assert np.allclose(probs, GOLDEN[arch], atol=1e-12), (arch, probs)
+
+
+@pytest.mark.parametrize("setting", [
+    {"arch": "gru"}, {"hidden": 6}, {"heads": 0}, {"dropout": 1.0},
+    {"dropout": -0.1},
+])
+def test_model_config_rejects_bad_settings(setting):
+    with pytest.raises(DataError):
+        ModelConfig(**{"arch": "lstm", "feature_dim": 4, **setting})
 
 
 # --- checkpoints ---

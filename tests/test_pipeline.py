@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dynstress import segmentation
-from dynstress.features import MfccConfig, window_mfcc
+from dynstress.features import MfccConfig, window_mfcc, write_fseq
 from dynstress.labelling import LabellingConfig, relabel_sequence
 from dynstress.model import (
     ModelConfig,
@@ -20,6 +20,7 @@ from dynstress.pipeline import (
 )
 from dynstress.segmentation import (
     ClipRecord,
+    DataError,
     LabelSpan,
     load_clip,
     segment,
@@ -152,6 +153,20 @@ def test_load_recording_decodes_each_wav_once(clip_dir, monkeypatch):
     assert rd.features.shape == (len(windows), MfccConfig().dim)
     for row, w in zip(rd.features, windows):
         assert np.array_equal(row, window_mfcc(window_samples(clip, w)))
+
+
+def test_file_features_pass_rows_through(clip_dir):
+    emb = clip_dir / "emb"
+    emb.mkdir()
+    rows = np.random.default_rng(3).normal(size=(5, 7)).astype(np.float32)
+    write_fseq(emb / "full.fseq", rows)
+    rec = record("full", [LabelSpan(0, 30, FEAR)])
+    (rd,) = load_recording(rec, clip_dir, f"file:{emb}", LAB)
+    assert np.array_equal(rd.features, rows.astype(np.float64))
+    # a 30 s clip has 5 windows
+    write_fseq(emb / "full.fseq", rows[:4])
+    with pytest.raises(DataError, match="4 rows"):
+        load_recording(rec, clip_dir, f"file:{emb}", LAB)
 
 
 def test_build_samples_skips_short_runs(clip_dir):

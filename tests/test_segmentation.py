@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,21 @@ def test_manifest_bad_record(tmp_path):
     m = tmp_path / "m.jsonl"
     m.write_text('{"speaker_id": "s"}\n')
     with pytest.raises(DataError):
+        read_manifest(m)
+
+
+@pytest.mark.parametrize("field", ["spans", "stress_spans"])
+@pytest.mark.parametrize("start, end", [
+    (0, "nan"), ("nan", 10), (0, "inf"), (20, 5), (5, 5), (-1, 10),
+])
+def test_manifest_rejects_bad_spans(tmp_path, field, start, end):
+    good = {"audio_path": "a.wav", "spans": [
+        {"start_s": 0, "end_s": 10, "label": "fear"}]}
+    bad = {"audio_path": "b.wav", field: [
+        {"start_s": start, "end_s": end, "label": "fear"}]}
+    m = tmp_path / "m.jsonl"
+    m.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DataError, match=r"m\.jsonl:2: .*span"):
         read_manifest(m)
 
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynstress.model import ModelConfig, forward_batch, init_params, param_names
 from dynstress.training import (
+    EVAL_BATCH,
     Adam,
     EarlyStopping,
     TrainConfig,
@@ -16,6 +18,7 @@ from dynstress.training import (
     gradient,
     numerical_gradient,
     sample_context,
+    _rollout_contexts,
     train,
 )
 from dynstress.vad import DEFAULT_CODE, VadCode
@@ -166,6 +169,35 @@ def make_samples(rng, count, T=3, d=8):
     return samples
 
 
+def test_rollout_contexts_substitute_binarised_predictions():
+    """Each context slot that names a sample holds that sample's binarised
+    prediction under its own ground-truth context; -1 slots keep the truth."""
+    rng = np.random.default_rng(21)
+    cfg = reduced_cfg("lstm")
+    params = init_params(cfg, rng)
+    prev = [(-1, 5), (2, -1), (-1, -1), (0, 1), (7, 3), (4, 4), (1, -1), (6, 0)]
+    samples = [replace(s, prev_indices=p)
+               for s, p in zip(make_samples(rng, len(prev)), prev)]
+    truth = [s.context.copy() for s in samples]
+    idx = [0, 3, 3, 4, 6, 7]
+    out = _rollout_contexts(samples, idx, params, cfg)
+    assert sorted(out) == sorted(set(idx))
+    changed = 0
+    for i in idx:
+        assert np.array_equal(out[i][0], truth[i][0])  # default code
+        for slot, j in enumerate(samples[i].prev_indices, start=1):
+            if j < 0:
+                assert np.array_equal(out[i][slot], truth[i][slot])
+                continue
+            probs = forward_batch(samples[j].features[None],
+                                  samples[j].context[None], params, cfg).data[0]
+            assert np.array_equal(out[i][slot], (probs > 0.5).astype(float))
+            changed += not np.array_equal(out[i][slot], truth[i][slot])
+    assert changed  # some predictions differ from the ground truth
+    for s, t in zip(samples, truth):
+        assert np.array_equal(s.context, t)  # samples are not modified
+
+
 def test_single_batch_overfit():
     rng = np.random.default_rng(7)
     samples = make_samples(rng, 16)
@@ -222,15 +254,17 @@ def test_train_config_validation():
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
 def test_validation_matches_numpy_bce_and_confusion_counts(arch):
     """evaluate_loss equals a numpy BCE bit for bit, and evaluate_accuracy a
-    hand-counted confusion matrix, including probabilities clamped at 0/1."""
+    hand-counted confusion matrix, including probabilities clamped at 0/1,
+    over two full validation chunks and a short last one."""
     rng = np.random.default_rng(31)
-    samples = make_samples(rng, 40)
+    samples = make_samples(rng, 150)
+    assert len(samples) > 2 * EVAL_BATCH
     cfg = reduced_cfg(arch)
     params = init_params(cfg, rng)
     # valence saturates at 0 and arousal at 1, so both hit the clamp and
     # dominance alone decides stress
     params["head.b"].data[:] = [-40.0, 40.0, 0.0]
-    batch = 16
+    batch = EVAL_BATCH
     total = 0.0
     tp = fp = tn = fn = 0
     for lo in range(0, len(samples), batch):
@@ -251,8 +285,8 @@ def test_validation_matches_numpy_bce_and_confusion_counts(arch):
             fn += truth and not pred
             tn += not pred and not truth
     assert tp and tn and (fp or fn)  # every branch of the scorer is reached
-    got = evaluate_loss(samples, params, cfg, batch_size=batch)
+    got = evaluate_loss(samples, params, cfg)
     assert got.hex() == (total / len(samples)).hex()
-    acc, f1 = evaluate_accuracy(samples, params, cfg, batch_size=batch)
+    acc, f1 = evaluate_accuracy(samples, params, cfg)
     assert acc == (tp + tn) / len(samples)
     assert f1 == 2 * tp / (2 * tp + fp + fn)
