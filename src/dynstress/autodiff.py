@@ -48,6 +48,8 @@ class Tensor:
 
     @staticmethod
     def _make(data, parents, backward):
+        # Outputs of constants keep no parents and no backward, so a
+        # single-parent backward runs only when its parent needs a gradient.
         req = any(p.requires_grad for p in parents)
         return Tensor(data, req, parents if req else (), backward if req else None)
 
@@ -60,24 +62,19 @@ class Tensor:
 
     def __add__(self, other):
         o = self._lift(other)
-        out = self._make(self.data + o.data, (self, o), None)
         def back(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g, self.data.shape))
             if o.requires_grad:
                 o._accum(_unbroadcast(g, o.data.shape))
-        out._backward = back
-        return out
+        return self._make(self.data + o.data, (self, o), back)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = self._make(-self.data, (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(-g)
-        out._backward = back
-        return out
+            self._accum(-g)
+        return self._make(-self.data, (self,), back)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -87,39 +84,31 @@ class Tensor:
 
     def __mul__(self, other):
         o = self._lift(other)
-        out = self._make(self.data * o.data, (self, o), None)
         def back(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g * o.data, self.data.shape))
             if o.requires_grad:
                 o._accum(_unbroadcast(g * self.data, o.data.shape))
-        out._backward = back
-        return out
+        return self._make(self.data * o.data, (self, o), back)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._lift(other)
-        out = self._make(self.data / o.data, (self, o), None)
         def back(g):
             if self.requires_grad:
                 self._accum(_unbroadcast(g / o.data, self.data.shape))
             if o.requires_grad:
                 o._accum(_unbroadcast(-g * self.data / (o.data * o.data), o.data.shape))
-        out._backward = back
-        return out
+        return self._make(self.data / o.data, (self, o), back)
 
     def __pow__(self, p: float):
-        out = self._make(self.data ** p, (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g * p * self.data ** (p - 1))
-        out._backward = back
-        return out
+            self._accum(g * p * self.data ** (p - 1))
+        return self._make(self.data ** p, (self,), back)
 
     def __matmul__(self, other):
         o = self._lift(other)
-        out = self._make(np.matmul(self.data, o.data), (self, o), None)
         def back(g):
             if self.requires_grad:
                 ga = np.matmul(g, np.swapaxes(o.data, -1, -2))
@@ -127,67 +116,48 @@ class Tensor:
             if o.requires_grad:
                 gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 o._accum(_unbroadcast(gb, o.data.shape))
-        out._backward = back
-        return out
+        return self._make(np.matmul(self.data, o.data), (self, o), back)
 
     # -- activations and elementwise functions --
 
     def exp(self):
         val = np.exp(self.data)
-        out = self._make(val, (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g * val)
-        out._backward = back
-        return out
+            self._accum(g * val)
+        return self._make(val, (self,), back)
 
     def log(self):
-        out = self._make(np.log(self.data), (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g / self.data)
-        out._backward = back
-        return out
+            self._accum(g / self.data)
+        return self._make(np.log(self.data), (self,), back)
 
     def tanh(self):
         val = np.tanh(self.data)
-        out = self._make(val, (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g * (1.0 - val * val))
-        out._backward = back
-        return out
+            self._accum(g * (1.0 - val * val))
+        return self._make(val, (self,), back)
 
     def sigmoid(self):
         val = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(val, (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g * val * (1.0 - val))
-        out._backward = back
-        return out
+            self._accum(g * val * (1.0 - val))
+        return self._make(val, (self,), back)
 
     def clip(self, lo: float, hi: float):
         # Pass-through gradient inside [lo, hi], zero outside.
         mask = (self.data >= lo) & (self.data <= hi)
-        out = self._make(np.clip(self.data, lo, hi), (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g * mask)
-        out._backward = back
-        return out
+            self._accum(g * mask)
+        return self._make(np.clip(self.data, lo, hi), (self,), back)
 
     # -- reductions --
 
     def sum(self, axis=None, keepdims=False):
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), None)
         def back(g):
-            if self.requires_grad:
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.data.shape).copy())
-        out._backward = back
-        return out
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, self.data.shape).copy())
+        return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -200,31 +170,22 @@ class Tensor:
 
     def reshape(self, *shape):
         old = self.data.shape
-        out = self._make(self.data.reshape(*shape), (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g.reshape(old))
-        out._backward = back
-        return out
+            self._accum(g.reshape(old))
+        return self._make(self.data.reshape(*shape), (self,), back)
 
     def transpose(self, *axes):
         inv = np.argsort(axes)
-        out = self._make(self.data.transpose(*axes), (self,), None)
         def back(g):
-            if self.requires_grad:
-                self._accum(g.transpose(*inv))
-        out._backward = back
-        return out
+            self._accum(g.transpose(*inv))
+        return self._make(self.data.transpose(*axes), (self,), back)
 
     def __getitem__(self, key):
-        out = self._make(self.data[key], (self,), None)
         def back(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
-                self._accum(full)
-        out._backward = back
-        return out
+            full = np.zeros_like(self.data)
+            np.add.at(full, key, g)
+            self._accum(full)
+        return self._make(self.data[key], (self,), back)
 
     # -- backprop driver --
 
@@ -250,7 +211,6 @@ class Tensor:
 
 def concat(tensors, axis=0):
     datas = [t.data for t in tensors]
-    out = Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), None)
     sizes = [d.shape[axis] for d in datas]
     def back(g):
         offset = 0
@@ -260,8 +220,7 @@ def concat(tensors, axis=0):
             if t.requires_grad:
                 t._accum(g[tuple(sl)])
             offset += size
-    out._backward = back
-    return out
+    return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
 
 
 def stack(tensors, axis=0):

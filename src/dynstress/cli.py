@@ -58,29 +58,34 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """File values fill in flags the user left at their defaults."""
+def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
+    """File values become the flag defaults, so flags given on the command
+    line win over the file even when they equal the built-in default."""
     if not getattr(args, "config", None):
-        return
+        return args
     file_vals = _read_config_file(args.config)
     # the subcommand's own parser holds the flag defaults
-    parser = args.subparser
+    sub = args.subparser
+    # optional flags only: required ones always come from the command line
+    flags = {a.dest for a in sub._actions if not a.required}
+    defaults = {}
     for key, val in file_vals.items():
-        if not hasattr(args, key):
+        if key not in flags or not hasattr(args, key):
             continue
-        default = parser.get_default(key)
-        if getattr(args, key) == default:
-            if isinstance(default, bool):
-                val = val.lower() in ("1", "true", "yes")
-            elif isinstance(default, (int, float)):
-                try:
-                    val = type(default)(val)
-                except ValueError:
-                    raise DataError(
-                        f"{args.config}: {key} must be "
-                        f"{type(default).__name__}, got {val!r}"
-                    ) from None
-            setattr(args, key, val)
+        default = sub.get_default(key)
+        if isinstance(default, bool):
+            val = val.lower() in ("1", "true", "yes")
+        elif isinstance(default, (int, float)):
+            try:
+                val = type(default)(val)
+            except ValueError:
+                raise DataError(
+                    f"{args.config}: {key} must be "
+                    f"{type(default).__name__}, got {val!r}"
+                ) from None
+        defaults[key] = val
+    sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _out_dir(args) -> Path:
@@ -236,9 +241,11 @@ def cmd_train(args, out):
 
 
 def _eval_recordings(args) -> list:
-    """Recordings of ``--split``; every split when it has none."""
-    by_split = _recordings_by_split(args)
-    return by_split.get(args.split) or [r for v in by_split.values() for r in v]
+    """Recordings of ``--split``; an error when it has none."""
+    recs = _recordings_by_split(args).get(args.split)
+    if not recs:
+        raise DataError(f"no recordings to evaluate in split {args.split!r}")
+    return recs
 
 
 def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
@@ -252,8 +259,6 @@ def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
 def cmd_eval(args, out):
     params, mcfg = load_checkpoint(args.ckpt)
     recs = _eval_recordings(args)
-    if not recs:
-        raise DataError("no recordings to evaluate")
     if args.level == "segment":
         report = _segment_report(recs, args.n, params, mcfg)
     else:
@@ -263,7 +268,7 @@ def cmd_eval(args, out):
                 rd.features, args.n, params, mcfg
             )
             if rd.stress_label is not None:
-                truth[rd.clip_id] = bool(rd.stress_label)
+                truth[rd.clip_id] = rd.stress_label
             else:
                 truth[rd.clip_id] = evaluation.majority_vote(
                     [is_stress(c) for c in rd.stress_codes]
@@ -283,10 +288,14 @@ def _parse_list(text: str, kind: type) -> list:
     try:
         if kind is int and ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [kind(x) for x in text.split(",")]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [kind(x) for x in text.split(",")]
     except ValueError:
         raise DataError(f"bad {kind.__name__} list {text!r}") from None
+    if not values:
+        raise DataError(f"empty {kind.__name__} range {text!r}")
+    return values
 
 
 def cmd_sweep(args, out):
@@ -318,10 +327,11 @@ def cmd_sweep(args, out):
 
 def cmd_ablate(args, out):
     recs = _eval_recordings(args)
+    n_values = _parse_list(args.n_values, int)
     cells = []
     for ckpt in args.ckpt:
         params, mcfg = load_checkpoint(ckpt)
-        for n in _parse_list(args.n_values, int):
+        for n in n_values:
             report = _segment_report(recs, n, params, mcfg)
             cells.append(evaluation.AblationCell(
                 str(ckpt), args.features, n, report
@@ -407,7 +417,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        args = _merge_config(parser, args, argv)
         out = _out_dir(args)
         _write_resolved(args, out)
         return args.func(args, out)

@@ -344,9 +344,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
         for name, shape, start in entries:
             size = int(np.prod(shape)) if shape else 1
             arr = np.frombuffer(body, dtype="<f4", count=size, offset=off + start)
-            params[name] = Tensor(
-                arr.astype(np.float64).reshape(shape), requires_grad=True
-            )
+            params[name] = Tensor(arr.astype(np.float64).reshape(shape))
         return params, ModelConfig(arch, *dims)
     except (struct.error, ValueError) as e:
         raise DataError(f"{path}: malformed checkpoint ({e})") from None

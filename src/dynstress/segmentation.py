@@ -234,6 +234,11 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
             continue
         try:
             obj = json.loads(line)
+            stress_label = obj.get("stress_label")
+            if not (stress_label is None or isinstance(stress_label, bool)):
+                raise ValueError(
+                    f"stress_label must be true or false, got {stress_label!r}"
+                )
             rec = ClipRecord(
                 audio_path=obj["audio_path"],
                 speaker_id=obj.get("speaker_id", ""),
@@ -242,7 +247,7 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
                 spans=_parse_spans(obj.get("spans", [])),
                 split=obj.get("split", "train"),
                 stress_spans=_parse_spans(obj.get("stress_spans", [])),
-                stress_label=obj.get("stress_label"),
+                stress_label=stress_label,
             )
         except (KeyError, ValueError, TypeError) as e:
             raise DataError(f"{path}:{lineno}: bad manifest record ({e})") from e

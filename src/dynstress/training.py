@@ -135,6 +135,11 @@ def numerical_gradient(loss_fn, params, h: float = 1e-3) -> dict[str, np.ndarray
     return grads
 
 
+def _teacher_forced(p: float, rng: np.random.Generator) -> bool:
+    """The teacher-forcing draw: True (ground truth) with probability p."""
+    return rng.random() < p
+
+
 def sample_context(
     ground_truth: Sequence[VadCode], model_rollout: Sequence[VadCode],
     p: float, rng: np.random.Generator,
@@ -143,7 +148,7 @@ def sample_context(
     otherwise the model's own past predictions."""
     if len(ground_truth) != len(model_rollout):
         raise ValueError("context sequences must have equal length")
-    return ground_truth if rng.random() < p else model_rollout
+    return ground_truth if _teacher_forced(p, rng) else model_rollout
 
 
 class Adam:
@@ -297,7 +302,7 @@ def train(
             rng = _step_rng(tcfg.seed, 1, epoch, it)
             idx = rng.integers(0, len(train_samples), size=tcfg.batch_size)
             use_rollout = [
-                rng.random() >= tcfg.teacher_forcing_p for _ in idx
+                not _teacher_forced(tcfg.teacher_forcing_p, rng) for _ in idx
             ]
             if any(use_rollout):
                 rollouts = _rollout_contexts(train_samples, idx, params, mcfg)

@@ -115,6 +115,25 @@ def test_config_file_merge(data_dir):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["n"] == 1       # filled from the file
     assert resolved["tau"] == 0.25  # explicit flag beats the file
+    # an explicit flag wins even when it equals the flag's default
+    assert run(["label", "--manifest", data_dir / "manifest.jsonl",
+                "--config", cfg, "--tau", "0.5", "--out", out]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["n"] == 1 and resolved["tau"] == 0.5
+
+
+def test_config_file_sets_only_optional_flags(data_dir):
+    """File keys that name a required flag (here the repeatable --ckpt) or
+    no flag at all are ignored."""
+    write_checkpoints(data_dir)
+    cfg = data_dir / "run.cfg"
+    cfg.write_text("ckpt = absent.ckpt\nmanifest = absent.jsonl\n"
+                   "func = x\nsubparser = y\nhelp = 1\n")
+    out = data_dir / "cfgabl"
+    assert run(["ablate", "--manifest", data_dir / "manifest.jsonl",
+                "--config", cfg, "--ckpt", data_dir / "good.ckpt",
+                "--n-values", "0..0", "--out", out]) == 0
+    assert len((out / "ablation.csv").read_text().splitlines()) == 2
 
 
 def write_checkpoints(d):
@@ -142,6 +161,12 @@ INPUT_ERRORS = {
     "bad-sweep-n": ["sweep", "--n", "1..q"],
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
+    "eval-split-without-recordings": ["eval", "--ckpt", "good.ckpt",
+                                      "--split", "nosuch"],
+    "ablate-split-without-recordings": ["ablate", "--ckpt", "good.ckpt",
+                                        "--split", "nosuch"],
+    "empty-sweep-n": ["sweep", "--n", "5..0"],
+    "empty-n-values": ["ablate", "--ckpt", "good.ckpt", "--n-values", "5..0"],
 }
 
 

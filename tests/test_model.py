@@ -315,6 +315,18 @@ def test_checkpoint_roundtrip(tmp_path):
             )
 
 
+def test_forward_on_loaded_checkpoint_records_no_tape(tmp_path):
+    for cfg in (lstm_cfg(), tr_cfg()):
+        save_checkpoint(tmp_path / "m.ckpt", make_params(cfg, seed=24), cfg)
+        params, lcfg = load_checkpoint(tmp_path / "m.ckpt")
+        assert not any(p.requires_grad for p in params.values())
+        rng = np.random.default_rng(25)
+        S = context_array(context(3))[None]
+        probs = forward_batch(rng.normal(size=(1, 3, 6)), S, params, lcfg)
+        assert not probs.requires_grad
+        assert probs._parents == () and probs._backward is None
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     cfg = lstm_cfg()
     save_checkpoint(tmp_path / "x.ckpt", make_params(cfg), cfg)

@@ -178,6 +178,18 @@ def test_manifest_rejects_bad_spans(tmp_path, field, start, end):
         read_manifest(m)
 
 
+@pytest.mark.parametrize("label", ["no", "true", 1, 0, [], {}])
+def test_manifest_rejects_non_boolean_stress_label(tmp_path, label):
+    good = {"audio_path": "a.wav", "stress_label": False}
+    bad = {"audio_path": "b.wav", "stress_label": label}
+    m = tmp_path / "m.jsonl"
+    m.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DataError, match=r"m\.jsonl:2: .*stress_label"):
+        read_manifest(m)
+    m.write_text(json.dumps(good) + "\n" + json.dumps({"audio_path": "b.wav"}))
+    assert [r.stress_label for r in read_manifest(m)] == [False, None]
+
+
 def test_window_samples_slice():
     clip = make_clip(20)
     clip.samples[:] = np.arange(len(clip.samples)) / len(clip.samples)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dynstress import training
 from dynstress.model import ModelConfig, forward_batch, init_params, param_names
 from dynstress.training import (
     EVAL_BATCH,
@@ -236,6 +237,25 @@ def test_train_determinism(tmp_path):
            (tmp_path / "b/metrics.csv").read_bytes()
     assert (tmp_path / "a/best.ckpt").read_bytes() == \
            (tmp_path / "b/best.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("p, rollout_steps", [(1.0, 0), (0.0, 6)])
+def test_train_teacher_forcing_extremes(p, rollout_steps, tmp_path, monkeypatch):
+    """The loop draws teacher forcing as sample_context does: p = 1 never
+    rolls out, p = 0 rolls out at every one of the 2 x 3 steps."""
+    rng = np.random.default_rng(10)
+    samples = make_samples(rng, 8)
+    calls = []
+    rollout = training._rollout_contexts
+
+    def counting(*args):
+        calls.append(args)
+        return rollout(*args)
+    monkeypatch.setattr(training, "_rollout_contexts", counting)
+    tcfg = TrainConfig(epochs=2, iterations_per_epoch=3, batch_size=4,
+                       teacher_forcing_p=p, seed=4)
+    train(samples, samples, tcfg, reduced_cfg("lstm"), tmp_path)
+    assert len(calls) == rollout_steps
 
 
 def test_train_rejects_empty():
