@@ -201,22 +201,30 @@ def cmd_extract(args, out):
     return 0
 
 
-def _recordings_by_split(args) -> dict[str, list]:
+def _load_split(args, records, split: str, mfcc_cfg, use: str) -> list:
+    """RecordingData of ``split`` in manifest order, an error when it has
+    none; the clips of other splits are never decoded."""
     lab = _lab_cfg(args)
-    mfcc_cfg = MfccConfig(include_deltas=getattr(args, "deltas", False))
-    by_split: dict[str, list] = {}
-    for rec in read_manifest(args.manifest):
-        for rd in pipeline.load_recording(
-            rec, _base_dir(args), args.features, lab, mfcc_cfg
-        ):
-            by_split.setdefault(rd.split, []).append(rd)
-    return by_split
+    recs = [rd for rec in records if rec.split == split for rd in
+            pipeline.load_recording(rec, _base_dir(args), args.features, lab, mfcc_cfg)]
+    if not recs:
+        raise DataError(f"no recordings to {use} in split {split!r}")
+    return recs
+
+
+def _checkpoint_mfcc(mcfg: ModelConfig) -> MfccConfig:
+    """The MFCC setting a checkpoint was trained with: deltas double the width."""
+    return MfccConfig(include_deltas=mcfg.feature_dim == 2 * MfccConfig.n_coeffs)
 
 
 def cmd_train(args, out):
-    by_split = _recordings_by_split(args)
-    train_recs = by_split.get("train", [])
-    val_recs = by_split.get("val") or by_split.get("test") or train_recs
+    records = read_manifest(args.manifest)
+    names = {rec.split for rec in records}
+    val_split = next((s for s in ("val", "test") if s in names), "train")
+    mfcc_cfg = MfccConfig(include_deltas=args.deltas)
+    train_recs = _load_split(args, records, "train", mfcc_cfg, "train on")
+    val_recs = train_recs if val_split == "train" else _load_split(
+        args, records, val_split, mfcc_cfg, "validate on")
     train_samples = pipeline.build_samples(train_recs, args.n)
     val_samples = pipeline.build_samples(val_recs, args.n)
     if not train_samples or not val_samples:
@@ -235,17 +243,9 @@ def cmd_train(args, out):
         patience=args.patience,
     )
     result = train(train_samples, val_samples, tcfg, mcfg, out)
-    print(f"best validation loss {result['best_val_loss']:.6f} "
+    print(f"best validation loss {result['best_val_loss']:.6f} on {val_split!r} "
           f"after {result['epochs_run']} epochs -> {result['checkpoint']}")
     return 0
-
-
-def _eval_recordings(args) -> list:
-    """Recordings of ``--split``; an error when it has none."""
-    recs = _recordings_by_split(args).get(args.split)
-    if not recs:
-        raise DataError(f"no recordings to evaluate in split {args.split!r}")
-    return recs
 
 
 def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
@@ -258,7 +258,8 @@ def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
 
 def cmd_eval(args, out):
     params, mcfg = load_checkpoint(args.ckpt)
-    recs = _eval_recordings(args)
+    recs = _load_split(args, read_manifest(args.manifest), args.split,
+                       _checkpoint_mfcc(mcfg), "evaluate")
     if args.level == "segment":
         report = _segment_report(recs, args.n, params, mcfg)
     else:
@@ -308,12 +309,9 @@ def cmd_sweep(args, out):
         if not rec.stress_spans:
             continue
         for rd in pipeline.load_recording(rec, _base_dir(args), None, lab):
-            pairs = [
-                (e, r) for e, r in zip(rd.emotion_codes, rd.reference_codes)
-                if r is not None
-            ]
-            if pairs:
-                sequences.append(([p[0] for p in pairs], [p[1] for p in pairs]))
+            # whole runs, so windows without a reference still feed the history
+            if any(r is not None for r in rd.reference_codes):
+                sequences.append((rd.emotion_codes, rd.reference_codes))
     if not sequences:
         raise DataError("sweep needs records with stress_spans references")
     n_values = _parse_list(args.n, int)
@@ -326,13 +324,18 @@ def cmd_sweep(args, out):
 
 
 def cmd_ablate(args, out):
-    recs = _eval_recordings(args)
     n_values = _parse_list(args.n_values, int)
+    records = read_manifest(args.manifest)
+    recs_by_mfcc: dict[MfccConfig, list] = {}  # one load per MFCC setting
     cells = []
     for ckpt in args.ckpt:
         params, mcfg = load_checkpoint(ckpt)
+        mfcc_cfg = _checkpoint_mfcc(mcfg)
+        if mfcc_cfg not in recs_by_mfcc:
+            recs_by_mfcc[mfcc_cfg] = _load_split(
+                args, records, args.split, mfcc_cfg, "evaluate")
         for n in n_values:
-            report = _segment_report(recs, n, params, mcfg)
+            report = _segment_report(recs_by_mfcc[mfcc_cfg], n, params, mcfg)
             cells.append(evaluation.AblationCell(
                 str(ckpt), args.features, n, report
             ))

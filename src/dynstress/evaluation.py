@@ -94,7 +94,7 @@ class SweepCell:
 
 
 def labelling_sweep(
-    sequences: Sequence[tuple[Sequence[VadCode], Sequence[VadCode]]],
+    sequences: Sequence[tuple[Sequence[VadCode], Sequence[VadCode | None]]],
     n_values: Sequence[int],
     lambdas: Sequence[float],
     tau: float = 0.5,
@@ -102,8 +102,9 @@ def labelling_sweep(
     """Agreement of the relabelling output against reference stress labels.
 
     ``sequences`` pairs each windowed emotion sequence with its time-aligned
-    reference label sequence.  Both agreement flavours are reported since the
-    reference may carry only stress/non-stress information.
+    reference label sequence; windows whose reference is ``None`` are
+    relabelled but not counted.  Both agreement flavours are reported since
+    the reference may carry only stress/non-stress information.
     """
     if not sequences:
         raise ValueError("sweep needs at least one sequence")
@@ -118,6 +119,8 @@ def labelling_sweep(
             for emotions, reference in sequences:
                 out = relabel_sequence(list(emotions), config)
                 for got, ref in zip(out, reference):
+                    if ref is None:
+                        continue
                     match_bin += is_stress(got) == is_stress(ref)
                     match_exact += got == ref
                     count += 1

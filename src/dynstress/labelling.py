@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .segmentation import DataError
@@ -33,8 +34,11 @@ class LabellingConfig:
         if not 0.0 <= self.tau <= 1.0:
             raise DataError(f"tau must be in [0, 1], got {self.tau}")
 
-    def threshold(self) -> float:
-        return self.tau * theta_max(self.n, self.lam)
+    @cached_property
+    def decay(self) -> tuple[tuple[float, ...], float]:
+        """Per-age weights e^(-lam * age), ages 0..n, and the threshold."""
+        weights = tuple(math.exp(-self.lam * k) for k in range(self.n + 1))
+        return weights, self.tau * theta_max(self.n, self.lam)
 
 
 def theta_max(n: int, lam: float) -> float:
@@ -53,11 +57,10 @@ def relabel_sequence(
     """
     if not emotions:
         raise ValueError("emotions must be non-empty")
-    n, lam = config.n, config.lam
-    # Per-age weights e^(-lam * age), summed newest first like theta_max so
-    # exact threshold ties are decided consistently.
-    weights = [math.exp(-lam * k) for k in range(n + 1)]
-    threshold = config.threshold()
+    n = config.n
+    # totals are summed newest first, like theta_max, so exact threshold
+    # ties are decided consistently
+    weights, threshold = config.decay
     dists = [hamming_distance(STRESS_CODE, e) for e in emotions]
     out: list[VadCode] = []
     for t, code in enumerate(emotions):

@@ -215,9 +215,9 @@ def _step_rng(seed: int, *counters: int) -> np.random.Generator:
 def _rollout_contexts(
     samples: Sequence[TrainSample], idx: Sequence[int], params, cfg: ModelConfig,
 ) -> dict[int, np.ndarray]:
-    """One-step rollout: predict each context window with ground-truth
-    context, binarise, and substitute into the current window's context.
-    Gradients never flow through these predictions."""
+    """One-step rollout for the rows ``idx`` that drew one: predict each of
+    their context windows with ground-truth context, binarise, and substitute
+    into the row's context.  Gradients never flow through these predictions."""
     needed = sorted({
         j for i in idx for j in samples[i].prev_indices if j >= 0
     })
@@ -233,7 +233,7 @@ def _rollout_contexts(
         ctx = s.context.copy()
         # ctx rows: [default, label_{t-h}, ..., label_{t-1}]
         for slot, j in enumerate(s.prev_indices, start=1):
-            if j >= 0 and j in preds:
+            if j >= 0:
                 ctx[slot] = preds[j]
         out[i] = ctx
     return out
@@ -305,7 +305,8 @@ def train(
                 not _teacher_forced(tcfg.teacher_forcing_p, rng) for _ in idx
             ]
             if any(use_rollout):
-                rollouts = _rollout_contexts(train_samples, idx, params, mcfg)
+                rollouts = _rollout_contexts(
+                    train_samples, idx[use_rollout], params, mcfg)
             X = np.stack([train_samples[i].features for i in idx])
             S = np.stack([
                 rollouts[i] if roll else train_samples[i].context

@@ -1,10 +1,12 @@
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dynstress import segmentation
 from dynstress.cli import main
 from dynstress.features import read_fseq
 from dynstress.model import ModelConfig, init_params, save_checkpoint
@@ -205,6 +207,24 @@ def test_sweep_writes_grids(data_dir):
     assert (out / "sweep_exact.csv").exists()
 
 
+def test_sweep_relabels_whole_runs(tmp_path):
+    """A window without a reference still feeds the relabelling history of
+    the windows after it; it is only left out of the agreement counts."""
+    write_wav(tmp_path / "c.wav", np.zeros(40 * SR))
+    (tmp_path / "m.jsonl").write_text(manifest_line(
+        "c", [(0, 12, "anger"), (12, 18, "happiness"), (18, 40, "anger")],
+        stress_spans=[(0, 12, "anger"), (18, 40, "anger")],
+    ) + "\n")
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--manifest", tmp_path / "m.jsonl", "--n", "1",
+                "--lambda", "0.01", "--tau", "0.6", "--out", out]) == 0
+    # all 7 windows relabel to S S happiness anger S S S; window 2 has no
+    # reference, and of the other six only window 3 keeps anger
+    for name in ("sweep_exact.csv", "sweep_binary.csv"):
+        rows = (out / name).read_text().splitlines()
+        assert rows == ["n,lambda=0.01", f"1,{1 / 6!r}"]
+
+
 def test_sweep_without_references_exits_data(tmp_path):
     write_wav(tmp_path / "c.wav", np.zeros(10 * SR))
     (tmp_path / "m.jsonl").write_text(
@@ -279,3 +299,88 @@ def test_run_dir_env_fallback(data_dir, monkeypatch, tmp_path):
     monkeypatch.setenv("DYNSTRESS_RUN_DIR", str(target))
     assert run(["label", "--manifest", data_dir / "manifest.jsonl"]) == 0
     assert (target / "labels.jsonl").exists()
+
+
+@pytest.fixture()
+def decoded(monkeypatch):
+    """File names of the WAVs decoded, in decode order."""
+    names = []
+    load_wav = segmentation.load_wav
+
+    def counting(path, *args):
+        names.append(Path(path).name)
+        return load_wav(path, *args)
+    monkeypatch.setattr(segmentation, "load_wav", counting)
+    return names
+
+
+@pytest.mark.parametrize("cmd", ["eval", "ablate"])
+def test_eval_and_ablate_decode_only_their_split(cmd, data_dir, decoded):
+    write_checkpoints(data_dir)
+    assert run([cmd, "--manifest", data_dir / "manifest.jsonl",
+                "--out", data_dir / cmd, "--ckpt", data_dir / "good.ckpt",
+                "--split", "test"]) == 0
+    assert decoded == ["b.wav"]
+
+
+def write_split_manifest(d, splits, labelled=True):
+    """One 15 s clip (two windows) per split, named after its split."""
+    rng = np.random.default_rng(5)
+    lines = []
+    for split in splits:
+        write_wav(d / f"{split}.wav", 0.1 * rng.normal(size=15 * SR))
+        spans = [(0, 15, "fear")] if labelled or split == "train" else []
+        lines.append(manifest_line(split, spans, split=split))
+    (d / "m.jsonl").write_text("\n".join(lines) + "\n")
+    return d / "m.jsonl"
+
+
+TRAIN_FLAGS = ["--n", "1", "--hidden", "8", "--epochs", "1",
+               "--iterations", "2", "--batch-size", "2"]
+
+
+@pytest.mark.parametrize("splits, val_split", [
+    (("train", "val", "test"), "val"),
+    (("test", "train"), "test"),
+    (("train",), "train"),
+])
+def test_train_decodes_train_and_validation_split_only(
+    splits, val_split, tmp_path, decoded, capsys
+):
+    """Validation uses val, else test, else train; no other split is decoded,
+    train is decoded once, and the printed line names the split."""
+    manifest = write_split_manifest(tmp_path, splits)
+    assert run(["train", "--manifest", manifest, "--out", tmp_path / "run",
+                *TRAIN_FLAGS]) == 0
+    assert sorted(decoded) == sorted({"train.wav", f"{val_split}.wav"})
+    assert f"on {val_split!r} after" in capsys.readouterr().out
+
+
+def test_train_val_split_without_labelled_windows_exits_data(tmp_path, capsys):
+    manifest = write_split_manifest(tmp_path, ("train", "val", "test"),
+                                    labelled=False)
+    assert run(["train", "--manifest", manifest, "--out", tmp_path / "run",
+                *TRAIN_FLAGS]) == 2
+    assert capsys.readouterr().err == (
+        "error: no recordings to validate on in split 'val'\n")
+
+
+def test_eval_and_ablate_follow_the_checkpoint_mfcc_width(data_dir, decoded):
+    """A `train --deltas` checkpoint (d = 80) is scored on deltas features;
+    ablate decodes the split once per MFCC width among its checkpoints."""
+    manifest = data_dir / "manifest.jsonl"
+    for name, extra in (("plain", []), ("deltas", ["--deltas"])):
+        assert run(["train", "--manifest", manifest, "--out", data_dir / name,
+                    "--n", "2", "--hidden", "8", "--epochs", "1",
+                    "--iterations", "2", "--batch-size", "2", *extra]) == 0
+    plain, deltas = (data_dir / name / "best.ckpt" for name in ("plain", "deltas"))
+    decoded.clear()
+    assert run(["eval", "--manifest", manifest, "--out", data_dir / "ev",
+                "--ckpt", deltas, "--n", "2"]) == 0
+    assert decoded == ["b.wav"]
+    decoded.clear()
+    assert run(["ablate", "--manifest", manifest, "--out", data_dir / "abl",
+                "--ckpt", deltas, "--ckpt", plain, "--ckpt", deltas,
+                "--n-values", "0..1"]) == 0
+    assert decoded == ["b.wav", "b.wav"]
+    assert len((data_dir / "abl" / "ablation.csv").read_text().splitlines()) == 7

@@ -199,30 +199,28 @@ def test_rollout_contexts_substitute_binarised_predictions():
         assert np.array_equal(s.context, t)  # samples are not modified
 
 
-def test_single_batch_overfit():
+def test_single_batch_overfit(tmp_path):
     rng = np.random.default_rng(7)
     samples = make_samples(rng, 16)
     cfg = ModelConfig("lstm", feature_dim=8, hidden=16, heads=2, dropout=0.0)
     tcfg = TrainConfig(epochs=1, iterations_per_epoch=200, batch_size=16,
                        seed=1, patience=10, learning_rate=0.01)
     # train on the fixed 16 samples, validating on the same set
-    result = train(samples, samples, tcfg, cfg, out_dir="/tmp/dynstress-overfit")
+    result = train(samples, samples, tcfg, cfg, out_dir=tmp_path)
     assert result["history"][-1][3] < 0.05  # val loss on the training set
 
 
-def test_overfit_loss_decreases_over_intervals():
-    import shutil
+def test_overfit_loss_decreases_over_intervals(tmp_path):
     rng = np.random.default_rng(8)
     samples = make_samples(rng, 16)
     cfg = ModelConfig("lstm", feature_dim=8, hidden=16, heads=2, dropout=0.0)
     # log every 20 steps by running 20-step epochs
     tcfg = TrainConfig(epochs=6, iterations_per_epoch=20, batch_size=16,
                        seed=2, patience=20, learning_rate=0.01)
-    result = train(samples, samples, tcfg, cfg, out_dir="/tmp/dynstress-intervals")
+    result = train(samples, samples, tcfg, cfg, out_dir=tmp_path)
     losses = [row[2] for row in result["history"]]
     drops = sum(b < a for a, b in zip(losses, losses[1:]))
     assert drops / (len(losses) - 1) >= 0.95
-    shutil.rmtree("/tmp/dynstress-intervals", ignore_errors=True)
 
 
 def test_train_determinism(tmp_path):
@@ -258,10 +256,36 @@ def test_train_teacher_forcing_extremes(p, rollout_steps, tmp_path, monkeypatch)
     assert len(calls) == rollout_steps
 
 
-def test_train_rejects_empty():
+def test_train_rolls_out_only_the_rows_that_drew_a_rollout(tmp_path, monkeypatch):
+    """_rollout_contexts gets the batch rows whose teacher-forcing draw chose
+    a rollout, in batch order, and no teacher-forced row."""
+    samples = make_samples(np.random.default_rng(10), 8)
+    calls = []
+    rollout = training._rollout_contexts
+
+    def recording(samples, idx, *args):
+        calls.append([int(i) for i in idx])
+        return rollout(samples, idx, *args)
+    monkeypatch.setattr(training, "_rollout_contexts", recording)
+    tcfg = TrainConfig(epochs=2, iterations_per_epoch=3, batch_size=4,
+                       teacher_forcing_p=0.5, seed=4)
+    train(samples, samples, tcfg, reduced_cfg("lstm"), tmp_path)
+    want = []
+    for epoch in range(2):
+        for it in range(3):
+            rng = training._step_rng(4, 1, epoch, it)
+            idx = rng.integers(0, len(samples), size=4)
+            drew = [not training._teacher_forced(0.5, rng) for _ in idx]
+            if any(drew):
+                want.append([int(i) for i, d in zip(idx, drew) if d])
+    assert calls == want
+    assert sum(map(len, want)) < 4 * len(want)  # some rows were teacher forced
+
+
+def test_train_rejects_empty(tmp_path):
     cfg = ModelConfig("lstm", feature_dim=8, hidden=8, heads=2)
     with pytest.raises(ValueError):
-        train([], [], TrainConfig(), cfg, "/tmp/x")
+        train([], [], TrainConfig(), cfg, tmp_path)
 
 
 def test_train_config_validation():
