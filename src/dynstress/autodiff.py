@@ -23,6 +23,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -54,9 +57,12 @@ class Tensor:
         return Tensor(data, req, parents if req else (), backward if req else None)
 
     def _accum(self, g):
+        # The first gradient is copied, never kept: ``g`` can be a view of
+        # another tensor's ``.grad`` that a later ``+=`` must not write into.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     # -- arithmetic --
 
@@ -113,7 +119,12 @@ class Tensor:
             if self.requires_grad:
                 ga = np.matmul(g, np.swapaxes(o.data, -1, -2))
                 self._accum(_unbroadcast(ga, self.data.shape))
-            if o.requires_grad:
+            if o.requires_grad and o.data.ndim == 2:
+                # A shared weight: one GEMM over every leading row, not a
+                # per-example stack that _unbroadcast then sums away.
+                k, n = o.data.shape
+                o._accum(self.data.reshape(-1, k).T @ g.reshape(-1, n))
+            elif o.requires_grad:
                 gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
                 o._accum(_unbroadcast(gb, o.data.shape))
         return self._make(np.matmul(self.data, o.data), (self, o), back)
@@ -156,7 +167,7 @@ class Tensor:
         def back(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accum(np.broadcast_to(g, self.data.shape).copy())
+            self._accum(np.broadcast_to(g, self.data.shape))
         return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def mean(self, axis=None, keepdims=False):
@@ -181,10 +192,16 @@ class Tensor:
         return self._make(self.data.transpose(*axes), (self,), back)
 
     def __getitem__(self, key):
+        # Basic keys only: each element of the result then reads a distinct
+        # element of ``self``, so the backward can add ``g`` into a view.
+        parts = key if isinstance(key, tuple) else (key,)
+        if any(isinstance(k, bool) or not isinstance(k, _BASIC_KEYS) for k in parts):
+            raise TypeError(
+                f"Tensor index must be ints, slices, None or Ellipsis, got {key!r}")
         def back(g):
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
-            self._accum(full)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[key] += g
         return self._make(self.data[key], (self,), back)
 
     # -- backprop driver --
@@ -201,6 +218,10 @@ class Tensor:
                 visit(p)
             topo.append(t)
         visit(self)
+        # ``visit`` refers to itself through its closure cell, which also
+        # holds ``topo``; deleting it breaks that cycle, so the tape is freed
+        # when this call returns instead of at the next cyclic collection.
+        del visit
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None:

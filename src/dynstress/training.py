@@ -152,7 +152,8 @@ def sample_context(
 
 
 class Adam:
-    """Adam with bias correction."""
+    """Adam with bias correction.  Updates every ``params[n].data`` in
+    place, so a caller holding that array, or a view of it, sees each step."""
 
     def __init__(self, params, lr=0.001):
         self.params = params
@@ -166,12 +167,12 @@ class Adam:
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
         for n, p in self.params.items():
-            g = grads[n]
-            self.m[n] = _BETA1 * self.m[n] + (1.0 - _BETA1) * g
-            self.v[n] = _BETA2 * self.v[n] + (1.0 - _BETA2) * g * g
-            p.data = p.data - self.lr * (self.m[n] / b1c) / (
-                np.sqrt(self.v[n] / b2c) + _EPS
-            )
+            g, m, v = grads[n], self.m[n], self.v[n]
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
 
 
 class EarlyStopping:
@@ -253,7 +254,8 @@ def _batched_probs(samples: Sequence[TrainSample], params, cfg: ModelConfig):
 
 
 def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig) -> float:
-    """Mean BCE over samples with ground-truth contexts."""
+    """Mean BCE over samples with ground-truth contexts.  Records a tape
+    only when ``params`` are trainable; ``train`` passes an untaped view."""
     total = 0.0
     for chunk, probs in _batched_probs(samples, params, cfg):
         losses = _bce_terms(probs, _targets(chunk)).data.mean(axis=1)
@@ -263,7 +265,9 @@ def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig) -> f
 
 def evaluate_accuracy(samples: Sequence[TrainSample], params,
                       cfg: ModelConfig) -> tuple[float, float]:
-    """Segment accuracy / F1 on the stress decision, ground-truth contexts."""
+    """Segment accuracy / F1 on the stress decision, ground-truth contexts.
+    Records a tape only when ``params`` are trainable; ``train`` passes an
+    untaped view."""
     preds, truths = [], []
     for chunk, probs in _batched_probs(samples, params, cfg):
         preds += [is_stress(decode(p)) for p in probs.data]
@@ -290,6 +294,9 @@ def train(
     out_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(mcfg, _step_rng(tcfg.seed, 0))
     opt = Adam(params, lr=tcfg.learning_rate)
+    # Rollout and validation read the same buffers, which Adam updates in
+    # place, through constant tensors, so their forwards record no tape.
+    const = {n: Tensor(p.data) for n, p in params.items()}
     stopper = EarlyStopping(tcfg.patience)
     ckpt_path = out_dir / "best.ckpt"
     metrics_path = out_dir / "metrics.csv"
@@ -306,7 +313,7 @@ def train(
             ]
             if any(use_rollout):
                 rollouts = _rollout_contexts(
-                    train_samples, idx[use_rollout], params, mcfg)
+                    train_samples, idx[use_rollout], const, mcfg)
             X = np.stack([train_samples[i].features for i in idx])
             S = np.stack([
                 rollouts[i] if roll else train_samples[i].context
@@ -318,10 +325,10 @@ def train(
             epoch_loss += loss
             step += 1
         train_loss = epoch_loss / tcfg.iterations_per_epoch
-        val_loss = evaluate_loss(val_samples, params, mcfg)
+        val_loss = evaluate_loss(val_samples, const, mcfg)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss: {val_loss}")
-        val_acc, val_f1 = evaluate_accuracy(val_samples, params, mcfg)
+        val_acc, val_f1 = evaluate_accuracy(val_samples, const, mcfg)
         rows.append((epoch, step, train_loss, val_loss, val_acc, val_f1, opt.lr))
         if stopper.update(val_loss):
             save_checkpoint(ckpt_path, params, mcfg)

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from dynstress import training
+from dynstress.autodiff import Tensor
 from dynstress.model import ModelConfig, forward_batch, init_params, param_names
 from dynstress.training import (
     EVAL_BATCH,
@@ -111,6 +113,22 @@ def test_duplicated_sample_gradient_invariance():
         assert np.allclose(g1[n], g2[n], atol=1e-12)
 
 
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_gradient_leaves_no_cyclic_garbage(arch):
+    """The tape is freed when backward returns, not left for the cyclic
+    collector, which lets dead tapes pile up between collections."""
+    cfg = reduced_cfg(arch)
+    params = init_params(cfg, np.random.default_rng(0))
+    X, S, targets = random_batch(np.random.default_rng(1))
+    gc.collect()
+    gc.disable()
+    try:
+        gradient(params, X, S, targets, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_adam_zero_gradient_is_noop():
     cfg = reduced_cfg("lstm")
     params = init_params(cfg, np.random.default_rng(4))
@@ -119,6 +137,33 @@ def test_adam_zero_gradient_is_noop():
     opt.step({n: np.zeros_like(p.data) for n, p in params.items()})
     for n, p in params.items():
         assert np.array_equal(p.data, before[n])
+
+
+def test_adam_updates_in_place_like_the_rebinding_formula():
+    """Adam writes into the same arrays, so a Tensor view taken before a step
+    sees it; three steps are bit-equal to rebinding each array anew."""
+    cfg = reduced_cfg("lstm")
+    params = init_params(cfg, np.random.default_rng(4))
+    arrays = {n: p.data for n, p in params.items()}
+    views = {n: Tensor(p.data) for n, p in params.items()}
+    want = {n: p.data.copy() for n, p in params.items()}
+    m = {n: np.zeros_like(w) for n, w in want.items()}
+    v = {n: np.zeros_like(w) for n, w in want.items()}
+    opt = Adam(params, lr=0.01)
+    rng = np.random.default_rng(5)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 4):
+        grads = {n: rng.normal(size=w.shape) for n, w in want.items()}
+        opt.step(grads)
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            want[n] = want[n] - 0.01 * (m[n] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
+    for n, p in params.items():
+        assert p.data is arrays[n]
+        assert np.array_equal(p.data, want[n])
+        assert np.array_equal(views[n].data, want[n])
 
 
 def test_sample_context_extremes():
@@ -280,6 +325,30 @@ def test_train_rolls_out_only_the_rows_that_drew_a_rollout(tmp_path, monkeypatch
                 want.append([int(i) for i, d in zip(idx, drew) if d])
     assert calls == want
     assert sum(map(len, want)) < 4 * len(want)  # some rows were teacher forced
+
+
+def test_rollout_and_validation_get_an_untaped_view(tmp_path, monkeypatch):
+    """Rollout and validation run on constant tensors that share the trained
+    parameters' arrays, so their forwards record no tape."""
+    samples = make_samples(np.random.default_rng(10), 8)
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.append(args[-2])  # each takes (..., params, cfg)
+            return fn(*args)
+        return wrapped
+    for name in ("_rollout_contexts", "evaluate_loss", "evaluate_accuracy"):
+        monkeypatch.setattr(training, name, recording(getattr(training, name)))
+    tcfg = TrainConfig(epochs=1, iterations_per_epoch=3, batch_size=4,
+                       teacher_forcing_p=0.0, seed=4)
+    result = train(samples, samples, tcfg, reduced_cfg("lstm"), tmp_path)
+    assert len(seen) == 3 + 2
+    for view in seen:
+        assert view is seen[0]
+        for n, p in result["params"].items():
+            assert not view[n].requires_grad
+            assert view[n].data is p.data
 
 
 def test_train_rejects_empty(tmp_path):
