@@ -244,15 +244,6 @@ def concat(tensors, axis=0):
     return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
 
 
-def stack(tensors, axis=0):
-    expanded = []
-    for t in tensors:
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else len(shape) + axis + 1, 1)
-        expanded.append(t.reshape(*shape))
-    return concat(expanded, axis=axis)
-
-
 def softmax(x: Tensor, axis=-1) -> Tensor:
     # Max-shift is a constant; its gradient contribution cancels.
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))

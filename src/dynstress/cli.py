@@ -248,33 +248,42 @@ def cmd_train(args, out):
     return 0
 
 
+def _stress_flags(recs, n, params, mcfg):
+    """(run, predicted flags, true flags) for each labelled run."""
+    for rd in recs:
+        codes = pipeline.predict_recording(rd.features, n, params, mcfg)
+        yield rd, [is_stress(c) for c in codes], [is_stress(c) for c in rd.stress_codes]
+
+
 def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
     preds, truths = [], []
-    for rd in recs:
-        preds.extend(pipeline.predict_stress_flags(rd.features, n, params, mcfg))
-        truths.extend(is_stress(c) for c in rd.stress_codes)
+    for _, pred, true in _stress_flags(recs, n, params, mcfg):
+        preds += pred
+        truths += true
     return evaluation.score_segment_level(preds, truths)
+
+
+def _sequence_report(recs, n, params, mcfg) -> evaluation.EvalReport:
+    """One vote per recording over the windows of all its labelled runs
+    (`utt#k`).  The truth is its stress_label, else the majority of its
+    windows."""
+    preds, windows, labels = {}, {}, {}
+    for rd, pred, true in _stress_flags(recs, n, params, mcfg):
+        utt = rd.clip_id.rsplit("#", 1)[0]
+        preds.setdefault(utt, []).extend(pred)
+        windows.setdefault(utt, []).extend(true)
+        labels[utt] = rd.stress_label
+    truth = {utt: evaluation.majority_vote(windows[utt]) if label is None else label
+             for utt, label in labels.items()}
+    return evaluation.score_sequence_level(preds, truth)
 
 
 def cmd_eval(args, out):
     params, mcfg = load_checkpoint(args.ckpt)
     recs = _load_split(args, read_manifest(args.manifest), args.split,
                        _checkpoint_mfcc(mcfg), "evaluate")
-    if args.level == "segment":
-        report = _segment_report(recs, args.n, params, mcfg)
-    else:
-        groups, truth = {}, {}
-        for rd in recs:
-            groups[rd.clip_id] = pipeline.predict_stress_flags(
-                rd.features, args.n, params, mcfg
-            )
-            if rd.stress_label is not None:
-                truth[rd.clip_id] = rd.stress_label
-            else:
-                truth[rd.clip_id] = evaluation.majority_vote(
-                    [is_stress(c) for c in rd.stress_codes]
-                )
-        report = evaluation.score_sequence_level(groups, truth)
+    report_fn = _segment_report if args.level == "segment" else _sequence_report
+    report = report_fn(recs, args.n, params, mcfg)
     summary = {
         "level": args.level, "accuracy": report.accuracy, "f1": report.f1,
         "tp": report.tp, "fp": report.fp, "tn": report.tn, "fn": report.fn,

@@ -2,8 +2,8 @@
 
 Two architectures: parallel unidirectional LSTM encoders (speech + stress
 context) and a transformer encoder.  Both fuse the encoded sequences with a
-cross-attention block (speech as query, context as key/value) and classify
-the final fused position into three independent VAD probabilities.
+cross-attention block (the final speech state queries the context states) and
+classify the result into three independent VAD probabilities.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax, stack
+from .autodiff import Tensor, concat, softmax
 from .segmentation import DataError
 from .vad import DEFAULT_CODE, VadCode
 
@@ -41,69 +41,64 @@ class ModelConfig:
             raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-# --- parameter initialisation ---
+# --- parameters ---
 
-def _uniform(rng, shape, fan_in):
-    r = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-r, r, size=shape), requires_grad=True)
-
-
-def _zeros(shape):
-    return Tensor(np.zeros(shape), requires_grad=True)
-
-
-def _ones(shape):
-    return Tensor(np.ones(shape), requires_grad=True)
-
-
-def _init_lstm(params, prefix, in_dim, hidden, rng):
-    params[f"{prefix}.w"] = _uniform(rng, (in_dim, 4 * hidden), in_dim)
-    params[f"{prefix}.u"] = _uniform(rng, (hidden, 4 * hidden), hidden)
-    params[f"{prefix}.b"] = _zeros((4 * hidden,))
-
-
-def _init_transformer_layer(params, prefix, hidden, ffn, rng):
-    params[f"{prefix}.ln1.g"] = _ones((hidden,))
-    params[f"{prefix}.ln1.b"] = _zeros((hidden,))
+def _transformer_layer_shapes(shapes, prefix, hidden, ffn):
+    shapes[f"{prefix}.ln1.g"] = shapes[f"{prefix}.ln1.b"] = (hidden,)
     for name in ("wq", "wk", "wv", "wo"):
-        params[f"{prefix}.attn.{name}"] = _uniform(rng, (hidden, hidden), hidden)
-    for name in ("bq", "bk", "bv", "bo"):
-        params[f"{prefix}.attn.{name}"] = _zeros((hidden,))
-    params[f"{prefix}.ln2.g"] = _ones((hidden,))
-    params[f"{prefix}.ln2.b"] = _zeros((hidden,))
-    params[f"{prefix}.ffn.w1"] = _uniform(rng, (hidden, ffn), hidden)
-    params[f"{prefix}.ffn.b1"] = _zeros((ffn,))
-    params[f"{prefix}.ffn.w2"] = _uniform(rng, (ffn, hidden), ffn)
-    params[f"{prefix}.ffn.b2"] = _zeros((hidden,))
+        shapes[f"{prefix}.attn.{name}"] = (hidden, hidden)
+    # No attention has a key bias: softmax over keys ignores the constant
+    # q.bk it would add to every score of a query.
+    for name in ("bq", "bv", "bo"):
+        shapes[f"{prefix}.attn.{name}"] = (hidden,)
+    shapes[f"{prefix}.ln2.g"] = shapes[f"{prefix}.ln2.b"] = (hidden,)
+    shapes[f"{prefix}.ffn.w1"] = (hidden, ffn)
+    shapes[f"{prefix}.ffn.b1"] = (ffn,)
+    shapes[f"{prefix}.ffn.w2"] = (ffn, hidden)
+    shapes[f"{prefix}.ffn.b2"] = (hidden,)
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of ``cfg``, in the order
+    ``init_params`` draws them."""
+    h = cfg.hidden
+    shapes: dict[str, tuple[int, ...]] = {}
+    if cfg.arch == "lstm":
+        for prefix, in_dim in (("speech_lstm", cfg.feature_dim), ("ctx_lstm", 3)):
+            shapes[f"{prefix}.w"] = (in_dim, 4 * h)
+            shapes[f"{prefix}.u"] = (h, 4 * h)
+            shapes[f"{prefix}.b"] = (4 * h,)
+        head_in = 2 * h
+    else:
+        for prefix, proj, in_dim, n_layers in (
+            ("enc", "proj", cfg.feature_dim, cfg.layers),
+            ("ctx", "ctxproj", 3, cfg.ctx_layers),
+        ):
+            shapes[f"{proj}.w"] = (in_dim, h)
+            shapes[f"{proj}.b"] = (h,)
+            for i in range(n_layers):
+                _transformer_layer_shapes(shapes, f"{prefix}{i}", h, cfg.ffn)
+            shapes[f"{prefix}.lnf.g"] = shapes[f"{prefix}.lnf.b"] = (h,)
+        head_in = h
+    for name in ("wq", "wk", "wv"):
+        shapes[f"attn.{name}"] = (h, h)
+    shapes["attn.bq"] = shapes["attn.bv"] = (h,)
+    shapes["head.w"] = (head_in, 3)
+    shapes["head.b"] = (3,)
+    return shapes
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    h = cfg.hidden
+    """Weight matrices uniform in +-1/sqrt(fan_in), layer-norm gains one,
+    biases zero."""
     params: dict[str, Tensor] = {}
-    if cfg.arch == "lstm":
-        _init_lstm(params, "speech_lstm", cfg.feature_dim, h, rng)
-        _init_lstm(params, "ctx_lstm", 3, h, rng)
-        head_in = 2 * h
-    else:
-        params["proj.w"] = _uniform(rng, (cfg.feature_dim, h), cfg.feature_dim)
-        params["proj.b"] = _zeros((h,))
-        for i in range(cfg.layers):
-            _init_transformer_layer(params, f"enc{i}", h, cfg.ffn, rng)
-        params["enc.lnf.g"] = _ones((h,))
-        params["enc.lnf.b"] = _zeros((h,))
-        params["ctxproj.w"] = _uniform(rng, (3, h), 3)
-        params["ctxproj.b"] = _zeros((h,))
-        for i in range(cfg.ctx_layers):
-            _init_transformer_layer(params, f"ctx{i}", h, cfg.ffn, rng)
-        params["ctx.lnf.g"] = _ones((h,))
-        params["ctx.lnf.b"] = _zeros((h,))
-        head_in = h
-    for name in ("wq", "wk", "wv"):
-        params[f"attn.{name}"] = _uniform(rng, (h, h), h)
-    for name in ("bq", "bk", "bv"):
-        params[f"attn.{name}"] = _zeros((h,))
-    params["head.w"] = _uniform(rng, (head_in, 3), head_in)
-    params["head.b"] = _zeros((3,))
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            r = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-r, r, size=shape)
+        else:
+            data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -116,20 +111,21 @@ def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
         raise DataError(
             f"{prefix}: input dim {x.shape[-1]} does not match weights {w.shape[0]}"
         )
-    B, T, _ = x.shape
-    h = Tensor(np.zeros((B, hidden)))
-    c = Tensor(np.zeros((B, hidden)))
+    B, T, D = x.shape
+    # The input projection of every step as one GEMM over all B*T rows.
+    xw = (x.reshape(B * T, D) @ w + b).reshape(B, T, 4 * hidden)
+    h = c = Tensor(np.zeros((B, hidden)))
     outs = []
     for t in range(T):
-        z = x[:, t, :] @ w + h @ u + b
+        z = xw[:, t, :] + h @ u
         i = z[:, 0 * hidden : 1 * hidden].sigmoid()
         f = z[:, 1 * hidden : 2 * hidden].sigmoid()
         g = z[:, 2 * hidden : 3 * hidden].tanh()
         o = z[:, 3 * hidden : 4 * hidden].sigmoid()
         c = f * c + i * g
         h = o * c.tanh()
-        outs.append(h)
-    return stack(outs, axis=1)
+        outs.append(h.reshape(B, 1, hidden))
+    return concat(outs, axis=1)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
@@ -151,7 +147,7 @@ def _self_attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
     B, T, H = x.shape
     hd = H // heads
     q = x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
-    k = x @ params[f"{prefix}.wk"] + params[f"{prefix}.bk"]
+    k = x @ params[f"{prefix}.wk"]
     v = x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"]
     q = q.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
     k = k.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
@@ -204,7 +200,7 @@ def cross_attention_states(primary: Tensor, context: Tensor, params) -> Tensor:
         raise DataError("cross-attention requires non-empty sequences")
     H = primary.shape[-1]
     q = primary @ params["attn.wq"] + params["attn.bq"]
-    k = context @ params["attn.wk"] + params["attn.bk"]
+    k = context @ params["attn.wk"]
     v = context @ params["attn.wv"] + params["attn.bv"]
     scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(H))
     att = softmax(scores, axis=-1)
@@ -232,9 +228,10 @@ def make_context(previous_labels: Sequence[VadCode]) -> list[VadCode]:
 
 def forward_batch(
     X: np.ndarray, S: np.ndarray, params, cfg: ModelConfig,
-    train: bool = False, rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Probabilities (B, 3) for a batch of aligned speech/context sequences."""
+    """Probabilities (B, 3) for a batch of aligned speech/context sequences;
+    dropout is on exactly when an ``rng`` is given."""
     if X.ndim != 3 or S.ndim != 3:
         raise DataError("forward_batch expects (B, T, d) inputs")
     if X.shape[0] != S.shape[0] or X.shape[1] != S.shape[1]:
@@ -250,12 +247,11 @@ def forward_batch(
     else:
         hs = transformer_states(xt, params, cfg, "enc", "proj", cfg.layers)
         hc = transformer_states(st, params, cfg, "ctx", "ctxproj", cfg.ctx_layers)
-    if train and cfg.dropout > 0:
-        if rng is None:
-            raise ValueError("dropout needs an rng in training mode")
+    if rng is not None and cfg.dropout > 0:
         hs = _dropout(hs, cfg.dropout, rng)
         hc = _dropout(hc, cfg.dropout, rng)
-    fused = cross_attention_states(hs, hc, params)
+    # The head reads only the last position, so only it queries the context.
+    fused = cross_attention_states(hs[:, -1:, :], hc, params)
     last = fused[:, -1, :]
     if cfg.arch == "lstm":
         last = concat([last, hc[:, -1, :]], axis=1)
@@ -310,6 +306,9 @@ def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
+    """Parameters and config of a checkpoint.  Every tensor the header's
+    config needs must be present with its shape; tensors it does not build
+    (such as the attention key biases of older checkpoints) are dropped."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing checkpoint: {path}")
@@ -334,17 +333,23 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
             raise DataError(f"unsupported checkpoint version {version}")
         arch = take(f"{arch_len}s")[0].decode()
         dims = take("<6I")
-        entries = []
+        cfg = ModelConfig(arch, *dims)
+        entries = {}
         for _ in range(take("<I")[0]):
             (nlen,) = take("<H")
             name = take(f"{nlen}s")[0].decode()
             (ndim,) = take("<B")
-            entries.append((name, take(f"<{ndim}I"), take("<Q")[0]))
+            entries[name] = (take(f"<{ndim}I"), take("<Q")[0])
         params = {}
-        for name, shape, start in entries:
-            size = int(np.prod(shape)) if shape else 1
+        for name, want in param_shapes(cfg).items():
+            if name not in entries:
+                raise DataError(f"missing tensor {name}")
+            shape, start = entries[name]
+            if shape != want:
+                raise DataError(f"tensor {name} has shape {shape}, not {want}")
+            size = int(np.prod(shape))
             arr = np.frombuffer(body, dtype="<f4", count=size, offset=off + start)
             params[name] = Tensor(arr.astype(np.float64).reshape(shape))
-        return params, ModelConfig(arch, *dims)
+        return params, cfg
     except (struct.error, ValueError) as e:
         raise DataError(f"{path}: malformed checkpoint ({e})") from None

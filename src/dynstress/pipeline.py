@@ -27,7 +27,7 @@ from .segmentation import (
     window_samples,
 )
 from .training import TrainSample
-from .vad import VadCode, is_stress
+from .vad import VadCode
 
 
 @dataclass
@@ -165,9 +165,3 @@ def predict_recording(
         probs = forward_batch(X[None], ctx[None], params, cfg).data[0]
         preds.append(decode(probs))
     return preds
-
-
-def predict_stress_flags(
-    features: np.ndarray, history: int, params, cfg: ModelConfig,
-) -> list[bool]:
-    return [is_stress(c) for c in predict_recording(features, history, params, cfg)]

@@ -86,10 +86,10 @@ def batch_loss_graph(probs: Tensor, targets: np.ndarray) -> Tensor:
 
 def gradient(
     params, X: np.ndarray, S: np.ndarray, targets: np.ndarray,
-    cfg: ModelConfig, train: bool = False,
-    rng: np.random.Generator | None = None,
+    cfg: ModelConfig, rng: np.random.Generator | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact reverse-mode gradients of the mean batch loss.
+    """Exact reverse-mode gradients of the mean batch loss; dropout draws its
+    masks from ``rng`` when one is given.
 
     Returns (loss value, gradient arrays keyed like the parameters).
     """
@@ -97,7 +97,7 @@ def gradient(
         raise ValueError("batch must be non-empty")
     for p in params.values():
         p.grad = None
-    probs = forward_batch(X, S, params, cfg, train=train, rng=rng)
+    probs = forward_batch(X, S, params, cfg, rng=rng)
     loss = batch_loss_graph(probs, targets)
     value = float(loss.data)
     if not np.isfinite(value):
@@ -320,7 +320,7 @@ def train(
                 for i, roll in zip(idx, use_rollout)
             ])
             T = _targets([train_samples[i] for i in idx])
-            loss, grads = gradient(params, X, S, T, mcfg, train=True, rng=rng)
+            loss, grads = gradient(params, X, S, T, mcfg, rng=rng)
             opt.step(grads)
             epoch_loss += loss
             step += 1

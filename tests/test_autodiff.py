@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, concat, softmax, stack
+from dynstress.autodiff import Tensor, concat, softmax
 from dynstress.training import numerical_gradient
 
 A = np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 4))
@@ -30,7 +30,6 @@ OPS = {
     "transpose": lambda a, b: a.transpose(1, 0),
     "getitem": lambda a, b: a[:, 1:3],
     "concat": lambda a, b: concat([a, b], axis=1),
-    "stack": lambda a, b: stack([a, b], axis=0),
     "softmax": lambda a, b: softmax(a, axis=-1),
 }
 

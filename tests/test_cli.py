@@ -139,10 +139,17 @@ def test_config_file_sets_only_optional_flags(data_dir):
 
 
 def write_checkpoints(d):
-    """A valid checkpoint plus two CRC-valid ones with a bad header: one cut
-    inside the model dimensions, one naming the architecture 'gru'."""
+    """A valid checkpoint plus two CRC-valid ones with a bad header, one cut
+    inside the model dimensions and one naming the architecture 'gru', and
+    two whose tensors do not fit the header's model: one without `head.w`,
+    one with `head.w` of the wrong shape."""
     cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
-    save_checkpoint(d / "good.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
+    params = init_params(cfg, np.random.default_rng(0))
+    save_checkpoint(d / "good.ckpt", params, cfg)
+    save_checkpoint(d / "no-head.ckpt",
+                    {n: p for n, p in params.items() if n != "head.w"}, cfg)
+    save_checkpoint(d / "bad-head.ckpt",
+                    {**params, "head.w": params["head.w"].reshape(3, 16)}, cfg)
     body = (d / "good.ckpt").read_bytes()[:-4]
     # magic (4), version (4), arch length (1), arch, six model dimensions
     assert body[8:13] == b"\x04lstm"
@@ -163,6 +170,8 @@ INPUT_ERRORS = {
     "bad-sweep-n": ["sweep", "--n", "1..q"],
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
+    "checkpoint-missing-tensor": ["eval", "--ckpt", "no-head.ckpt"],
+    "checkpoint-tensor-wrong-shape": ["ablate", "--ckpt", "bad-head.ckpt"],
     "eval-split-without-recordings": ["eval", "--ckpt", "good.ckpt",
                                       "--split", "nosuch"],
     "ablate-split-without-recordings": ["ablate", "--ckpt", "good.ckpt",
@@ -384,3 +393,23 @@ def test_eval_and_ablate_follow_the_checkpoint_mfcc_width(data_dir, decoded):
                 "--n-values", "0..1"]) == 0
     assert decoded == ["b.wav", "b.wav"]
     assert len((data_dir / "abl" / "ablation.csv").read_text().splitlines()) == 7
+
+
+def test_sequence_level_votes_once_per_recording(tmp_path):
+    """An unlabelled gap splits a recording into two labelled runs; the
+    sequence level still scores it as one recording."""
+    write_wav(tmp_path / "c.wav", 0.1 * np.random.default_rng(6).normal(size=60 * SR))
+    (tmp_path / "m.jsonl").write_text(manifest_line(
+        "c", [(0, 25, "anger"), (35, 60, "anger")], split="test",
+        extra={"stress_label": True}) + "\n")
+    cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
+    params = init_params(cfg, np.random.default_rng(0))
+    for p in params.values():
+        p.data[:] = 0.0  # every probability is 0.5: never stress
+    save_checkpoint(tmp_path / "zero.ckpt", params, cfg)
+    out = tmp_path / "seq"
+    assert run(["eval", "--manifest", tmp_path / "m.jsonl", "--out", out,
+                "--ckpt", tmp_path / "zero.ckpt", "--level", "sequence"]) == 0
+    summary = json.loads((out / "eval.json").read_text())
+    assert {k: summary[k] for k in ("tp", "fp", "tn", "fn")} == {
+        "tp": 0, "fp": 0, "tn": 0, "fn": 1}

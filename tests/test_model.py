@@ -122,10 +122,10 @@ def test_recurrent_dim_mismatch():
 
 # --- cross-attention ---
 
-def naive_cross_attention(primary, ctx, params):
-    """Direct dense transcription."""
+def naive_cross_attention(primary, ctx, params, bk):
+    """Direct dense transcription, with a key bias ``bk`` of its own."""
     wq, bq = params["attn.wq"].data, params["attn.bq"].data
-    wk, bk = params["attn.wk"].data, params["attn.bk"].data
+    wk = params["attn.wk"].data
     wv, bv = params["attn.wv"].data, params["attn.bv"].data
     q = primary @ wq + bq
     k = ctx @ wk + bk
@@ -174,7 +174,8 @@ def test_cross_attention_matches_dense_oracle():
     got = cross_attention_states(
         Tensor(primary[None]), Tensor(ctx[None]), params
     ).data[0]
-    want = naive_cross_attention(primary, ctx, params)
+    # a key bias adds q.bk to every score of a query, so it cannot matter
+    want = naive_cross_attention(primary, ctx, params, rng.normal(size=H))
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -298,6 +299,14 @@ def test_model_config_rejects_bad_settings(setting):
         ModelConfig(**{"arch": "lstm", "feature_dim": 4, **setting})
 
 
+@pytest.mark.parametrize("cfg, count", [(lstm_cfg(), 13), (tr_cfg(), 60)],
+                         ids=["lstm", "transformer"])
+def test_params_have_no_key_bias(cfg, count):
+    names = param_names(make_params(cfg))
+    assert len(names) == count
+    assert not [n for n in names if n.endswith(".bk")]
+
+
 # --- checkpoints ---
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -337,3 +346,23 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(tmp_path / "bad.ckpt")
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "missing.ckpt")
+
+
+def test_checkpoint_with_key_biases_loads_and_predicts_the_same(tmp_path):
+    """Checkpoints saved while attention still had a key bias load with the
+    biases dropped, and the model's output never depended on them."""
+    for cfg in (lstm_cfg(), tr_cfg()):
+        params = make_params(cfg, seed=26)
+        rng = np.random.default_rng(27)
+        old = dict(params)
+        for wk in [n for n in params if n.endswith(".wk")]:
+            old[wk[:-2] + "bk"] = Tensor(rng.normal(size=H))
+        save_checkpoint(tmp_path / "old.ckpt", old, cfg)
+        save_checkpoint(tmp_path / "new.ckpt", params, cfg)
+        loaded, _ = load_checkpoint(tmp_path / "old.ckpt")
+        assert set(loaded) == set(params)
+        X = rng.normal(size=(2, 4, 6))
+        S = np.stack([context_array(context(4))] * 2)
+        want = forward_batch(X, S, load_checkpoint(tmp_path / "new.ckpt")[0], cfg)
+        assert forward_batch(X, S, loaded, cfg).data.tobytes() == want.data.tobytes()
+

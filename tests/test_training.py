@@ -67,18 +67,29 @@ def test_bce_total_is_mean_of_components():
     )
 
 
-@pytest.mark.parametrize("arch", ["lstm", "transformer"])
-def test_gradient_matches_finite_differences(arch):
-    cfg = reduced_cfg(arch)
+@pytest.mark.parametrize("arch, dropout", [
+    ("lstm", 0.0), ("transformer", 0.0), ("lstm", 0.3), ("transformer", 0.3),
+], ids=["lstm", "transformer", "lstm-dropout", "transformer-dropout"])
+def test_gradient_matches_finite_differences(arch, dropout):
+    """With dropout, a fresh rng of one seed for every loss evaluation fixes
+    the masks, so central differences check the dropout backward too."""
+    cfg = replace(reduced_cfg(arch), dropout=dropout)
     rng = np.random.default_rng(1)
     params = init_params(cfg, rng)
     X, S, targets = random_batch(rng, B=1)
-    _, grads = gradient(params, X, S, targets, cfg)
 
-    def loss_fn():
-        return float(batch_loss_graph(forward_batch(X, S, params, cfg), targets).data)
+    def masks():
+        return np.random.default_rng(5) if dropout else None
 
-    num = numerical_gradient(loss_fn, params, h=1e-3)
+    _, grads = gradient(params, X, S, targets, cfg, rng=masks())
+
+    def loss_fn(rng=None):
+        probs = forward_batch(X, S, params, cfg, rng=rng)
+        return float(batch_loss_graph(probs, targets).data)
+
+    if dropout:  # an rng switches dropout on
+        assert loss_fn(masks()) != loss_fn()
+    num = numerical_gradient(lambda: loss_fn(masks()), params, h=1e-3)
     for n in param_names(params):
         a, b = grads[n], num[n]
         rel = np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-8)
