@@ -11,7 +11,14 @@ from typing import ClassVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .segmentation import REQUIRED_SAMPLE_RATE, WINDOW_S, DataError
+from .segmentation import (
+    HOP_SAMPLES,
+    REQUIRED_SAMPLE_RATE,
+    WINDOW_S,
+    WINDOW_SAMPLES,
+    DataError,
+    window_count,
+)
 
 
 @dataclass(frozen=True)
@@ -68,11 +75,26 @@ def dct_basis(n: int) -> np.ndarray:
     return basis
 
 
-_WINDOW_SAMPLES = int(WINDOW_S * REQUIRED_SAMPLE_RATE)
 _FRAME_LEN = int(round(MfccConfig.frame_len_s * REQUIRED_SAMPLE_RATE))
 _FRAME_HOP = int(round(MfccConfig.frame_hop_s * REQUIRED_SAMPLE_RATE))
+_WINDOW_FRAMES = (WINDOW_SAMPLES - _FRAME_LEN) // _FRAME_HOP + 1  # 998
+_HOP_FRAMES = HOP_SAMPLES // _FRAME_HOP  # 500
+_HANN = np.hanning(_FRAME_LEN)
 _FILTERBANK = mel_filterbank()
 _DCT = dct_basis(MfccConfig.n_mels).T[:, : MfccConfig.n_coeffs]
+
+
+def _mfcc_rows(samples: np.ndarray) -> np.ndarray:
+    """MFCC rows of every full frame of ``samples``, with pre-emphasis
+    restarting at ``samples[0]``."""
+    emph = np.empty_like(samples)
+    emph[0] = samples[0]
+    emph[1:] = samples[1:] - MfccConfig.pre_emphasis * samples[:-1]
+    frames = sliding_window_view(emph, _FRAME_LEN)[::_FRAME_HOP] * _HANN
+    mag = np.abs(np.fft.rfft(frames, n=MfccConfig.n_fft, axis=1))
+    mel = mag @ _FILTERBANK.T
+    logmel = np.log(np.maximum(mel, MfccConfig.log_floor))
+    return logmel @ _DCT
 
 
 def mfcc_frames(samples: np.ndarray) -> np.ndarray:
@@ -83,19 +105,12 @@ def mfcc_frames(samples: np.ndarray) -> np.ndarray:
     40 coefficients.  A 10 s window yields 998 frames.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    if len(samples) != _WINDOW_SAMPLES:
+    if len(samples) != WINDOW_SAMPLES:
         raise DataError(
-            f"expected exactly {_WINDOW_SAMPLES} samples ({WINDOW_S:.0f} s at "
+            f"expected exactly {WINDOW_SAMPLES} samples ({WINDOW_S:.0f} s at "
             f"{REQUIRED_SAMPLE_RATE} Hz), got {len(samples)}"
         )
-    emph = np.empty_like(samples)
-    emph[0] = samples[0]
-    emph[1:] = samples[1:] - MfccConfig.pre_emphasis * samples[:-1]
-    frames = sliding_window_view(emph, _FRAME_LEN)[::_FRAME_HOP] * np.hanning(_FRAME_LEN)
-    mag = np.abs(np.fft.rfft(frames, n=MfccConfig.n_fft, axis=1))
-    mel = mag @ _FILTERBANK.T
-    logmel = np.log(np.maximum(mel, MfccConfig.log_floor))
-    return logmel @ _DCT
+    return _mfcc_rows(samples)
 
 
 def delta_frames(frames: np.ndarray) -> np.ndarray:
@@ -120,12 +135,38 @@ def pool_window(frames: np.ndarray) -> np.ndarray:
 
 
 def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    """One pooled feature vector for a 10 s window (d=40, or 80 with deltas)."""
-    frames = mfcc_frames(samples)
-    vec = pool_window(frames)
-    if cfg.include_deltas:
-        vec = np.concatenate([vec, pool_window(delta_frames(frames))])
-    return vec
+    """Pooled features of every 10 s / 5 s window of a clip, shape
+    (n_windows, d) with d = 40, or 80 with deltas; trailing audio shorter
+    than a hop is dropped.
+
+    Each frame is computed once: window k pools clip frames
+    [500k, 500k + 998).  Frames are computed in blocks of one hop whose
+    pre-emphasis restarts at the block's first sample.  The Hann window is
+    exactly zero at that sample, so the restart never reaches a spectrum and
+    every row is bit-identical to ``mfcc_frames`` of the window's samples.
+    Blocks also bound the memory that frames and spectra take.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    count = window_count(len(samples))
+    if count == 0:
+        raise DataError(
+            f"expected at least {WINDOW_SAMPLES} samples ({WINDOW_S:.0f} s at "
+            f"{REQUIRED_SAMPLE_RATE} Hz), got {len(samples)}"
+        )
+    n_frames = (count - 1) * _HOP_FRAMES + _WINDOW_FRAMES
+    rows = np.empty((n_frames, MfccConfig.n_coeffs))
+    for lo in range(0, n_frames, _HOP_FRAMES):
+        hi = min(lo + _HOP_FRAMES, n_frames)
+        rows[lo:hi] = _mfcc_rows(
+            samples[lo * _FRAME_HOP : (hi - 1) * _FRAME_HOP + _FRAME_LEN]
+        )
+    out = np.empty((count, cfg.dim))
+    for k in range(count):
+        frames = rows[k * _HOP_FRAMES : k * _HOP_FRAMES + _WINDOW_FRAMES]
+        out[k, : MfccConfig.n_coeffs] = pool_window(frames)
+        if cfg.include_deltas:
+            out[k, MfccConfig.n_coeffs :] = pool_window(delta_frames(frames))
+    return out
 
 
 # --- FSEQ feature files: magic "FSEQ", version, rows, cols, f32 LE payload ---

@@ -8,6 +8,7 @@ classify the result into three independent VAD probabilities.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -340,6 +341,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
             name = take(f"{nlen}s")[0].decode()
             (ndim,) = take("<B")
             entries[name] = (take(f"<{ndim}I"), take("<Q")[0])
+        # every layer owns tensors: this bounds the shape table a corrupt
+        # layer count would build
+        if cfg.layers + cfg.ctx_layers > len(entries):
+            raise DataError(f"{cfg.layers} + {cfg.ctx_layers} layers but "
+                            f"{len(entries)} tensors")
         params = {}
         for name, want in param_shapes(cfg).items():
             if name not in entries:
@@ -347,7 +353,9 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
             shape, start = entries[name]
             if shape != want:
                 raise DataError(f"tensor {name} has shape {shape}, not {want}")
-            size = int(np.prod(shape))
+            size = math.prod(shape)
+            if off + start + 4 * size > len(body):
+                raise DataError(f"tensor {name} lies past the end of the file")
             arr = np.frombuffer(body, dtype="<f4", count=size, offset=off + start)
             params[name] = Tensor(arr.astype(np.float64).reshape(shape))
         return params, cfg

@@ -24,7 +24,6 @@ from .segmentation import (
     align_labels,
     load_clip,
     segment,
-    window_samples,
 )
 from .training import TrainSample
 from .vad import VadCode
@@ -64,19 +63,19 @@ def clip_feature_matrix(
     """Features for every window of one decoded clip: from-scratch MFCC or
     rows of a precomputed embedding file (`file:<dir>`)."""
     if feature_spec == "mfcc":
-        return np.stack([
-            window_mfcc(window_samples(clip, w), mfcc_cfg) for w in windows
-        ])
-    if feature_spec.startswith("file:"):
+        mat, source = window_mfcc(clip.samples, mfcc_cfg), "MFCC"
+    elif feature_spec.startswith("file:"):
         emb_dir = Path(feature_spec[5:])
         mat = load_embeddings(emb_dir / f"{clip.utterance_id}.fseq")
-        if mat.shape[0] != len(windows):
-            raise DataError(
-                f"{clip.utterance_id}: embedding file has {mat.shape[0]} rows, "
-                f"clip has {len(windows)} windows"
-            )
-        return mat
-    raise DataError(f"unknown feature spec {feature_spec!r}")
+        source = "embedding file"
+    else:
+        raise DataError(f"unknown feature spec {feature_spec!r}")
+    if mat.shape[0] != len(windows):
+        raise DataError(
+            f"{clip.utterance_id}: {source} has {mat.shape[0]} rows, "
+            f"clip has {len(windows)} windows"
+        )
+    return mat
 
 
 def load_recording(

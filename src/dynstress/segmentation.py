@@ -20,6 +20,8 @@ from .vad import VadCode, parse_label
 
 REQUIRED_SAMPLE_RATE = 16000
 WINDOW_S, HOP_S = 10.0, 5.0  # the paper's window length and hop, in seconds
+WINDOW_SAMPLES = int(WINDOW_S * REQUIRED_SAMPLE_RATE)
+HOP_SAMPLES = int(HOP_S * REQUIRED_SAMPLE_RATE)
 
 
 class DataError(ValueError):
@@ -71,15 +73,21 @@ class LabelSpan:
             )
 
 
+def window_count(n_samples: int) -> int:
+    """Number of full windows in ``n_samples`` samples (0 when shorter than
+    one window); trailing audio shorter than a hop is dropped."""
+    return max(0, (n_samples - WINDOW_SAMPLES) // HOP_SAMPLES + 1)
+
+
 def segment(clip: AudioClip) -> list[SegmentWindow]:
     """Cut a clip into overlapping windows; trailing audio shorter than a
     full window is dropped."""
-    if clip.duration < WINDOW_S:
+    count = window_count(len(clip.samples))
+    if count == 0:
         raise DataError(
             f"clip {clip.utterance_id!r} is {clip.duration:.2f}s, "
             f"shorter than one {WINDOW_S:.0f}s window"
         )
-    count = int((clip.duration - WINDOW_S) // HOP_S) + 1
     return [
         SegmentWindow(
             index=k,
@@ -89,12 +97,6 @@ def segment(clip: AudioClip) -> list[SegmentWindow]:
         )
         for k in range(count)
     ]
-
-
-def window_samples(clip: AudioClip, window: SegmentWindow) -> np.ndarray:
-    lo = int(round(window.start * clip.sample_rate))
-    hi = int(round(window.end * clip.sample_rate))
-    return clip.samples[lo:hi]
 
 
 def align_labels(
@@ -183,12 +185,17 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
                 raise DataError(f"{path}: expected mono audio")
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except wave.Error as e:
-        raise DataError(f"{path}: not a readable WAV file ({e})") from e
+    # EOFError: the file ends inside a header; RuntimeError: a chunk's size
+    # points outside the chunk
+    except (wave.Error, EOFError, RuntimeError) as e:
+        reason = str(e) or "truncated or corrupt chunk"
+        raise DataError(f"{path}: not a readable WAV file ({reason})") from e
     if rate != REQUIRED_SAMPLE_RATE:
         raise DataError(
             f"{path}: sample rate {rate} Hz, expected {REQUIRED_SAMPLE_RATE}"
         )
+    if len(raw) % 2:
+        raise DataError(f"{path}: data chunk has an odd byte count ({len(raw)})")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(pcm, rate, speaker_id, utterance_id or path.stem, text_id)
 
@@ -217,23 +224,45 @@ class ClipRecord:
 
 
 def _parse_spans(raw) -> list[LabelSpan]:
-    return [
-        LabelSpan(float(s["start_s"]), float(s["end_s"]), parse_label(s["label"]))
-        for s in raw
-    ]
+    if not isinstance(raw, list):
+        raise ValueError(f"spans must be a list, not {type(raw).__name__}")
+    spans = []
+    for s in raw:
+        if not (isinstance(s, dict) and isinstance(s.get("label"), str)):
+            raise ValueError("each span must be an object with a string label")
+        spans.append(LabelSpan(
+            float(s["start_s"]), float(s["end_s"]), parse_label(s["label"])
+        ))
+    return spans
+
+
+_TEXT_FIELDS = ("audio_path", "speaker_id", "utterance_id", "text_id", "split")
 
 
 def read_manifest(path: str | Path) -> list[ClipRecord]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing manifest: {path}")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: manifest is not UTF-8 (byte {e.start})") from None
     records = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
+        # OverflowError: a span bound too large for a float;
+        # RecursionError: JSON nested too deeply to parse
         try:
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"not a JSON object but {type(obj).__name__}")
+            for key in _TEXT_FIELDS:
+                if key in obj and not isinstance(obj[key], str):
+                    raise ValueError(
+                        f"{key} must be a string, not {type(obj[key]).__name__}"
+                    )
             stress_label = obj.get("stress_label")
             if not (stress_label is None or isinstance(stress_label, bool)):
                 raise ValueError(
@@ -249,7 +278,7 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
                 stress_spans=_parse_spans(obj.get("stress_spans", [])),
                 stress_label=stress_label,
             )
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as e:
             raise DataError(f"{path}:{lineno}: bad manifest record ({e})") from e
         records.append(rec)
     return records

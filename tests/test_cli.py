@@ -178,6 +178,31 @@ INPUT_ERRORS = {
                                         "--split", "nosuch"],
     "empty-sweep-n": ["sweep", "--n", "5..0"],
     "empty-n-values": ["ablate", "--ckpt", "good.ckpt", "--n-values", "5..0"],
+    "manifest-line-is-a-list": ["label"],
+    "manifest-line-is-a-number": ["label"],
+    "manifest-not-utf8": ["label"],
+    "manifest-split-not-a-string": ["label"],
+    "manifest-utterance-id-not-a-string": ["label"],
+    "wav-empty": ["label"],
+    "wav-cut-inside-header": ["label"],
+    "wav-odd-data-bytes": ["label"],
+}
+
+# Cases above that replace one fixture file: (file name, new bytes).
+BROKEN_FILES = {
+    "no-spans": ("manifest.jsonl", lambda d: "".join(
+        manifest_line(name, []) + "\n" for name in ("a", "b")).encode()),
+    "manifest-line-is-a-list": ("manifest.jsonl", lambda d: b"[1]\n"),
+    "manifest-line-is-a-number": ("manifest.jsonl", lambda d: b"3\n"),
+    "manifest-not-utf8": ("manifest.jsonl", lambda d: (
+        d / "manifest.jsonl").read_bytes().replace(b'"t1"', b'"t\xff"')),
+    "manifest-split-not-a-string": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [(0, 30, "fear")], extra={"split": 3}).encode()),
+    "manifest-utterance-id-not-a-string": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [(0, 30, "fear")], extra={"utterance_id": [1]}).encode()),
+    "wav-empty": ("a.wav", lambda d: b""),
+    "wav-cut-inside-header": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:30]),
+    "wav-odd-data-bytes": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:-1]),
 }
 
 
@@ -187,10 +212,9 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
     cmd, *flags = INPUT_ERRORS[case]
     (data_dir / "bad.cfg").write_text("n = four\n")
     write_checkpoints(data_dir)
-    if case == "no-spans":
-        manifest.write_text("".join(
-            manifest_line(name, []) + "\n" for name in ("a", "b")
-        ))
+    if case in BROKEN_FILES:
+        name, body = BROKEN_FILES[case]
+        (data_dir / name).write_bytes(body(data_dir))
     flags = [data_dir / f if f.endswith((".cfg", ".ckpt")) else f for f in flags]
     args = [cmd, "--manifest", manifest, "--out", data_dir / case, *flags]
     assert run(args) == 2

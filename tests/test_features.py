@@ -134,8 +134,41 @@ def test_window_mfcc_builds_no_filterbank_or_dct(monkeypatch):
 
 def test_window_mfcc_dims():
     x = np.random.default_rng(2).normal(size=TEN_S) * 0.1
-    assert window_mfcc(x).shape == (40,)
-    assert window_mfcc(x, MfccConfig(include_deltas=True)).shape == (80,)
+    assert window_mfcc(x).shape == (1, 40)
+    assert window_mfcc(x, MfccConfig(include_deltas=True)).shape == (1, 80)
+    x = np.random.default_rng(2).normal(size=27 * SR) * 0.1
+    assert window_mfcc(x).shape == (4, 40)
+
+
+def per_window_mfcc(x, cfg):
+    """The plain path: pooled MFCC of each 10 s / 5 s window on its own."""
+    rows = []
+    for k in range((len(x) - TEN_S) // (5 * SR) + 1):
+        frames = mfcc_frames(x[5 * SR * k : 5 * SR * k + TEN_S])
+        row = pool_window(frames)
+        if cfg.include_deltas:
+            row = np.concatenate([row, pool_window(delta_frames(frames))])
+        rows.append(row)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("deltas", [False, True], ids=["mfcc", "deltas"])
+@pytest.mark.parametrize("n_samples", [TEN_S, 37 * SR + 4321], ids=["10s", "37s-ragged"])
+def test_window_mfcc_equals_per_window_path(n_samples, deltas):
+    """Every clip frame is computed once, yet each row is bit-identical to
+    the window's own MFCC, whose pre-emphasis restarts at its first sample."""
+    x = 0.1 * np.random.default_rng(6).normal(size=n_samples)
+    # loud samples exactly at every window start expose a wrong restart
+    x[:: 5 * SR] = np.where(np.arange(len(x[:: 5 * SR])) % 2, -0.9, 0.9)
+    cfg = MfccConfig(include_deltas=deltas)
+    got = window_mfcc(x, cfg)
+    assert got.shape == ((n_samples - TEN_S) // (5 * SR) + 1, cfg.dim)
+    assert np.array_equal(got, per_window_mfcc(x, cfg))
+
+
+def test_window_mfcc_rejects_less_than_one_window():
+    with pytest.raises(DataError, match="at least 160000 samples"):
+        window_mfcc(np.zeros(TEN_S - 1))
 
 
 def test_delta_of_constant_is_zero():

@@ -12,7 +12,6 @@ from dynstress.segmentation import (
     load_wav,
     read_manifest,
     segment,
-    window_samples,
     write_wav,
 )
 from dynstress.vad import VadCode
@@ -189,11 +188,3 @@ def test_manifest_rejects_non_boolean_stress_label(tmp_path, label):
     m.write_text(json.dumps(good) + "\n" + json.dumps({"audio_path": "b.wav"}))
     assert [r.stress_label for r in read_manifest(m)] == [False, None]
 
-
-def test_window_samples_slice():
-    clip = make_clip(20)
-    clip.samples[:] = np.arange(len(clip.samples)) / len(clip.samples)
-    w = segment(clip)[1]
-    sl = window_samples(clip, w)
-    assert len(sl) == 10 * SR
-    assert sl[0] == clip.samples[5 * SR]
