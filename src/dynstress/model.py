@@ -227,6 +227,39 @@ def make_context(previous_labels: Sequence[VadCode]) -> list[VadCode]:
     return [DEFAULT_CODE, *previous_labels]
 
 
+def speech_states(X: np.ndarray, params, cfg: ModelConfig) -> Tensor:
+    """Speech encoder states (B, T, H) of (B, T, d) features.  They do not
+    depend on the context, so inference encodes each window only once."""
+    xt = Tensor(X)
+    if cfg.arch == "lstm":
+        return lstm_states(xt, params, "speech_lstm", cfg.hidden)
+    return transformer_states(xt, params, cfg, "enc", "proj", cfg.layers)
+
+
+def fuse(
+    hs: Tensor, S: np.ndarray, params, cfg: ModelConfig,
+    rng: np.random.Generator | None = None,
+) -> Tensor:
+    """Probabilities (B, 3) from speech states ``hs`` (B, T, H) and contexts
+    ``S`` (B, T', 3): the context encoder, dropout, cross-attention and head.
+    Without dropout only the last speech state is read."""
+    st = Tensor(S)
+    if cfg.arch == "lstm":
+        hc = lstm_states(st, params, "ctx_lstm", cfg.hidden)
+    else:
+        hc = transformer_states(st, params, cfg, "ctx", "ctxproj", cfg.ctx_layers)
+    if rng is not None and cfg.dropout > 0:
+        hs = _dropout(hs, cfg.dropout, rng)
+        hc = _dropout(hc, cfg.dropout, rng)
+    # The head reads only the last position, so only it queries the context.
+    fused = cross_attention_states(hs[:, -1:, :], hc, params)
+    last = fused[:, -1, :]
+    if cfg.arch == "lstm":
+        last = concat([last, hc[:, -1, :]], axis=1)
+    logits = last @ params["head.w"] + params["head.b"]
+    return logits.sigmoid()
+
+
 def forward_batch(
     X: np.ndarray, S: np.ndarray, params, cfg: ModelConfig,
     rng: np.random.Generator | None = None,
@@ -241,23 +274,7 @@ def forward_batch(
         )
     if X.shape[1] == 0:
         raise DataError("empty sequences")
-    xt, st = Tensor(X), Tensor(S)
-    if cfg.arch == "lstm":
-        hs = lstm_states(xt, params, "speech_lstm", cfg.hidden)
-        hc = lstm_states(st, params, "ctx_lstm", cfg.hidden)
-    else:
-        hs = transformer_states(xt, params, cfg, "enc", "proj", cfg.layers)
-        hc = transformer_states(st, params, cfg, "ctx", "ctxproj", cfg.ctx_layers)
-    if rng is not None and cfg.dropout > 0:
-        hs = _dropout(hs, cfg.dropout, rng)
-        hc = _dropout(hc, cfg.dropout, rng)
-    # The head reads only the last position, so only it queries the context.
-    fused = cross_attention_states(hs[:, -1:, :], hc, params)
-    last = fused[:, -1, :]
-    if cfg.arch == "lstm":
-        last = concat([last, hc[:, -1, :]], axis=1)
-    logits = last @ params["head.w"] + params["head.b"]
-    return logits.sigmoid()
+    return fuse(speech_states(X, params, cfg), S, params, cfg, rng)
 
 
 def binarise(probs: np.ndarray) -> np.ndarray:

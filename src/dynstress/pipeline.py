@@ -13,9 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .autodiff import Tensor
 from .features import MfccConfig, load_embeddings, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
-from .model import ModelConfig, context_array, decode, forward_batch, make_context
+from .model import ModelConfig, context_array, decode, fuse, make_context, speech_states
 from .segmentation import (
     AudioClip,
     ClipRecord,
@@ -147,6 +148,23 @@ def build_samples(
     return samples
 
 
+def last_speech_states(
+    features: np.ndarray, history: int, params, cfg: ModelConfig,
+) -> np.ndarray:
+    """Last speech state (N, H) of each window ``features[max(0, t - history)
+    : t + 1]``, one batched ``speech_states`` call per window length."""
+    if history < 0:
+        raise DataError(f"history must be non-negative, got {history}")
+    N = features.shape[0]
+    last = np.empty((N, cfg.hidden))
+    for k in range(min(N, history + 1)):
+        # windows of length k + 1: only t = k, or every t >= history
+        ts = np.arange(k, N if k == history else k + 1)
+        X = features[ts[:, None] + np.arange(-k, 1)]
+        last[ts] = speech_states(X, params, cfg).data[:, -1, :]
+    return last
+
+
 def predict_recording(
     features: np.ndarray, history: int, params, cfg: ModelConfig,
 ) -> list[VadCode]:
@@ -154,13 +172,14 @@ def predict_recording(
 
     The context is built from the model's own past predictions (the default
     code stands in before any prediction exists), mirroring deployment where
-    no ground-truth stress labels are available.
+    no ground-truth stress labels are available.  Speech does not depend on
+    the predictions, so it is encoded once up front and each step runs only
+    the context branch.
     """
+    last = last_speech_states(features, history, params, cfg)
     preds: list[VadCode] = []
     for t in range(features.shape[0]):
-        lo = max(0, t - history)
-        X = features[lo : t + 1]
-        ctx = context_array(make_context(preds[lo:t]))
-        probs = forward_batch(X[None], ctx[None], params, cfg).data[0]
+        ctx = context_array(make_context(preds[max(0, t - history) : t]))
+        probs = fuse(Tensor(last[t][None, None]), ctx[None], params, cfg).data[0]
         preds.append(decode(probs))
     return preds

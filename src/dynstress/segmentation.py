@@ -184,7 +184,8 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
             if wf.getnchannels() != 1:
                 raise DataError(f"{path}: expected mono audio")
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            n_frames = wf.getnframes()
+            raw = wf.readframes(n_frames)
     # EOFError: the file ends inside a header; RuntimeError: a chunk's size
     # points outside the chunk
     except (wave.Error, EOFError, RuntimeError) as e:
@@ -194,8 +195,10 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
         raise DataError(
             f"{path}: sample rate {rate} Hz, expected {REQUIRED_SAMPLE_RATE}"
         )
-    if len(raw) % 2:
-        raise DataError(f"{path}: data chunk has an odd byte count ({len(raw)})")
+    if len(raw) != 2 * n_frames:
+        raise DataError(
+            f"{path}: data chunk holds {len(raw)} bytes, header says {2 * n_frames}"
+        )
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(pcm, rate, speaker_id, utterance_id or path.stem, text_id)
 
@@ -230,6 +233,12 @@ def _parse_spans(raw) -> list[LabelSpan]:
     for s in raw:
         if not (isinstance(s, dict) and isinstance(s.get("label"), str)):
             raise ValueError("each span must be an object with a string label")
+        for key in ("start_s", "end_s"):
+            # bool is an int subclass; "0" or true is not a span bound
+            if isinstance(s[key], bool) or not isinstance(s[key], (int, float)):
+                raise ValueError(
+                    f"span {key} must be a number, not {type(s[key]).__name__}"
+                )
         spans.append(LabelSpan(
             float(s["start_s"]), float(s["end_s"]), parse_label(s["label"])
         ))

@@ -186,6 +186,9 @@ INPUT_ERRORS = {
     "wav-empty": ["label"],
     "wav-cut-inside-header": ["label"],
     "wav-odd-data-bytes": ["label"],
+    "wav-cut-inside-data": ["label"],
+    "span-bound-is-a-string": ["label"],
+    "span-bound-is-a-boolean": ["label"],
 }
 
 # Cases above that replace one fixture file: (file name, new bytes).
@@ -203,6 +206,11 @@ BROKEN_FILES = {
     "wav-empty": ("a.wav", lambda d: b""),
     "wav-cut-inside-header": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:30]),
     "wav-odd-data-bytes": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:-1]),
+    "wav-cut-inside-data": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:-2000]),
+    "span-bound-is-a-string": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [("0", 30, "fear")]).encode()),
+    "span-bound-is-a-boolean": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [(0, 30, "fear")], stress_spans=[(True, 30, "fear")]).encode()),
 }
 
 

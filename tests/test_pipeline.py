@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from dynstress import segmentation
+from dynstress import pipeline, segmentation
 from dynstress.features import MfccConfig, mfcc_frames, pool_window, write_fseq
 from dynstress.labelling import LabellingConfig, relabel_sequence
 from dynstress.model import (
     ModelConfig,
     context_array,
     forward_batch,
+    fuse,
     init_params,
     make_context,
     param_names,
+    speech_states,
 )
 from dynstress.pipeline import (
     build_samples,
+    last_speech_states,
     load_recording,
     predict_recording,
 )
@@ -214,3 +217,83 @@ def test_predict_recording_uses_own_predictions():
     bumped[4] += 10.0
     after = predict_recording(bumped, 3, params, cfg)
     assert after[:4] == base[:4]
+
+
+def plain_predict(feats, history, params, cfg):
+    """Sequential inference as one whole ``forward_batch`` per window."""
+    preds = []
+    for t in range(feats.shape[0]):
+        lo = max(0, t - history)
+        S = context_array(make_context(preds[lo:t]))[None]
+        probs = forward_batch(feats[lo : t + 1][None], S, params, cfg).data[0]
+        preds.append(VadCode(*(int(p > 0.5) for p in probs)))
+    return preds
+
+
+def ragged_cases(arch, seed):
+    """(features, history, params, cfg) for n = 0..5 and recordings of one
+    window, of at most n windows and of many more than n windows."""
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(arch, feature_dim=16, hidden=8, heads=2, ffn=16, dropout=0.0)
+    params = init_params(cfg, rng)
+    for n in range(6):
+        for N in (1, int(rng.integers(1, n + 1)) if n else 1,
+                  int(rng.integers(3 * n + 5, 3 * n + 20))):
+            yield rng.normal(size=(N, 16)), n, params, cfg
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_predict_recording_equals_per_window_forward(arch):
+    seen = set()
+    for seed in range(3):
+        for feats, n, params, cfg in ragged_cases(arch, seed):
+            got = predict_recording(feats, n, params, cfg)
+            assert got == plain_predict(feats, n, params, cfg), (seed, n, len(feats))
+            seen.update(got)
+    assert len(seen) > 1  # the decisions vary, so equal codes say something
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_batched_last_speech_states_equal_per_window(arch):
+    for feats, n, params, cfg in ragged_cases(arch, 3):
+        got = last_speech_states(feats, n, params, cfg)
+        for t in range(feats.shape[0]):
+            X = feats[max(0, t - n) : t + 1][None]
+            want = speech_states(X, params, cfg).data[0, -1]
+            np.testing.assert_allclose(got[t], want, rtol=1e-12, atol=0)
+
+
+def test_speech_is_encoded_once_per_window_length(monkeypatch):
+    batches = []
+
+    def counting(X, *args):
+        batches.append(X.shape[:2])
+        return speech_states(X, *args)
+
+    monkeypatch.setattr(pipeline, "speech_states", counting)
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
+    params = init_params(cfg, np.random.default_rng(0))
+    feats = np.random.default_rng(1).normal(size=(9, 4))
+    predict_recording(feats, 3, params, cfg)
+    assert batches == [(1, 1), (1, 2), (1, 3), (6, 4)]
+    batches.clear()
+    predict_recording(feats[:2], 3, params, cfg)
+    assert batches == [(1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_fuse_without_dropout_reads_only_the_last_speech_state(arch):
+    cfg = ModelConfig(arch, feature_dim=4, hidden=8, heads=2, ffn=16, dropout=0.3)
+    params = init_params(cfg, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    hs = speech_states(rng.normal(size=(2, 4, 4)), params, cfg)
+    S = np.stack([context_array(make_context([VadCode(1, 0, 1)] * 3))] * 2)
+    whole = fuse(hs, S, params, cfg).data
+    assert whole.tobytes() == fuse(hs[:, -1:, :], S, params, cfg).data.tobytes()
+
+
+def test_predict_recording_rejects_negative_history():
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
+    params = init_params(cfg, np.random.default_rng(0))
+    with pytest.raises(DataError, match="history"):
+        predict_recording(np.zeros((3, 4)), -1, params, cfg)

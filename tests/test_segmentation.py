@@ -177,6 +177,19 @@ def test_manifest_rejects_bad_spans(tmp_path, field, start, end):
         read_manifest(m)
 
 
+@pytest.mark.parametrize("start, end", [
+    (0, float("nan")), (float("nan"), 10), (0, float("inf")),
+    ("0", 10), (0, "10"), (True, 10), (0, False), (None, 10),
+])
+def test_manifest_span_bounds_are_finite_json_numbers(tmp_path, start, end):
+    bad = {"audio_path": "b.wav", "spans": [
+        {"start_s": start, "end_s": end, "label": "fear"}]}
+    m = tmp_path / "m.jsonl"
+    m.write_text(json.dumps({"audio_path": "a.wav"}) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(DataError, match=r"m\.jsonl:2: .*span"):
+        read_manifest(m)
+
+
 @pytest.mark.parametrize("label", ["no", "true", 1, 0, [], {}])
 def test_manifest_rejects_non_boolean_stress_label(tmp_path, label):
     good = {"audio_path": "a.wav", "stress_label": False}
