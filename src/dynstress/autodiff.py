@@ -1,8 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough ops for the sequence models: elementwise arithmetic, matmul,
-activations, reductions, reshapes and slicing.  Gradients are exact; the
-test suite checks them against central finite differences.
+Just enough generic ops for the sequence models: addition, multiplication,
+matmul, sigmoid, sums, reshapes, slicing and concatenation, plus scaled
+dot-product attention as one node.  The model's heavier layers build their
+own single nodes with ``Tensor._make``.  Gradients are exact; the test suite
+checks them against central finite differences.
 """
 
 from __future__ import annotations
@@ -77,17 +79,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def back(g):
-            self._accum(-g)
-        return self._make(-self.data, (self,), back)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     def __mul__(self, other):
         o = self._lift(other)
         def back(g):
@@ -99,67 +90,40 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        def back(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / o.data, self.data.shape))
-            if o.requires_grad:
-                o._accum(_unbroadcast(-g * self.data / (o.data * o.data), o.data.shape))
-        return self._make(self.data / o.data, (self, o), back)
-
-    def __pow__(self, p: float):
-        def back(g):
-            self._accum(g * p * self.data ** (p - 1))
-        return self._make(self.data ** p, (self,), back)
-
     def __matmul__(self, other):
         o = self._lift(other)
+        a, w = self.data, o.data
+        # A stack of rows times a shared 2-D weight runs as one GEMM over
+        # every leading row, forward and backward, not as one small GEMM per
+        # leading index.  One row per index (the last-state query) stays
+        # stacked: numpy runs it as matrix-vector products, whose sums round
+        # differently from a GEMM's, so flattening would move trained
+        # weights in their last bits.
+        flat = a.ndim > 2 and w.ndim == 2 and a.shape[-2] > 1
         def back(g):
-            if self.requires_grad:
-                ga = np.matmul(g, np.swapaxes(o.data, -1, -2))
-                self._accum(_unbroadcast(ga, self.data.shape))
-            if o.requires_grad and o.data.ndim == 2:
-                # A shared weight: one GEMM over every leading row, not a
-                # per-example stack that _unbroadcast then sums away.
-                k, n = o.data.shape
-                o._accum(self.data.reshape(-1, k).T @ g.reshape(-1, n))
+            if self.requires_grad and flat:
+                self._accum((g.reshape(-1, w.shape[1]) @ w.T).reshape(a.shape))
+            elif self.requires_grad:
+                ga = np.matmul(g, np.swapaxes(w, -1, -2))
+                self._accum(_unbroadcast(ga, a.shape))
+            if o.requires_grad and w.ndim == 2:
+                o._accum(a.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
             elif o.requires_grad:
-                gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-                o._accum(_unbroadcast(gb, o.data.shape))
-        return self._make(np.matmul(self.data, o.data), (self, o), back)
+                gb = np.matmul(np.swapaxes(a, -1, -2), g)
+                o._accum(_unbroadcast(gb, w.shape))
+        if flat:
+            out = (a.reshape(-1, w.shape[0]) @ w).reshape(*a.shape[:-1], w.shape[1])
+        else:
+            out = np.matmul(a, w)
+        return self._make(out, (self, o), back)
 
-    # -- activations and elementwise functions --
-
-    def exp(self):
-        val = np.exp(self.data)
-        def back(g):
-            self._accum(g * val)
-        return self._make(val, (self,), back)
-
-    def log(self):
-        def back(g):
-            self._accum(g / self.data)
-        return self._make(np.log(self.data), (self,), back)
-
-    def tanh(self):
-        val = np.tanh(self.data)
-        def back(g):
-            self._accum(g * (1.0 - val * val))
-        return self._make(val, (self,), back)
+    # -- activations --
 
     def sigmoid(self):
         val = 1.0 / (1.0 + np.exp(-self.data))
         def back(g):
             self._accum(g * val * (1.0 - val))
         return self._make(val, (self,), back)
-
-    def clip(self, lo: float, hi: float):
-        # Pass-through gradient inside [lo, hi], zero outside.
-        mask = (self.data >= lo) & (self.data <= hi)
-        def back(g):
-            self._accum(g * mask)
-        return self._make(np.clip(self.data, lo, hi), (self,), back)
 
     # -- reductions --
 
@@ -244,8 +208,22 @@ def concat(tensors, axis=0):
     return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
 
 
-def softmax(x: Tensor, axis=-1) -> Tensor:
-    # Max-shift is a constant; its gradient contribution cancels.
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention, softmax(q k^T / sqrt(d)) v, of queries
+    (..., Tq, d) over keys and values (..., Tk, d) with the same leading
+    dimensions, as one node."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    # The max-shift is a constant per query; the softmax ignores it.
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    def back(g):
+        if v.requires_grad:
+            v._accum(np.matmul(np.swapaxes(att, -1, -2), g))
+        ga = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accum(np.matmul(gs, k.data))
+        if k.requires_grad:
+            k._accum(np.matmul(np.swapaxes(gs, -1, -2), q.data))
+    return Tensor._make(np.matmul(att, v.data), (q, k, v), back)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax
+from .autodiff import Tensor, attention, concat
 from .segmentation import DataError
 from .vad import DEFAULT_CODE, VadCode
 
@@ -36,6 +36,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ("lstm", "transformer"):
             raise DataError(f"unknown architecture {self.arch!r}")
+        for name in ("feature_dim", "hidden", "ffn"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if self.heads < 1 or self.hidden % self.heads != 0:
             raise DataError("hidden size must be divisible by a positive head count")
         if not 0.0 <= self.dropout < 1.0:
@@ -106,34 +109,87 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
 # --- building blocks (batched: B x T x dim) ---
 
 def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
-    """Unidirectional LSTM over (B, T, D); returns hidden states (B, T, H)."""
+    """Unidirectional LSTM over (B, T, D); returns hidden states (B, T, H).
+
+    One tape node with a hand-written backward (the fused-gate LSTM of
+    Appleyard et al. 2016): the forward keeps every step's gate activations
+    and cell states, the backward runs BPTT over them, and the ``w``, ``u``
+    and ``b`` gradients are each one reduction over all B*T rows."""
     w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
     if x.shape[-1] != w.shape[0]:
         raise DataError(
             f"{prefix}: input dim {x.shape[-1]} does not match weights {w.shape[0]}"
         )
     B, T, D = x.shape
-    # The input projection of every step as one GEMM over all B*T rows.
-    xw = (x.reshape(B * T, D) @ w + b).reshape(B, T, 4 * hidden)
-    h = c = Tensor(np.zeros((B, hidden)))
-    outs = []
+    H = hidden
+    # Gate pre-activations of every step, input projection as one GEMM;
+    # each step adds its recurrent term and activates its slice in place.
+    acts = (x.data.reshape(B * T, D) @ w.data + b.data).reshape(B, T, 4 * H)
+    hs = np.zeros((B, T + 1, H))  # hs[:, t] and cs[:, t] enter step t
+    cs = np.zeros((B, T + 1, H))
+    tanh_c = np.empty((B, T, H))
     for t in range(T):
-        z = xw[:, t, :] + h @ u
-        i = z[:, 0 * hidden : 1 * hidden].sigmoid()
-        f = z[:, 1 * hidden : 2 * hidden].sigmoid()
-        g = z[:, 2 * hidden : 3 * hidden].tanh()
-        o = z[:, 3 * hidden : 4 * hidden].sigmoid()
-        c = f * c + i * g
-        h = o * c.tanh()
-        outs.append(h.reshape(B, 1, hidden))
-    return concat(outs, axis=1)
+        z = acts[:, t]
+        if t:
+            z += hs[:, t] @ u.data
+        g = np.tanh(z[:, 2 * H : 3 * H])
+        z[:] = 1.0 / (1.0 + np.exp(-z))
+        z[:, 2 * H : 3 * H] = g
+        cs[:, t + 1] = z[:, H : 2 * H] * cs[:, t] + z[:, :H] * g
+        tanh_c[:, t] = np.tanh(cs[:, t + 1])
+        hs[:, t + 1] = z[:, 3 * H :] * tanh_c[:, t]
+
+    def back(gh):
+        i, f, g, o = (acts[..., k * H : (k + 1) * H] for k in range(4))
+        # d(activation)/d(pre-activation) of all four gates, every step
+        slope = acts * (1.0 - acts)
+        slope[..., 2 * H : 3 * H] = 1.0 - g * g
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty_like(acts)
+        dh = dc = np.zeros((B, H))
+        for t in reversed(range(T)):
+            dh = gh[:, t] + dh
+            dc = dc + dh * dc_dh[:, t]
+            dzt = dz[:, t]
+            dzt[:, :H] = dc * g[:, t]
+            dzt[:, H : 2 * H] = dc * cs[:, t]
+            dzt[:, 2 * H : 3 * H] = dc * i[:, t]
+            dzt[:, 3 * H :] = dh * tanh_c[:, t]
+            dzt *= slope[:, t]
+            dc = dc * f[:, t]
+            dh = dzt @ u.data.T
+        rows = dz.reshape(B * T, 4 * H)
+        if x.requires_grad:
+            x._accum((rows @ w.data.T).reshape(B, T, D))
+        if w.requires_grad:
+            w._accum(x.data.reshape(B * T, D).T @ rows)
+        if u.requires_grad:
+            u._accum(hs[:, :-1].reshape(B * T, H).T @ rows)
+        if b.requires_grad:
+            b._accum(rows.sum(axis=0))
+
+    return Tensor._make(hs[:, 1:], (x, w, u, b), back)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * ((var + 1e-5) ** -0.5) * g + b
+    """Normalise the last axis, then scale by ``g`` and shift by ``b``; one
+    tape node."""
+    n = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    r = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + 1e-5) ** -0.5
+    xn = xc * r
+
+    def back(gy):
+        if g.requires_grad:
+            g._accum((gy * xn).reshape(-1, n).sum(axis=0))
+        if b.requires_grad:
+            b._accum(gy.reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            gx = gy * g.data
+            x._accum(r * (gx - gx.mean(axis=-1, keepdims=True)
+                          - xn * (gx * xn).mean(axis=-1, keepdims=True)))
+
+    return Tensor._make(xn * g.data + b.data, (x, g, b), back)
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -153,17 +209,21 @@ def _self_attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
     q = q.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
     k = k.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
     v = v.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(hd))
-    att = softmax(scores, axis=-1)
-    out = (att @ v).transpose(0, 2, 1, 3).reshape(B, T, H)
+    out = attention(q, k, v).transpose(0, 2, 1, 3).reshape(B, T, H)
     return out @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
 
 
 def _gelu(x: Tensor) -> Tensor:
-    # tanh-form GELU; smooth, so finite-difference checks stay clean even
-    # with discrete 0/1 context inputs.
-    inner = np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + inner.tanh())
+    # tanh-form GELU as one node; smooth, so finite-difference checks stay
+    # clean even with discrete 0/1 context inputs.
+    a, c = x.data, np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (a + 0.044715 * (a * a * a)))
+
+    def back(gy):
+        dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (a * a))
+        x._accum(gy * (0.5 * (1.0 + t) + 0.5 * a * dt))
+
+    return Tensor._make(0.5 * a * (1.0 + t), (x,), back)
 
 
 def transformer_layer(x: Tensor, params, prefix: str, heads: int) -> Tensor:
@@ -199,13 +259,10 @@ def cross_attention_states(primary: Tensor, context: Tensor, params) -> Tensor:
     with a residual connection onto the projected primary states."""
     if primary.shape[0] == 0 or primary.shape[1] == 0 or context.shape[1] == 0:
         raise DataError("cross-attention requires non-empty sequences")
-    H = primary.shape[-1]
     q = primary @ params["attn.wq"] + params["attn.bq"]
     k = context @ params["attn.wk"]
     v = context @ params["attn.wv"] + params["attn.bv"]
-    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(H))
-    att = softmax(scores, axis=-1)
-    return q + att @ v
+    return q + attention(q, k, v)
 
 
 def _dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -63,11 +63,17 @@ class LossReport:
 
 
 def _bce_terms(probs: Tensor, targets) -> Tensor:
-    """Elementwise binary cross-entropy; probabilities clamped to
-    [1e-7, 1 - 1e-7] before the logs."""
-    p = probs.clip(_CLAMP, 1.0 - _CLAMP)
-    t = Tensor(targets)
-    return -(t * p.log() + (1.0 - t) * (1.0 - p).log())
+    """Elementwise binary cross-entropy as one node; probabilities clamped
+    to [1e-7, 1 - 1e-7] before the logs, so the gradient is zero outside."""
+    t = np.asarray(targets, dtype=np.float64)
+    p = np.clip(probs.data, _CLAMP, 1.0 - _CLAMP)
+
+    def back(g):
+        inside = (probs.data >= _CLAMP) & (probs.data <= 1.0 - _CLAMP)
+        probs._accum(g * ((1.0 - t) / (1.0 - p) - t / p) * inside)
+
+    return Tensor._make(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)),
+                        (probs,), back)
 
 
 def bce_loss(probs: Sequence[float], target: VadCode) -> LossReport:

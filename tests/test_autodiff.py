@@ -1,36 +1,38 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, concat, softmax
-from dynstress.training import numerical_gradient
+from dynstress.autodiff import Tensor, attention, concat
+from dynstress.model import _gelu, layer_norm, lstm_states
+from dynstress.training import _bce_terms, numerical_gradient
 
 A = np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 4))
 B = np.random.default_rng(1).uniform(0.5, 2.0, size=(3, 4))
 
-# every op of the tape, applied to constant inputs
+
+def lstm_on(x, w, u, b):
+    return lstm_states(x, {"l.w": w, "l.u": u, "l.b": b}, "l", u.shape[0])
+
+
+# every op and fused layer node of the tape, applied to constant inputs
 OPS = {
     "add": lambda a, b: a + b,
     "radd": lambda a, b: 1.0 + a,
-    "sub": lambda a, b: a - b,
-    "rsub": lambda a, b: 1.0 - a,
-    "neg": lambda a, b: -a,
     "mul": lambda a, b: a * b,
     "rmul": lambda a, b: 2.0 * a,
-    "truediv": lambda a, b: a / b,
-    "pow": lambda a, b: a ** 1.5,
     "matmul": lambda a, b: a @ b.transpose(1, 0),
-    "exp": lambda a, b: a.exp(),
-    "log": lambda a, b: a.log(),
-    "tanh": lambda a, b: a.tanh(),
     "sigmoid": lambda a, b: a.sigmoid(),
-    "clip": lambda a, b: a.clip(0.8, 1.2),
     "sum": lambda a, b: a.sum(axis=1),
     "mean": lambda a, b: a.mean(),
     "reshape": lambda a, b: a.reshape(4, 3),
     "transpose": lambda a, b: a.transpose(1, 0),
     "getitem": lambda a, b: a[:, 1:3],
     "concat": lambda a, b: concat([a, b], axis=1),
-    "softmax": lambda a, b: softmax(a, axis=-1),
+    "lstm": lambda a, b: lstm_on(a.reshape(1, 3, 4), b.transpose(1, 0) @ b,
+                                 b[:1], b[0]),
+    "layer_norm": lambda a, b: layer_norm(a, b[0], b[1]),
+    "attention": lambda a, b: attention(a, b, b),
+    "gelu": lambda a, b: _gelu(a),
+    "bce": lambda a, b: _bce_terms(a, (B > 1.0).astype(float)),
 }
 
 
@@ -46,7 +48,6 @@ def test_constant_inputs_record_no_tape(op):
 MIXED = {
     "add": lambda x, c: x + c,
     "mul": lambda x, c: x * c,
-    "truediv": lambda x, c: x / c,
     "matmul": lambda x, c: x @ c.transpose(1, 0),
     "concat": lambda x, c: concat([x, c], axis=1),
 }
@@ -102,6 +103,7 @@ def test_getitem_basic_key_gradient(key):
 # right grad); the right operand is a shared 2-D weight in the first two
 MATMULS = {
     "sequence_by_weight": ((3, 4, 5), (5, 2), "btn,kn->btk", "btk,btn->kn"),
+    "one_row_by_weight": ((3, 1, 5), (5, 2), "btn,kn->btk", "btk,btn->kn"),
     "batch_by_weight": ((3, 5), (5, 2), "bn,kn->bk", "bk,bn->kn"),
     "batched_4d": ((2, 3, 4, 5), (2, 3, 5, 4),
                    "bhts,bhds->bhtd", "bhtd,bhts->bhds"),
@@ -119,9 +121,58 @@ def test_matmul_gradients_match_einsum_and_finite_differences(case):
     def graph():
         return ((a @ b) * weights).sum()
 
+    assert np.allclose((a @ b).data, np.matmul(a.data, b.data), rtol=1e-12, atol=0)
     graph().backward()
     assert np.allclose(a.grad, np.einsum(ga_spec, weights, b.data), rtol=1e-12, atol=0)
     assert np.allclose(b.grad, np.einsum(gb_spec, a.data, weights), rtol=1e-12, atol=0)
     num = numerical_gradient(lambda: float(graph().data), {"a": a, "b": b}, h=1e-6)
     assert np.allclose(a.grad, num["a"], rtol=1e-6, atol=1e-8)
     assert np.allclose(b.grad, num["b"], rtol=1e-6, atol=1e-8)
+
+
+def _bce_probs():
+    # row 0 inside the clamp, row 1 in the clamped region at both ends
+    return np.array([[0.2, 0.55, 0.9], [0.0, 1e-9, 1.0 - 1e-9]])
+
+
+def _rand(rng, *shape, scale=1.0):
+    return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
+
+
+# name: (inputs that need a gradient, the node applied to them, step h)
+FUSED = {
+    # B=2, T=4: the h and c carries run through three steps of BPTT
+    "lstm": (lambda rng: {"x": _rand(rng, 2, 4, 3), "w": _rand(rng, 3, 8, scale=0.7),
+                          "u": _rand(rng, 2, 8, scale=0.7), "b": _rand(rng, 8, scale=0.3)},
+             lambda t: lstm_on(t["x"], t["w"], t["u"], t["b"]), 1e-6),
+    "layer_norm": (lambda rng: {"x": _rand(rng, 2, 3, 5), "g": _rand(rng, 5),
+                                "b": _rand(rng, 5)},
+                   lambda t: layer_norm(t["x"], t["g"], t["b"]), 1e-6),
+    "attention": (lambda rng: {"q": _rand(rng, 2, 2, 3, 4), "k": _rand(rng, 2, 2, 5, 4),
+                               "v": _rand(rng, 2, 2, 5, 4)},
+                  lambda t: attention(t["q"], t["k"], t["v"]), 1e-6),
+    "gelu": (lambda rng: {"x": _rand(rng, 3, 4, scale=2.0)},
+             lambda t: _gelu(t["x"]), 1e-6),
+    # h keeps the clamped probabilities clamped on both sides
+    "bce": (lambda rng: {"p": Tensor(_bce_probs(), requires_grad=True)},
+            lambda t: _bce_terms(t["p"], [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]), 1e-8),
+}
+
+
+@pytest.mark.parametrize("node", FUSED)
+def test_fused_node_matches_finite_differences(node):
+    build, apply, h = FUSED[node]
+    rng = np.random.default_rng(5)
+    inputs = build(rng)
+    weights = rng.normal(size=apply(inputs).shape)  # every output gets a gradient
+
+    def graph():
+        return (apply(inputs) * weights).sum()
+
+    graph().backward()
+    num = numerical_gradient(lambda: float(graph().data), inputs, h=h)
+    for name, t in inputs.items():
+        assert np.allclose(t.grad, num[name], rtol=1e-6, atol=1e-7), name
+    if node == "bce":
+        assert np.all(inputs["p"].grad[1] == 0.0)
+        assert np.all(inputs["p"].grad[0] != 0.0)

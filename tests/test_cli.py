@@ -163,6 +163,8 @@ INPUT_ERRORS = {
     "no-spans": ["augment"],
     "negative-n": ["label", "--n", "-1"],
     "hidden-not-divisible-by-heads": ["train", "--hidden", "6"],
+    "hidden-zero": ["train", "--hidden", "0"],
+    "hidden-negative": ["train", "--hidden", "-4"],
     "teacher-forcing-p-above-1": ["train", "--teacher-forcing-p", "2"],
     "dropout-1": ["train", "--dropout", "1.0"],
     "bad-n-values": ["ablate", "--ckpt", "good.ckpt", "--n-values", "0..x"],

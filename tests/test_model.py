@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, softmax
+from dynstress.autodiff import Tensor, attention
 from dynstress.model import (
     ModelConfig,
     context_array,
@@ -181,8 +181,10 @@ def test_cross_attention_matches_dense_oracle():
 
 def test_attention_weights_normalised():
     rng = np.random.default_rng(7)
-    scores = Tensor(rng.normal(size=(2, 4, 5)) * 10)
-    w = softmax(scores, axis=-1).data
+    q = Tensor(rng.normal(size=(2, 4, 5)) * 10)
+    eye = Tensor(np.broadcast_to(np.eye(5), (2, 5, 5)))
+    # unit keys and values: each output row is that query's weights
+    w = attention(q, eye, eye).data
     assert np.all(w >= 0)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-6
 
@@ -292,7 +294,8 @@ def test_forward_golden_regression():
 
 @pytest.mark.parametrize("setting", [
     {"arch": "gru"}, {"hidden": 6}, {"heads": 0}, {"dropout": 1.0},
-    {"dropout": -0.1},
+    {"dropout": -0.1}, {"hidden": 0}, {"hidden": -4}, {"feature_dim": 0},
+    {"ffn": 0},
 ])
 def test_model_config_rejects_bad_settings(setting):
     with pytest.raises(DataError):
