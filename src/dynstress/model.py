@@ -299,17 +299,19 @@ def fuse(
 ) -> Tensor:
     """Probabilities (B, 3) from speech states ``hs`` (B, T, H) and contexts
     ``S`` (B, T', 3): the context encoder, dropout, cross-attention and head.
-    Without dropout only the last speech state is read."""
+    Only the last speech state is read."""
     st = Tensor(S)
     if cfg.arch == "lstm":
         hc = lstm_states(st, params, "ctx_lstm", cfg.hidden)
     else:
         hc = transformer_states(st, params, cfg, "ctx", "ctxproj", cfg.ctx_layers)
-    if rng is not None and cfg.dropout > 0:
-        hs = _dropout(hs, cfg.dropout, rng)
-        hc = _dropout(hc, cfg.dropout, rng)
     # The head reads only the last position, so only it queries the context.
-    fused = cross_attention_states(hs[:, -1:, :], hc, params)
+    query = hs[:, -1:, :]
+    if rng is not None and cfg.dropout > 0:
+        # the speech mask is drawn before the context mask
+        query = _dropout(query, cfg.dropout, rng)
+        hc = _dropout(hc, cfg.dropout, rng)
+    fused = cross_attention_states(query, hc, params)
     last = fused[:, -1, :]
     if cfg.arch == "lstm":
         last = concat([last, hc[:, -1, :]], axis=1)

@@ -275,6 +275,20 @@ def test_forward_context_must_start_with_default():
         context_array(bad)
 
 
+def test_dropout_draws_one_speech_mask_row_then_the_context_masks():
+    # Only the last speech state is read, so only it gets a mask; the
+    # speech mask is drawn before the context mask.
+    cfg = ModelConfig("lstm", feature_dim=6, hidden=H, heads=2, dropout=0.3)
+    params = make_params(cfg)
+    X = np.random.default_rng(10).normal(size=(2, 4, 6))
+    S = np.stack([context_array(context(4))] * 2)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    forward_batch(X, S, params, cfg, rng=rng)
+    ref.random((2, 1, H))
+    ref.random((2, 4, H))
+    assert rng.random() == ref.random()
+
+
 # Golden regressions: frozen at the first verified build; guards against
 # silent numeric drift.
 GOLDEN = {
