@@ -127,19 +127,13 @@ class Tensor:
 
     # -- reductions --
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
         def back(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
             self._accum(np.broadcast_to(g, self.data.shape))
-        return self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
+        return self._make(self.data.sum(), (self,), back)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.data.size
-        else:
-            count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     # -- shape ops --
 

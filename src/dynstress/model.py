@@ -141,23 +141,19 @@ def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
 
     def back(gh):
         i, f, g, o = (acts[..., k * H : (k + 1) * H] for k in range(4))
-        # d(activation)/d(pre-activation) of all four gates, every step
-        slope = acts * (1.0 - acts)
+        slope = acts * (1.0 - acts)  # d activation / d pre-activation
         slope[..., 2 * H : 3 * H] = 1.0 - g * g
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(acts)
+        dz = np.empty_like(acts)  # d loss / d pre-activation, every step
         dh = dc = np.zeros((B, H))
         for t in reversed(range(T)):
             dh = gh[:, t] + dh
             dc = dc + dh * dc_dh[:, t]
-            dzt = dz[:, t]
-            dzt[:, :H] = dc * g[:, t]
-            dzt[:, H : 2 * H] = dc * cs[:, t]
-            dzt[:, 2 * H : 3 * H] = dc * i[:, t]
-            dzt[:, 3 * H :] = dh * tanh_c[:, t]
-            dzt *= slope[:, t]
+            dz[:, t] = slope[:, t] * np.concatenate(
+                (dc * g[:, t], dc * cs[:, t], dc * i[:, t], dh * tanh_c[:, t]), axis=1)
             dc = dc * f[:, t]
-            dh = dzt @ u.data.T
+            if t:
+                dh = dz[:, t] @ u.data.T
         rows = dz.reshape(B * T, 4 * H)
         if x.requires_grad:
             x._accum((rows @ w.data.T).reshape(B, T, D))
@@ -178,7 +174,6 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     xc = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
     r = ((xc * xc).sum(axis=-1, keepdims=True) * (1.0 / n) + 1e-5) ** -0.5
     xn = xc * r
-
     def back(gy):
         if g.requires_grad:
             g._accum((gy * xn).reshape(-1, n).sum(axis=0))
@@ -188,7 +183,6 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
             gx = gy * g.data
             x._accum(r * (gx - gx.mean(axis=-1, keepdims=True)
                           - xn * (gx * xn).mean(axis=-1, keepdims=True)))
-
     return Tensor._make(xn * g.data + b.data, (x, g, b), back)
 
 
@@ -218,11 +212,9 @@ def _gelu(x: Tensor) -> Tensor:
     # clean even with discrete 0/1 context inputs.
     a, c = x.data, np.sqrt(2.0 / np.pi)
     t = np.tanh(c * (a + 0.044715 * (a * a * a)))
-
     def back(gy):
         dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (a * a))
         x._accum(gy * (0.5 * (1.0 + t) + 0.5 * a * dt))
-
     return Tensor._make(0.5 * a * (1.0 + t), (x,), back)
 
 

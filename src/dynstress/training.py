@@ -67,11 +67,9 @@ def _bce_terms(probs: Tensor, targets) -> Tensor:
     to [1e-7, 1 - 1e-7] before the logs, so the gradient is zero outside."""
     t = np.asarray(targets, dtype=np.float64)
     p = np.clip(probs.data, _CLAMP, 1.0 - _CLAMP)
-
     def back(g):
         inside = (probs.data >= _CLAMP) & (probs.data <= 1.0 - _CLAMP)
         probs._accum(g * ((1.0 - t) / (1.0 - p) - t / p) * inside)
-
     return Tensor._make(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)),
                         (probs,), back)
 
