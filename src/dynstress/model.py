@@ -130,7 +130,7 @@ def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
     tanh_c = np.empty((B, T, H))
     for t in range(T):
         z = acts[:, t]
-        if t:
+        if t:  # the state entering step 0 is zero
             z += hs[:, t] @ u.data
         g = np.tanh(z[:, 2 * H : 3 * H])
         z[:] = 1.0 / (1.0 + np.exp(-z))
