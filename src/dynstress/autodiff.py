@@ -90,6 +90,15 @@ class Tensor:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        o = self._lift(other)
+        def back(g):
+            if self.requires_grad:
+                self._accum(_unbroadcast(g / o.data, self.data.shape))
+            if o.requires_grad:
+                o._accum(_unbroadcast(-g * self.data / (o.data * o.data), o.data.shape))
+        return self._make(self.data / o.data, (self, o), back)
+
     def __matmul__(self, other):
         o = self._lift(other)
         a, w = self.data, o.data
@@ -133,7 +142,7 @@ class Tensor:
         return self._make(self.data.sum(), (self,), back)
 
     def mean(self):
-        return self.sum() * (1.0 / self.data.size)
+        return self.sum() / self.data.size
 
     # -- shape ops --
 

@@ -19,6 +19,7 @@ OPS = {
     "radd": lambda a, b: 1.0 + a,
     "mul": lambda a, b: a * b,
     "rmul": lambda a, b: 2.0 * a,
+    "truediv": lambda a, b: a / b,
     "matmul": lambda a, b: a @ b.transpose(1, 0),
     "sigmoid": lambda a, b: a.sigmoid(),
     "sum": lambda a, b: a.sum(),
@@ -48,6 +49,7 @@ def test_constant_inputs_record_no_tape(op):
 MIXED = {
     "add": lambda x, c: x + c,
     "mul": lambda x, c: x * c,
+    "truediv": lambda x, c: x / c,
     "matmul": lambda x, c: x @ c.transpose(1, 0),
     "concat": lambda x, c: concat([x, c], axis=1),
 }
