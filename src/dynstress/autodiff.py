@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough generic ops for the sequence models: addition, multiplication,
-matmul, sigmoid, sums, reshapes, slicing and concatenation, plus scaled
-dot-product attention as one node.  The model's heavier layers build their
-own single nodes with ``Tensor._make``.  Gradients are exact; the test suite
-checks them against central finite differences.
+division, matmul by a 2-D weight, sigmoid, sums, slicing and concatenation,
+plus multi-head scaled dot-product attention as one node.  The model's
+heavier layers build their own single nodes with ``Tensor._make``.  Gradients
+are exact; the test suite checks them against central finite differences.
 """
 
 from __future__ import annotations
@@ -77,8 +77,6 @@ class Tensor:
                 o._accum(_unbroadcast(g, o.data.shape))
         return self._make(self.data + o.data, (self, o), back)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         o = self._lift(other)
         def back(g):
@@ -87,8 +85,6 @@ class Tensor:
             if o.requires_grad:
                 o._accum(_unbroadcast(g * self.data, o.data.shape))
         return self._make(self.data * o.data, (self, o), back)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -102,24 +98,22 @@ class Tensor:
     def __matmul__(self, other):
         o = self._lift(other)
         a, w = self.data, o.data
-        # A stack of rows times a shared 2-D weight runs as one GEMM over
-        # every leading row, forward and backward, not as one small GEMM per
+        if w.ndim != 2:
+            raise ValueError(f"@ takes a 2-D weight, got shape {w.shape}")
+        # A stack of rows times the weight runs as one GEMM over every
+        # leading row, forward and backward, not as one small GEMM per
         # leading index.  One row per index (the last-state query) stays
         # stacked: numpy runs it as matrix-vector products, whose sums round
         # differently from a GEMM's, so flattening would move trained
         # weights in their last bits.
-        flat = a.ndim > 2 and w.ndim == 2 and a.shape[-2] > 1
+        flat = a.ndim > 2 and a.shape[-2] > 1
         def back(g):
             if self.requires_grad and flat:
                 self._accum((g.reshape(-1, w.shape[1]) @ w.T).reshape(a.shape))
             elif self.requires_grad:
-                ga = np.matmul(g, np.swapaxes(w, -1, -2))
-                self._accum(_unbroadcast(ga, a.shape))
-            if o.requires_grad and w.ndim == 2:
+                self._accum(np.matmul(g, w.T))
+            if o.requires_grad:
                 o._accum(a.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
-            elif o.requires_grad:
-                gb = np.matmul(np.swapaxes(a, -1, -2), g)
-                o._accum(_unbroadcast(gb, w.shape))
         if flat:
             out = (a.reshape(-1, w.shape[0]) @ w).reshape(*a.shape[:-1], w.shape[1])
         else:
@@ -144,19 +138,7 @@ class Tensor:
     def mean(self):
         return self.sum() / self.data.size
 
-    # -- shape ops --
-
-    def reshape(self, *shape):
-        old = self.data.shape
-        def back(g):
-            self._accum(g.reshape(old))
-        return self._make(self.data.reshape(*shape), (self,), back)
-
-    def transpose(self, *axes):
-        inv = np.argsort(axes)
-        def back(g):
-            self._accum(g.transpose(*inv))
-        return self._make(self.data.transpose(*axes), (self,), back)
+    # -- slicing --
 
     def __getitem__(self, key):
         # Basic keys only: each element of the result then reads a distinct
@@ -211,22 +193,31 @@ def concat(tensors, axis=0):
     return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention, softmax(q k^T / sqrt(d)) v, of queries
-    (..., Tq, d) over keys and values (..., Tk, d) with the same leading
-    dimensions, as one node."""
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of queries (B, Tq, H) over keys
+    and values (B, Tk, H), as one node.  H is split into ``heads`` slices of
+    width d = H / heads; each head computes softmax(q k^T / sqrt(d)) v, and
+    the heads are merged back into (B, Tq, H)."""
+    H = q.shape[-1]
+    d = H // heads
+    def split(a):  # (B, T, H) -> (B, heads, T, d), a view
+        return a.reshape(a.shape[0], a.shape[1], heads, d).transpose(0, 2, 1, 3)
+    def merge(a):  # (B, heads, T, d) -> (B, T, H)
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], H)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(d)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
     # The max-shift is a constant per query; the softmax ignores it.
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)
     def back(g):
+        g = split(g)
         if v.requires_grad:
-            v._accum(np.matmul(np.swapaxes(att, -1, -2), g))
-        ga = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            v._accum(merge(np.matmul(np.swapaxes(att, -1, -2), g)))
+        ga = np.matmul(g, np.swapaxes(vh, -1, -2))
         gs = att * (ga - (ga * att).sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
-            q._accum(np.matmul(gs, k.data))
+            q._accum(merge(np.matmul(gs, kh)))
         if k.requires_grad:
-            k._accum(np.matmul(np.swapaxes(gs, -1, -2), q.data))
-    return Tensor._make(np.matmul(att, v.data), (q, k, v), back)
+            k._accum(merge(np.matmul(np.swapaxes(gs, -1, -2), qh)))
+    return Tensor._make(merge(np.matmul(att, vh)), (q, k, v), back)

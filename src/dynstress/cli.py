@@ -58,6 +58,11 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+# config-file spellings of a flag that is on or off
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
 def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     """File values become the flag defaults, so flags given on the command
     line win over the file even when they equal the built-in default."""
@@ -73,16 +78,16 @@ def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
         if key not in flags or not hasattr(args, key):
             continue
         default = sub.get_default(key)
-        if isinstance(default, bool):
-            val = val.lower() in ("1", "true", "yes")
-        elif isinstance(default, (int, float)):
-            try:
+        try:
+            if isinstance(default, bool):
+                val = _BOOLEANS[val.lower()]
+            elif isinstance(default, (int, float)):
                 val = type(default)(val)
-            except ValueError:
-                raise DataError(
-                    f"{args.config}: {key} must be "
-                    f"{type(default).__name__}, got {val!r}"
-                ) from None
+        except (KeyError, ValueError):
+            raise DataError(
+                f"{args.config}: {key} must be "
+                f"{type(default).__name__}, got {val!r}"
+            ) from None
         defaults[key] = val
     sub.set_defaults(**defaults)
     return parser.parse_args(argv)

@@ -29,8 +29,8 @@ class LabellingConfig:
     def __post_init__(self):
         if self.n < 0:
             raise DataError(f"n must be >= 0, got {self.n}")
-        if self.lam <= 0:
-            raise DataError(f"lam must be > 0, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:  # NaN fails too
+            raise DataError(f"lam must be positive and finite, got {self.lam}")
         if not 0.0 <= self.tau <= 1.0:
             raise DataError(f"tau must be in [0, 1], got {self.tau}")
 

@@ -195,15 +195,10 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 
 
 def _self_attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    B, T, H = x.shape
-    hd = H // heads
     q = x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
     k = x @ params[f"{prefix}.wk"]
     v = x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"]
-    q = q.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
-    k = k.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
-    v = v.reshape(B, T, heads, hd).transpose(0, 2, 1, 3)
-    out = attention(q, k, v).transpose(0, 2, 1, 3).reshape(B, T, H)
+    out = attention(q, k, v, heads)
     return out @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
 
 
@@ -254,7 +249,7 @@ def cross_attention_states(primary: Tensor, context: Tensor, params) -> Tensor:
     q = primary @ params["attn.wq"] + params["attn.bq"]
     k = context @ params["attn.wk"]
     v = context @ params["attn.wv"] + params["attn.bv"]
-    return q + attention(q, k, v)
+    return q + attention(q, k, v, 1)
 
 
 def _dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:

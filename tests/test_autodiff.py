@@ -16,22 +16,17 @@ def lstm_on(x, w, u, b):
 # every op and fused layer node of the tape, applied to constant inputs
 OPS = {
     "add": lambda a, b: a + b,
-    "radd": lambda a, b: 1.0 + a,
     "mul": lambda a, b: a * b,
-    "rmul": lambda a, b: 2.0 * a,
     "truediv": lambda a, b: a / b,
-    "matmul": lambda a, b: a @ b.transpose(1, 0),
+    "matmul": lambda a, b: a @ Tensor(b.data.T),
     "sigmoid": lambda a, b: a.sigmoid(),
     "sum": lambda a, b: a.sum(),
     "mean": lambda a, b: a.mean(),
-    "reshape": lambda a, b: a.reshape(4, 3),
-    "transpose": lambda a, b: a.transpose(1, 0),
     "getitem": lambda a, b: a[:, 1:3],
     "concat": lambda a, b: concat([a, b], axis=1),
-    "lstm": lambda a, b: lstm_on(a.reshape(1, 3, 4), b.transpose(1, 0) @ b,
-                                 b[:1], b[0]),
+    "lstm": lambda a, b: lstm_on(a[None], Tensor(b.data.T) @ b, b[:1], b[0]),
     "layer_norm": lambda a, b: layer_norm(a, b[0], b[1]),
-    "attention": lambda a, b: attention(a, b, b),
+    "attention": lambda a, b: attention(a[None], b[None], b[None], 2),
     "gelu": lambda a, b: _gelu(a),
     "bce": lambda a, b: _bce_terms(a, (B > 1.0).astype(float)),
 }
@@ -50,7 +45,7 @@ MIXED = {
     "add": lambda x, c: x + c,
     "mul": lambda x, c: x * c,
     "truediv": lambda x, c: x / c,
-    "matmul": lambda x, c: x @ c.transpose(1, 0),
+    "matmul": lambda x, c: x[:, :3] @ c,
     "concat": lambda x, c: concat([x, c], axis=1),
 }
 
@@ -61,8 +56,6 @@ def test_constant_operand_gets_no_gradient(op, constant_first):
     x = Tensor(A.copy(), requires_grad=True)
     c = Tensor(B[:, :3] if op == "concat" else B)
     weights = np.random.default_rng(2).normal(size=(3, 7 if op == "concat" else 4))
-    if op == "matmul":
-        weights = weights[:, :3]
 
     def graph():
         out = MIXED[op](c, x) if constant_first else MIXED[op](x, c)
@@ -102,13 +95,11 @@ def test_getitem_basic_key_gradient(key):
 
 
 # (left shape, right shape, einsum of the old per-example sums: left grad,
-# right grad); the right operand is a shared 2-D weight in the first two
+# right grad); the right operand is a shared 2-D weight
 MATMULS = {
     "sequence_by_weight": ((3, 4, 5), (5, 2), "btn,kn->btk", "btk,btn->kn"),
     "one_row_by_weight": ((3, 1, 5), (5, 2), "btn,kn->btk", "btk,btn->kn"),
     "batch_by_weight": ((3, 5), (5, 2), "bn,kn->bk", "bk,bn->kn"),
-    "batched_4d": ((2, 3, 4, 5), (2, 3, 5, 4),
-                   "bhts,bhds->bhtd", "bhtd,bhts->bhds"),
 }
 
 
@@ -132,6 +123,13 @@ def test_matmul_gradients_match_einsum_and_finite_differences(case):
     assert np.allclose(b.grad, num["b"], rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (5,)], ids=["4d", "1d"])
+def test_matmul_rejects_weight_that_is_not_2d(shape):
+    a = Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
+    with pytest.raises(ValueError):
+        a @ Tensor(np.ones(shape))
+
+
 def _bce_probs():
     # row 0 inside the clamp, row 1 in the clamped region at both ends
     return np.array([[0.2, 0.55, 0.9], [0.0, 1e-9, 1.0 - 1e-9]])
@@ -150,9 +148,10 @@ FUSED = {
     "layer_norm": (lambda rng: {"x": _rand(rng, 2, 3, 5), "g": _rand(rng, 5),
                                 "b": _rand(rng, 5)},
                    lambda t: layer_norm(t["x"], t["g"], t["b"]), 1e-6),
-    "attention": (lambda rng: {"q": _rand(rng, 2, 2, 3, 4), "k": _rand(rng, 2, 2, 5, 4),
-                               "v": _rand(rng, 2, 2, 5, 4)},
-                  lambda t: attention(t["q"], t["k"], t["v"]), 1e-6),
+    # B=2, H=4 split into 2 heads, 3 queries over 5 keys
+    "attention": (lambda rng: {"q": _rand(rng, 2, 3, 4), "k": _rand(rng, 2, 5, 4),
+                               "v": _rand(rng, 2, 5, 4)},
+                  lambda t: attention(t["q"], t["k"], t["v"], 2), 1e-6),
     "gelu": (lambda rng: {"x": _rand(rng, 3, 4, scale=2.0)},
              lambda t: _gelu(t["x"]), 1e-6),
     # h keeps the clamped probabilities clamped on both sides
@@ -178,3 +177,38 @@ def test_fused_node_matches_finite_differences(node):
     if node == "bce":
         assert np.all(inputs["p"].grad[1] == 0.0)
         assert np.all(inputs["p"].grad[0] != 0.0)
+
+
+def per_head_attention(q, k, v, heads, g):
+    """Output of multi-head attention and the q, k, v gradients of
+    sum(output * g), one batch row and one head's column slice at a time,
+    with the softmax backward as its Jacobian diag(a) - a a^T."""
+    d = q.shape[-1] // heads
+    out, gq, gk, gv = (np.zeros_like(x) for x in (q, q, k, v))
+    for b in range(q.shape[0]):
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            qs, ks, vs, gs = q[b, :, cols], k[b, :, cols], v[b, :, cols], g[b, :, cols]
+            scores = qs @ ks.T / np.sqrt(d)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            a = e / e.sum(axis=1, keepdims=True)
+            out[b, :, cols] = a @ vs
+            ga = gs @ vs.T
+            gscores = np.stack([(np.diag(r) - np.outer(r, r)) @ gr
+                                for r, gr in zip(a, ga)]) / np.sqrt(d)
+            gq[b, :, cols] = gscores @ ks
+            gk[b, :, cols] = gscores.T @ qs
+            gv[b, :, cols] = a.T @ gs
+    return out, gq, gk, gv
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_attention_matches_per_head_reference(heads):
+    rng = np.random.default_rng(6)
+    q, k, v = (_rand(rng, 2, t, 6) for t in (3, 4, 4))
+    g = rng.normal(size=(2, 3, 6))
+    out = attention(q, k, v, heads)
+    (out * g).sum().backward()
+    want = per_head_attention(q.data, k.data, v.data, heads, g)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert np.allclose(got, ref, rtol=1e-12, atol=0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dynstress import segmentation
+from dynstress.autodiff import Tensor
 from dynstress.cli import main
 from dynstress.features import read_fseq
 from dynstress.model import ModelConfig, init_params, save_checkpoint
@@ -122,6 +123,13 @@ def test_config_file_merge(data_dir):
                 "--config", cfg, "--tau", "0.5", "--out", out]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["n"] == 1 and resolved["tau"] == 0.5
+    # booleans: 1/true/yes and 0/false/no in any case
+    for spelling, want in (("Yes", True), ("FALSE", False)):
+        cfg.write_text(f"deltas = {spelling}\n")
+        assert run(["extract", "--manifest", data_dir / "manifest.jsonl",
+                    "--config", cfg, "--out", out]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["deltas"] is want
 
 
 def test_config_file_sets_only_optional_flags(data_dir):
@@ -149,7 +157,7 @@ def write_checkpoints(d):
     save_checkpoint(d / "no-head.ckpt",
                     {n: p for n, p in params.items() if n != "head.w"}, cfg)
     save_checkpoint(d / "bad-head.ckpt",
-                    {**params, "head.w": params["head.w"].reshape(3, 16)}, cfg)
+                    {**params, "head.w": Tensor(params["head.w"].data.reshape(3, 16))}, cfg)
     body = (d / "good.ckpt").read_bytes()[:-4]
     # magic (4), version (4), arch length (1), arch, six model dimensions
     assert body[8:13] == b"\x04lstm"
@@ -169,6 +177,10 @@ INPUT_ERRORS = {
     "dropout-1": ["train", "--dropout", "1.0"],
     "bad-n-values": ["ablate", "--ckpt", "good.ckpt", "--n-values", "0..x"],
     "bad-lambda": ["sweep", "--lambda", "a"],
+    "lambda-nan": ["label", "--lambda", "nan"],
+    "sweep-lambda-inf": ["sweep", "--lambda", "0.1,inf"],
+    "negative-learning-rate": ["train", "--lr", "-0.001"],
+    "config-boolean-not-recognised": ["extract", "--config", "bad-bool.cfg"],
     "bad-sweep-n": ["sweep", "--n", "1..q"],
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
@@ -193,8 +205,9 @@ INPUT_ERRORS = {
     "span-bound-is-a-boolean": ["label"],
 }
 
-# Cases above that replace one fixture file: (file name, new bytes).
+# Cases above that write or replace one fixture file: (file name, new bytes).
 BROKEN_FILES = {
+    "config-boolean-not-recognised": ("bad-bool.cfg", lambda d: b"deltas = on\n"),
     "no-spans": ("manifest.jsonl", lambda d: "".join(
         manifest_line(name, []) + "\n" for name in ("a", "b")).encode()),
     "manifest-line-is-a-list": ("manifest.jsonl", lambda d: b"[1]\n"),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dynstress.labelling import LabellingConfig, relabel_sequence, theta_max
+from dynstress.segmentation import DataError
 from dynstress.vad import STRESS_CODE, Emotion, VadCode, encode_emotion, hamming_distance
 
 FEAR = encode_emotion(Emotion.FEAR)
@@ -41,6 +42,11 @@ def test_config_validation():
         LabellingConfig(n=-1, lam=0.8)
     with pytest.raises(ValueError):
         LabellingConfig(n=0, lam=0.0)
+    # NaN and inf weights would make every decayed total NaN, so no window
+    # could ever relabel
+    for lam in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(DataError):
+            LabellingConfig(n=0, lam=lam)
     with pytest.raises(ValueError):
         LabellingConfig(n=0, lam=0.8, tau=1.5)
 

@@ -184,7 +184,7 @@ def test_attention_weights_normalised():
     q = Tensor(rng.normal(size=(2, 4, 5)) * 10)
     eye = Tensor(np.broadcast_to(np.eye(5), (2, 5, 5)))
     # unit keys and values: each output row is that query's weights
-    w = attention(q, eye, eye).data
+    w = attention(q, eye, eye, 1).data
     assert np.all(w >= 0)
     assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-6
 
