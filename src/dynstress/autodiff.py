@@ -1,28 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough generic ops for the sequence models: addition, multiplication,
-division, matmul by a 2-D weight, sigmoid, sums, slicing and concatenation,
-plus multi-head scaled dot-product attention as one node.  The model's
-heavier layers build their own single nodes with ``Tensor._make``.  Gradients
-are exact; the test suite checks them against central finite differences.
+division, sigmoid, sums, slicing and concatenation.  Only a constant operand
+broadcasts in them; an operand that needs a gradient must have the result's
+shape.  A projection by a 2-D weight (``linear``) and multi-head scaled
+dot-product attention are one node each, and the model's heavier layers
+build their own single nodes with ``Tensor._make``.  Gradients are exact;
+the test suite checks them against central finite differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    # Sum gradient over axes that were broadcast in the forward op.
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 _BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
@@ -48,10 +37,6 @@ class Tensor:
     # -- graph construction helpers --
 
     @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
-
-    @staticmethod
     def _make(data, parents, backward):
         # Outputs of constants keep no parents and no backward, so a
         # single-parent backward runs only when its parent needs a gradient.
@@ -68,56 +53,40 @@ class Tensor:
 
     # -- arithmetic --
 
+    def _binary(self, other, op):
+        # Only a constant broadcasts, so no backward sums over broadcast axes.
+        o = other if isinstance(other, Tensor) else Tensor(other)
+        out = op(self.data, o.data)
+        if any(t.requires_grad and t.shape != out.shape for t in (self, o)):
+            raise ValueError(f"shapes {self.shape} and {o.shape}: an operand that "
+                             "needs a gradient must not broadcast")
+        return o, out
+
     def __add__(self, other):
-        o = self._lift(other)
+        o, out = self._binary(other, np.add)
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g, self.data.shape))
+                self._accum(g)
             if o.requires_grad:
-                o._accum(_unbroadcast(g, o.data.shape))
-        return self._make(self.data + o.data, (self, o), back)
+                o._accum(g)
+        return self._make(out, (self, o), back)
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o, out = self._binary(other, np.multiply)
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g * o.data, self.data.shape))
+                self._accum(g * o.data)
             if o.requires_grad:
-                o._accum(_unbroadcast(g * self.data, o.data.shape))
-        return self._make(self.data * o.data, (self, o), back)
+                o._accum(g * self.data)
+        return self._make(out, (self, o), back)
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o, out = self._binary(other, np.divide)
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g / o.data, self.data.shape))
+                self._accum(g / o.data)
             if o.requires_grad:
-                o._accum(_unbroadcast(-g * self.data / (o.data * o.data), o.data.shape))
-        return self._make(self.data / o.data, (self, o), back)
-
-    def __matmul__(self, other):
-        o = self._lift(other)
-        a, w = self.data, o.data
-        if w.ndim != 2:
-            raise ValueError(f"@ takes a 2-D weight, got shape {w.shape}")
-        # A stack of rows times the weight runs as one GEMM over every
-        # leading row, forward and backward, not as one small GEMM per
-        # leading index.  One row per index (the last-state query) stays
-        # stacked: numpy runs it as matrix-vector products, whose sums round
-        # differently from a GEMM's, so flattening would move trained
-        # weights in their last bits.
-        flat = a.ndim > 2 and a.shape[-2] > 1
-        def back(g):
-            if self.requires_grad and flat:
-                self._accum((g.reshape(-1, w.shape[1]) @ w.T).reshape(a.shape))
-            elif self.requires_grad:
-                self._accum(np.matmul(g, w.T))
-            if o.requires_grad:
-                o._accum(a.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
-        if flat:
-            out = (a.reshape(-1, w.shape[0]) @ w).reshape(*a.shape[:-1], w.shape[1])
-        else:
-            out = np.matmul(a, w)
+                o._accum(-g * self.data / (o.data * o.data))
         return self._make(out, (self, o), back)
 
     # -- activations --
@@ -191,6 +160,29 @@ def concat(tensors, axis=0):
                 t._accum(g[tuple(sl)])
             offset += size
     return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one node: one GEMM over
+    every leading row forward, one GEMM each for the ``x`` and ``w``
+    gradients, and one row sum for ``b``."""
+    if w.data.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise ValueError(f"linear: cannot project shape {x.shape} by {w.shape}")
+    k, n = w.shape
+    rows = x.data.reshape(-1, k)
+    out = rows @ w.data
+    if b is not None:
+        out += b.data
+    def back(g):
+        g = g.reshape(-1, n)
+        if x.requires_grad:
+            x._accum((g @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accum(rows.T @ g)
+        if b is not None and b.requires_grad:
+            b._accum(g.sum(axis=0))
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._make(out.reshape(*x.shape[:-1], n), parents, back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

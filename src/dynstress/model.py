@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat
+from .autodiff import Tensor, attention, concat, linear
 from .segmentation import DataError
 from .vad import DEFAULT_CODE, VadCode
 
@@ -195,11 +195,11 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
 
 
 def _self_attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    q = x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
-    k = x @ params[f"{prefix}.wk"]
-    v = x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"]
+    q = linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+    k = linear(x, params[f"{prefix}.wk"])
+    v = linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     out = attention(q, k, v, heads)
-    return out @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
+    return linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def _gelu(x: Tensor) -> Tensor:
@@ -221,8 +221,8 @@ def transformer_layer(x: Tensor, params, prefix: str, heads: int) -> Tensor:
     )
     x = x + a
     h = layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    ff = _gelu(h @ params[f"{prefix}.ffn.w1"] + params[f"{prefix}.ffn.b1"])
-    ff = ff @ params[f"{prefix}.ffn.w2"] + params[f"{prefix}.ffn.b2"]
+    ff = _gelu(linear(h, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
+    ff = linear(ff, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
     return x + ff
 
 
@@ -234,7 +234,7 @@ def transformer_states(
         raise DataError(
             f"{proj}: input dim {x.shape[-1]} does not match weights {w.shape[0]}"
         )
-    h = x @ w + params[f"{proj}.b"]
+    h = linear(x, w, params[f"{proj}.b"])
     h = h + Tensor(positional_encoding(x.shape[1], cfg.hidden))
     for i in range(n_layers):
         h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads)
@@ -246,9 +246,9 @@ def cross_attention_states(primary: Tensor, context: Tensor, params) -> Tensor:
     with a residual connection onto the projected primary states."""
     if primary.shape[0] == 0 or primary.shape[1] == 0 or context.shape[1] == 0:
         raise DataError("cross-attention requires non-empty sequences")
-    q = primary @ params["attn.wq"] + params["attn.bq"]
-    k = context @ params["attn.wk"]
-    v = context @ params["attn.wv"] + params["attn.bv"]
+    q = linear(primary, params["attn.wq"], params["attn.bq"])
+    k = linear(context, params["attn.wk"])
+    v = linear(context, params["attn.wv"], params["attn.bv"])
     return q + attention(q, k, v, 1)
 
 
@@ -302,7 +302,7 @@ def fuse(
     last = fused[:, -1, :]
     if cfg.arch == "lstm":
         last = concat([last, hc[:, -1, :]], axis=1)
-    logits = last @ params["head.w"] + params["head.b"]
+    logits = linear(last, params["head.w"], params["head.b"])
     return logits.sigmoid()
 
 
@@ -420,6 +420,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
             if off + start + 4 * size > len(body):
                 raise DataError(f"tensor {name} lies past the end of the file")
             arr = np.frombuffer(body, dtype="<f4", count=size, offset=off + start)
+            if not np.isfinite(arr).all():
+                raise DataError(f"tensor {name} holds NaN or inf")
             params[name] = Tensor(arr.astype(np.float64).reshape(shape))
         return params, cfg
     except (struct.error, ValueError) as e:

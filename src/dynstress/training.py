@@ -49,6 +49,9 @@ class TrainConfig:
         for name in ("epochs", "iterations_per_epoch", "batch_size"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive")
+        for name in ("seed", "patience"):
+            if getattr(self, name) < 0:
+                raise DataError(f"{name} must not be negative")
         if not 0.0 < self.learning_rate < np.inf:  # NaN fails too
             raise DataError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")

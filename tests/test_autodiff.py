@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, attention, concat
+from dynstress.autodiff import Tensor, attention, concat, linear
 from dynstress.model import _gelu, layer_norm, lstm_states
 from dynstress.training import _bce_terms, numerical_gradient
 
@@ -18,13 +18,14 @@ OPS = {
     "add": lambda a, b: a + b,
     "mul": lambda a, b: a * b,
     "truediv": lambda a, b: a / b,
-    "matmul": lambda a, b: a @ Tensor(b.data.T),
+    "matmul": lambda a, b: linear(a, Tensor(b.data.T)),
+    "linear": lambda a, b: linear(a, Tensor(b.data.T), b[0, :3]),
     "sigmoid": lambda a, b: a.sigmoid(),
     "sum": lambda a, b: a.sum(),
     "mean": lambda a, b: a.mean(),
     "getitem": lambda a, b: a[:, 1:3],
     "concat": lambda a, b: concat([a, b], axis=1),
-    "lstm": lambda a, b: lstm_on(a[None], Tensor(b.data.T) @ b, b[:1], b[0]),
+    "lstm": lambda a, b: lstm_on(a[None], linear(Tensor(b.data.T), b), b[:1], b[0]),
     "layer_norm": lambda a, b: layer_norm(a, b[0], b[1]),
     "attention": lambda a, b: attention(a[None], b[None], b[None], 2),
     "gelu": lambda a, b: _gelu(a),
@@ -40,12 +41,15 @@ def test_constant_inputs_record_no_tape(op):
     assert out._backward is None
 
 
-# binary ops and concat with one operand a constant, on either side
+# binary ops, linear and concat with one operand a constant, on either side;
+# "matmul" has a constant weight or input, "linear" a constant bias or a
+# constant input and weight
 MIXED = {
     "add": lambda x, c: x + c,
     "mul": lambda x, c: x * c,
     "truediv": lambda x, c: x / c,
-    "matmul": lambda x, c: x[:, :3] @ c,
+    "matmul": lambda x, c: linear(x[:, :3], c),
+    "linear": lambda x, c: linear(x[:, :3], x[:3], c[0]),
     "concat": lambda x, c: concat([x, c], axis=1),
 }
 
@@ -94,40 +98,66 @@ def test_getitem_basic_key_gradient(key):
     assert np.allclose(x.grad, num["x"], rtol=1e-6, atol=1e-8)
 
 
-# (left shape, right shape, einsum of the old per-example sums: left grad,
-# right grad); the right operand is a shared 2-D weight
-MATMULS = {
+# (input shape, weight shape, einsum of the per-example sums: input grad,
+# weight grad); the weight is shared by every leading row
+LINEARS = {
     "sequence_by_weight": ((3, 4, 5), (5, 2), "btn,kn->btk", "btk,btn->kn"),
     "one_row_by_weight": ((3, 1, 5), (5, 2), "btn,kn->btk", "btk,btn->kn"),
     "batch_by_weight": ((3, 5), (5, 2), "bn,kn->bk", "bk,bn->kn"),
 }
 
 
-@pytest.mark.parametrize("case", MATMULS)
-def test_matmul_gradients_match_einsum_and_finite_differences(case):
-    a_shape, b_shape, ga_spec, gb_spec = MATMULS[case]
+@pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+@pytest.mark.parametrize("case", LINEARS)
+def test_linear_gradients_match_einsum_and_finite_differences(case, bias):
+    x_shape, w_shape, gx_spec, gw_spec = LINEARS[case]
     rng = np.random.default_rng(4)
-    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
-    b = Tensor(rng.normal(size=b_shape), requires_grad=True)
-    weights = rng.normal(size=np.matmul(a.data, b.data).shape)
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=w_shape[1]), requires_grad=True) if bias else None
+    want = np.matmul(x.data, w.data) + (b.data if bias else 0.0)
+    weights = rng.normal(size=want.shape)
+    inputs = {"x": x, "w": w, **({"b": b} if bias else {})}
 
     def graph():
-        return ((a @ b) * weights).sum()
+        return (linear(x, w, b) * weights).sum()
 
-    assert np.allclose((a @ b).data, np.matmul(a.data, b.data), rtol=1e-12, atol=0)
+    assert np.allclose(linear(x, w, b).data, want, rtol=1e-12, atol=0)
     graph().backward()
-    assert np.allclose(a.grad, np.einsum(ga_spec, weights, b.data), rtol=1e-12, atol=0)
-    assert np.allclose(b.grad, np.einsum(gb_spec, a.data, weights), rtol=1e-12, atol=0)
-    num = numerical_gradient(lambda: float(graph().data), {"a": a, "b": b}, h=1e-6)
-    assert np.allclose(a.grad, num["a"], rtol=1e-6, atol=1e-8)
-    assert np.allclose(b.grad, num["b"], rtol=1e-6, atol=1e-8)
+    assert np.allclose(x.grad, np.einsum(gx_spec, weights, w.data), rtol=1e-12, atol=0)
+    assert np.allclose(w.grad, np.einsum(gw_spec, x.data, weights), rtol=1e-12, atol=0)
+    if bias:
+        assert np.allclose(b.grad, weights.reshape(-1, w_shape[1]).sum(axis=0),
+                           rtol=1e-12, atol=0)
+    num = numerical_gradient(lambda: float(graph().data), inputs, h=1e-6)
+    for name, t in inputs.items():
+        assert np.allclose(t.grad, num[name], rtol=1e-6, atol=1e-8), name
 
 
-@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (5,)], ids=["4d", "1d"])
-def test_matmul_rejects_weight_that_is_not_2d(shape):
-    a = Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
+@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (5,), (4, 5)],
+                         ids=["4d", "1d", "inner_dim"])
+def test_linear_rejects_mismatched_weight(shape):
+    # the input's last axis has 5 entries
+    x = Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
     with pytest.raises(ValueError):
-        a @ Tensor(np.ones(shape))
+        linear(x, Tensor(np.ones(shape)))
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "truediv"])
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 1), (2, 3, 4)],
+                         ids=["vector", "row", "column", "batched"])
+def test_broadcast_operand_needing_gradient_is_rejected(op, shape):
+    # Operands of shapes (3, 4) and ``shape``: the one that broadcasts up to
+    # the result needs a gradient, on either side.
+    grows = shape if len(shape) < 3 else A.shape
+    fixed = A.shape if len(shape) < 3 else shape
+    for pair in ((grows, fixed), (fixed, grows)):
+        a, b = (Tensor(np.ones(s), requires_grad=s == grows) for s in pair)
+        with pytest.raises(ValueError):
+            MIXED[op](a, b)
+        # constants still broadcast
+        out = MIXED[op](Tensor(np.ones(pair[0])), Tensor(np.ones(pair[1])))
+        assert out.shape == np.broadcast_shapes(grows, fixed)
 
 
 def _bce_probs():

@@ -149,8 +149,8 @@ def test_config_file_sets_only_optional_flags(data_dir):
 def write_checkpoints(d):
     """A valid checkpoint plus two CRC-valid ones with a bad header, one cut
     inside the model dimensions and one naming the architecture 'gru', and
-    two whose tensors do not fit the header's model: one without `head.w`,
-    one with `head.w` of the wrong shape."""
+    three whose tensors do not fit the header's model: one without `head.w`,
+    one with `head.w` of the wrong shape, one with a NaN `head.b`."""
     cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
     params = init_params(cfg, np.random.default_rng(0))
     save_checkpoint(d / "good.ckpt", params, cfg)
@@ -158,6 +158,8 @@ def write_checkpoints(d):
                     {n: p for n, p in params.items() if n != "head.w"}, cfg)
     save_checkpoint(d / "bad-head.ckpt",
                     {**params, "head.w": Tensor(params["head.w"].data.reshape(3, 16))}, cfg)
+    save_checkpoint(d / "nan-head.ckpt",
+                    {**params, "head.b": Tensor(np.full(3, np.nan))}, cfg)
     body = (d / "good.ckpt").read_bytes()[:-4]
     # magic (4), version (4), arch length (1), arch, six model dimensions
     assert body[8:13] == b"\x04lstm"
@@ -180,12 +182,15 @@ INPUT_ERRORS = {
     "lambda-nan": ["label", "--lambda", "nan"],
     "sweep-lambda-inf": ["sweep", "--lambda", "0.1,inf"],
     "negative-learning-rate": ["train", "--lr", "-0.001"],
+    "negative-seed": ["train", "--seed", "-1"],
+    "negative-patience": ["train", "--patience", "-3"],
     "config-boolean-not-recognised": ["extract", "--config", "bad-bool.cfg"],
     "bad-sweep-n": ["sweep", "--n", "1..q"],
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
     "checkpoint-missing-tensor": ["eval", "--ckpt", "no-head.ckpt"],
     "checkpoint-tensor-wrong-shape": ["ablate", "--ckpt", "bad-head.ckpt"],
+    "checkpoint-tensor-nan": ["eval", "--ckpt", "nan-head.ckpt"],
     "eval-split-without-recordings": ["eval", "--ckpt", "good.ckpt",
                                       "--split", "nosuch"],
     "ablate-split-without-recordings": ["ablate", "--ckpt", "good.ckpt",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, attention
+from dynstress.autodiff import Tensor, attention, linear
 from dynstress.model import (
     ModelConfig,
     context_array,
@@ -208,7 +208,7 @@ def test_transformer_permutation_equivariance_without_positions():
     perm = np.array([3, 0, 4, 1, 2])
 
     def encode(x):  # transformer_states without the positional encoding
-        h = Tensor(x) @ params["proj.w"] + params["proj.b"]
+        h = linear(Tensor(x), params["proj.w"], params["proj.b"])
         for i in range(cfg.layers):
             h = transformer_layer(h, params, f"enc{i}", cfg.heads)
         return layer_norm(h, params["enc.lnf.g"], params["enc.lnf.b"]).data
@@ -339,6 +339,18 @@ def test_checkpoint_roundtrip(tmp_path):
             assert np.allclose(
                 loaded[n].data, params[n].data.astype(np.float32), atol=0
             )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_with_non_finite_tensor_is_rejected(tmp_path, value):
+    # A CRC-valid checkpoint holding NaN would predict code (0, 0, 0) for
+    # every window; loading it must fail and name the tensor.
+    cfg = lstm_cfg()
+    params = make_params(cfg)
+    params["head.b"].data[1] = value
+    save_checkpoint(tmp_path / "x.ckpt", params, cfg)
+    with pytest.raises(DataError, match="head.b"):
+        load_checkpoint(tmp_path / "x.ckpt")
 
 
 def test_forward_on_loaded_checkpoint_records_no_tape(tmp_path):

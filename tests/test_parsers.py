@@ -125,6 +125,7 @@ def test_load_checkpoint_yields_params_or_data_error(tmp_path, valid_checkpoints
     if out is not None:
         params, cfg = out
         assert isinstance(cfg, ModelConfig) and params
+        assert all(np.isfinite(p.data).all() for p in params.values())
 
 
 @pytest.fixture(scope="module")
