@@ -108,28 +108,21 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]
 
 # --- building blocks (batched: B x T x dim) ---
 
-def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
-    """Unidirectional LSTM over (B, T, D); returns hidden states (B, T, H).
-
-    One tape node with a hand-written backward (the fused-gate LSTM of
-    Appleyard et al. 2016): the forward keeps every step's gate activations
-    and cell states, the backward runs BPTT over them, and the ``w``, ``u``
-    and ``b`` gradients are each one reduction over all B*T rows."""
-    w, u, b = params[f"{prefix}.w"], params[f"{prefix}.u"], params[f"{prefix}.b"]
-    if x.shape[-1] != w.shape[0]:
-        raise DataError(
-            f"{prefix}: input dim {x.shape[-1]} does not match weights {w.shape[0]}"
-        )
-    B, T, D = x.shape
-    H = hidden
-    # Gate pre-activations of every step, input projection as one GEMM;
-    # each step adds its recurrent term and activates its slice in place.
-    acts = (x.data.reshape(B * T, D) @ w.data + b.data).reshape(B, T, 4 * H)
+def lstm_states(acts: Tensor, u: Tensor) -> Tensor:
+    """Unidirectional LSTM over gate pre-activations ``x @ w + b`` (B, T, 4H)
+    to hidden states (B, T, H).  One tape node with a hand-written backward
+    (the fused-gate LSTM of Appleyard et al. 2016): the forward keeps every
+    step's gate activations and cell states; the backward runs BPTT, hands
+    the pre-activation gradients back and takes the ``u`` gradient in one GEMM."""
+    B, T, _ = acts.shape
+    H = u.shape[0]
+    # A copy: each step adds its recurrent term and activates its slice in place.
+    gates = np.array(acts.data)
     hs = np.zeros((B, T + 1, H))  # hs[:, t] and cs[:, t] enter step t
     cs = np.zeros((B, T + 1, H))
     tanh_c = np.empty((B, T, H))
     for t in range(T):
-        z = acts[:, t]
+        z = gates[:, t]
         if t:  # the state entering step 0 is zero
             z += hs[:, t] @ u.data
         g = np.tanh(z[:, 2 * H : 3 * H])
@@ -140,11 +133,11 @@ def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
         hs[:, t + 1] = z[:, 3 * H :] * tanh_c[:, t]
 
     def back(gh):
-        i, f, g, o = (acts[..., k * H : (k + 1) * H] for k in range(4))
-        slope = acts * (1.0 - acts)  # d activation / d pre-activation
+        i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
+        slope = gates * (1.0 - gates)  # d activation / d pre-activation
         slope[..., 2 * H : 3 * H] = 1.0 - g * g
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty_like(acts)  # d loss / d pre-activation, every step
+        dz = np.empty_like(gates)  # d loss / d pre-activation, every step
         dh = dc = np.zeros((B, H))
         for t in reversed(range(T)):
             dh = gh[:, t] + dh
@@ -154,17 +147,12 @@ def lstm_states(x: Tensor, params, prefix: str, hidden: int) -> Tensor:
             dc = dc * f[:, t]
             if t:
                 dh = dz[:, t] @ u.data.T
-        rows = dz.reshape(B * T, 4 * H)
-        if x.requires_grad:
-            x._accum((rows @ w.data.T).reshape(B, T, D))
-        if w.requires_grad:
-            w._accum(x.data.reshape(B * T, D).T @ rows)
+        if acts.requires_grad:
+            acts._accum(dz)
         if u.requires_grad:
-            u._accum(hs[:, :-1].reshape(B * T, H).T @ rows)
-        if b.requires_grad:
-            b._accum(rows.sum(axis=0))
+            u._accum(hs[:, :-1].reshape(B * T, H).T @ dz.reshape(B * T, 4 * H))
 
-    return Tensor._make(hs[:, 1:], (x, w, u, b), back)
+    return Tensor._make(hs[:, 1:], (acts, u), back)
 
 
 def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
@@ -227,28 +215,20 @@ def transformer_layer(x: Tensor, params, prefix: str, heads: int) -> Tensor:
 
 
 def transformer_states(
-    x: Tensor, params, cfg: ModelConfig, prefix: str, proj: str, n_layers: int,
+    h: Tensor, params, cfg: ModelConfig, prefix: str, n_layers: int,
 ) -> Tensor:
-    w = params[f"{proj}.w"]
-    if x.shape[-1] != w.shape[0]:
-        raise DataError(
-            f"{proj}: input dim {x.shape[-1]} does not match weights {w.shape[0]}"
-        )
-    h = linear(x, w, params[f"{proj}.b"])
-    h = h + Tensor(positional_encoding(x.shape[1], cfg.hidden))
+    """Encoder states (B, T, H) of projected inputs; adds the positions."""
+    h = h + Tensor(positional_encoding(h.shape[1], cfg.hidden))
     for i in range(n_layers):
         h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads)
     return layer_norm(h, params[f"{prefix}.lnf.g"], params[f"{prefix}.lnf.b"])
 
 
-def cross_attention_states(primary: Tensor, context: Tensor, params) -> Tensor:
-    """Scaled dot-product attention, primary as query, context as key/value,
-    with a residual connection onto the projected primary states."""
-    if primary.shape[0] == 0 or primary.shape[1] == 0 or context.shape[1] == 0:
+def cross_attention_states(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention of projected queries over projected keys
+    and values, with a residual connection onto the queries."""
+    if q.shape[0] == 0 or q.shape[1] == 0 or k.shape[1] == 0:
         raise DataError("cross-attention requires non-empty sequences")
-    q = linear(primary, params["attn.wq"], params["attn.bq"])
-    k = linear(context, params["attn.wk"])
-    v = linear(context, params["attn.wv"], params["attn.bv"])
     return q + attention(q, k, v, 1)
 
 
@@ -271,13 +251,50 @@ def make_context(previous_labels: Sequence[VadCode]) -> list[VadCode]:
     return [DEFAULT_CODE, *previous_labels]
 
 
-def speech_states(X: np.ndarray, params, cfg: ModelConfig) -> Tensor:
-    """Speech encoder states (B, T, H) of (B, T, d) features.  They do not
-    depend on the context, so inference encodes each window only once."""
-    xt = Tensor(X)
+def _project(X: np.ndarray, params, name: str) -> Tensor:
+    """Input projection ``X @ w + b`` of raw (..., d) inputs."""
+    w = params[f"{name}.w"]
+    if X.shape[-1] != w.shape[0]:
+        raise DataError(f"{name}: input dim {X.shape[-1]} does not match "
+                        f"weights {w.shape[0]}")
+    return linear(Tensor(X), w, params[f"{name}.b"])
+
+
+def speech_inputs(X: np.ndarray, params, cfg: ModelConfig) -> Tensor:
+    """Input projection of (..., d) speech features, row by row, so inference
+    projects each row of a recording once."""
+    return _project(X, params, "speech_lstm" if cfg.arch == "lstm" else "proj")
+
+
+def speech_states(P: Tensor, params, cfg: ModelConfig) -> Tensor:
+    """Speech encoder states (B, T, H) of projected windows ``P``.  They do
+    not depend on the context, so inference encodes each window only once."""
     if cfg.arch == "lstm":
-        return lstm_states(xt, params, "speech_lstm", cfg.hidden)
-    return transformer_states(xt, params, cfg, "enc", "proj", cfg.layers)
+        return lstm_states(P, params["speech_lstm.u"])
+    return transformer_states(P, params, cfg, "enc", cfg.layers)
+
+
+def context_states(S: np.ndarray, params, cfg: ModelConfig) -> Tensor:
+    """Context encoder states (B, T', H) of contexts ``S`` (B, T', 3)."""
+    if cfg.arch == "lstm":
+        return lstm_states(_project(S, params, "ctx_lstm"), params["ctx_lstm.u"])
+    return transformer_states(
+        _project(S, params, "ctxproj"), params, cfg, "ctx", cfg.ctx_layers)
+
+
+def context_memory(hc: Tensor, params) -> tuple[Tensor, Tensor, Tensor]:
+    """Context states ``hc`` with their cross-attention keys and values."""
+    wk, wv, bv = params["attn.wk"], params["attn.wv"], params["attn.bv"]
+    return hc, linear(hc, wk), linear(hc, wv, bv)
+
+
+def readout(q: Tensor, hc: Tensor, k: Tensor, v: Tensor, params, cfg) -> Tensor:
+    """Probabilities (B, 3) of projected queries ``q`` (B, 1, H) over context
+    states ``hc`` and their keys and values: cross-attention and head."""
+    last = cross_attention_states(q, k, v)[:, -1, :]
+    if cfg.arch == "lstm":
+        last = concat([last, hc[:, -1, :]], axis=1)
+    return linear(last, params["head.w"], params["head.b"]).sigmoid()
 
 
 def fuse(
@@ -287,23 +304,15 @@ def fuse(
     """Probabilities (B, 3) from speech states ``hs`` (B, T, H) and contexts
     ``S`` (B, T', 3): the context encoder, dropout, cross-attention and head.
     Only the last speech state is read."""
-    st = Tensor(S)
-    if cfg.arch == "lstm":
-        hc = lstm_states(st, params, "ctx_lstm", cfg.hidden)
-    else:
-        hc = transformer_states(st, params, cfg, "ctx", "ctxproj", cfg.ctx_layers)
+    hc = context_states(S, params, cfg)
     # The head reads only the last position, so only it queries the context.
     query = hs[:, -1:, :]
     if rng is not None and cfg.dropout > 0:
         # the speech mask is drawn before the context mask
         query = _dropout(query, cfg.dropout, rng)
         hc = _dropout(hc, cfg.dropout, rng)
-    fused = cross_attention_states(query, hc, params)
-    last = fused[:, -1, :]
-    if cfg.arch == "lstm":
-        last = concat([last, hc[:, -1, :]], axis=1)
-    logits = linear(last, params["head.w"], params["head.b"])
-    return logits.sigmoid()
+    q = linear(query, params["attn.wq"], params["attn.bq"])
+    return readout(q, *context_memory(hc, params), params, cfg)
 
 
 def forward_batch(
@@ -320,7 +329,8 @@ def forward_batch(
         )
     if X.shape[1] == 0:
         raise DataError("empty sequences")
-    return fuse(speech_states(X, params, cfg), S, params, cfg, rng)
+    hs = speech_states(speech_inputs(X, params, cfg), params, cfg)
+    return fuse(hs, S, params, cfg, rng)
 
 
 def binarise(probs: np.ndarray) -> np.ndarray:
@@ -357,7 +367,10 @@ def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
     head += struct.pack("<I", len(names))
     payload = bytearray()
     for n in names:
-        arr = params[n].data.astype("<f4")
+        data = params[n].data
+        if np.any(np.abs(data[np.isfinite(data)]) > np.finfo("<f4").max):
+            raise DataError(f"tensor {n} holds a finite value beyond the float32 range")
+        arr = data.astype("<f4")
         nb = n.encode()
         head += struct.pack("<H", len(nb)) + nb
         head += struct.pack("<B", arr.ndim)

@@ -13,10 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, linear
 from .features import MfccConfig, load_embeddings, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
-from .model import ModelConfig, context_array, decode, fuse, make_context, speech_states
+from .model import (ModelConfig, context_array, context_memory, context_states, decode,
+                    make_context, readout, speech_inputs, speech_states)
 from .segmentation import (
     AudioClip,
     ClipRecord,
@@ -152,16 +153,18 @@ def last_speech_states(
     features: np.ndarray, history: int, params, cfg: ModelConfig,
 ) -> np.ndarray:
     """Last speech state (N, H) of each window ``features[max(0, t - history)
-    : t + 1]``, one batched ``speech_states`` call per window length."""
+    : t + 1]``.  Every row is projected once; windows are gathered from the
+    projection, one batched ``speech_states`` call per window length."""
     if history < 0:
         raise DataError(f"history must be non-negative, got {history}")
     N = features.shape[0]
+    P = speech_inputs(features, params, cfg).data
     last = np.empty((N, cfg.hidden))
     for k in range(min(N, history + 1)):
         # windows of length k + 1: only t = k, or every t >= history
         ts = np.arange(k, N if k == history else k + 1)
-        X = features[ts[:, None] + np.arange(-k, 1)]
-        last[ts] = speech_states(X, params, cfg).data[:, -1, :]
+        windows = Tensor(P[ts[:, None] + np.arange(-k, 1)])
+        last[ts] = speech_states(windows, params, cfg).data[:, -1, :]
     return last
 
 
@@ -173,13 +176,20 @@ def predict_recording(
     The context is built from the model's own past predictions (the default
     code stands in before any prediction exists), mirroring deployment where
     no ground-truth stress labels are available.  Speech does not depend on
-    the predictions, so it is encoded once up front and each step runs only
-    the context branch.
+    the predictions, so it is encoded up front, and every window's query is
+    projected in one matrix product.  Each distinct context is encoded once
+    per call, with its keys and values, so a step runs only the
+    cross-attention and the head.
     """
     last = last_speech_states(features, history, params, cfg)
+    queries = linear(Tensor(last), params["attn.wq"], params["attn.bq"]).data
+    memo: dict[bytes, tuple[Tensor, Tensor, Tensor]] = {}
     preds: list[VadCode] = []
     for t in range(features.shape[0]):
         ctx = context_array(make_context(preds[max(0, t - history) : t]))
-        probs = fuse(Tensor(last[t][None, None]), ctx[None], params, cfg).data[0]
-        preds.append(decode(probs))
+        key = ctx.tobytes()
+        if key not in memo:
+            memo[key] = context_memory(context_states(ctx[None], params, cfg), params)
+        q = Tensor(queries[t][None, None])
+        preds.append(decode(readout(q, *memo[key], params, cfg).data[0]))
     return preds

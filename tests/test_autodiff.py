@@ -10,7 +10,8 @@ B = np.random.default_rng(1).uniform(0.5, 2.0, size=(3, 4))
 
 
 def lstm_on(x, w, u, b):
-    return lstm_states(x, {"l.w": w, "l.u": u, "l.b": b}, "l", u.shape[0])
+    """An LSTM layer: the input projection, then the recurrence node."""
+    return lstm_states(linear(x, w, b), u)
 
 
 # every op and fused layer node of the tape, applied to constant inputs

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dynstress.autodiff import Tensor, attention, linear
 from dynstress.model import (
     ModelConfig,
     context_array,
+    context_memory,
     cross_attention_states,
     decode,
     forward_batch,
@@ -15,6 +18,7 @@ from dynstress.model import (
     param_names,
     positional_encoding,
     save_checkpoint,
+    speech_inputs,
     transformer_layer,
     transformer_states,
 )
@@ -51,6 +55,12 @@ def sigmoid(x):
 
 # --- recurrent encoder ---
 
+def speech_lstm(seq, params):
+    """The speech LSTM's states of raw (B, T, 6) features."""
+    acts = speech_inputs(seq, params, lstm_cfg())
+    return lstm_states(acts, params["speech_lstm.u"]).data
+
+
 def naive_lstm(seq, w, u, b, hidden):
     """Step-by-step reference recurrence."""
     h = np.zeros(hidden)
@@ -74,7 +84,7 @@ def test_recurrent_zero_params():
     for name in ("speech_lstm.w", "speech_lstm.u", "speech_lstm.b"):
         params[name].data[:] = 0.0
     seq = np.random.default_rng(0).normal(size=(1, 4, 6))
-    states = lstm_states(Tensor(seq), params, "speech_lstm", H).data
+    states = speech_lstm(seq, params)
     assert np.allclose(states, 0.0)
 
 
@@ -82,7 +92,7 @@ def test_recurrent_matches_naive_reference():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=3)
     seq = np.random.default_rng(1).normal(size=(4, 6))
-    got = lstm_states(Tensor(seq[None]), params, "speech_lstm", H).data[0]
+    got = speech_lstm(seq[None], params)[0]
     want = naive_lstm(seq, params["speech_lstm.w"].data,
                       params["speech_lstm.u"].data,
                       params["speech_lstm.b"].data, H)
@@ -94,7 +104,7 @@ def test_recurrent_single_step():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=5)
     seq = np.random.default_rng(2).normal(size=(1, 6))
-    got = lstm_states(Tensor(seq[None]), params, "speech_lstm", H).data[0]
+    got = speech_lstm(seq[None], params)[0]
     want = naive_lstm(seq, params["speech_lstm.w"].data,
                       params["speech_lstm.u"].data,
                       params["speech_lstm.b"].data, H)
@@ -105,22 +115,29 @@ def test_recurrent_causality_bitwise():
     cfg = lstm_cfg()
     params = make_params(cfg, seed=7)
     seq = np.random.default_rng(3).normal(size=(5, 6))
-    base = lstm_states(Tensor(seq[None]), params, "speech_lstm", H).data[0]
+    base = speech_lstm(seq[None], params)[0]
     bumped = seq.copy()
     bumped[3] += 1.0
-    after = lstm_states(Tensor(bumped[None]), params, "speech_lstm", H).data[0]
+    after = speech_lstm(bumped[None], params)[0]
     assert after[:3].tobytes() == base[:3].tobytes()
     assert not np.allclose(after[3:], base[3:])
 
 
 def test_recurrent_dim_mismatch():
-    cfg = lstm_cfg()
-    params = make_params(cfg)
-    with pytest.raises(DataError):
-        lstm_states(Tensor(np.zeros((1, 3, 5))), params, "speech_lstm", H)
+    for cfg in (lstm_cfg(), tr_cfg()):
+        params = make_params(cfg)
+        with pytest.raises(DataError, match="input dim 5"):
+            speech_inputs(np.zeros((1, 3, 5)), params, cfg)
 
 
 # --- cross-attention ---
+
+def cross_attend(primary, ctx, params):
+    """Cross-attention of ``primary`` over ``ctx``, projections included."""
+    q = linear(primary, params["attn.wq"], params["attn.bq"])
+    _, k, v = context_memory(ctx, params)
+    return cross_attention_states(q, k, v)
+
 
 def naive_cross_attention(primary, ctx, params, bk):
     """Direct dense transcription, with a key bias ``bk`` of its own."""
@@ -145,9 +162,7 @@ def test_cross_attention_single_context():
     rng = np.random.default_rng(4)
     primary = rng.normal(size=(3, H))
     ctx = rng.normal(size=(1, H))
-    got = cross_attention_states(
-        Tensor(primary[None]), Tensor(ctx[None]), params
-    ).data[0]
+    got = cross_attend(Tensor(primary[None]), Tensor(ctx[None]), params).data[0]
     # softmax over one position is exactly 1: output = q + v
     q = primary @ params["attn.wq"].data + params["attn.bq"].data
     v = ctx @ params["attn.wv"].data + params["attn.bv"].data
@@ -160,8 +175,8 @@ def test_cross_attention_identical_context_states():
     rng = np.random.default_rng(5)
     primary = Tensor(rng.normal(size=(1, 2, H)))
     row = rng.normal(size=H)
-    got_a = cross_attention_states(primary, Tensor(np.stack([[row] * 3])), params)
-    got_b = cross_attention_states(primary, Tensor(np.stack([[row] * 5])), params)
+    got_a = cross_attend(primary, Tensor(np.stack([[row] * 3])), params)
+    got_b = cross_attend(primary, Tensor(np.stack([[row] * 5])), params)
     assert np.allclose(got_a.data, got_b.data)
 
 
@@ -171,9 +186,7 @@ def test_cross_attention_matches_dense_oracle():
     rng = np.random.default_rng(6)
     primary = rng.normal(size=(2, H)) * 0.3
     ctx = rng.normal(size=(3, H)) * 0.3
-    got = cross_attention_states(
-        Tensor(primary[None]), Tensor(ctx[None]), params
-    ).data[0]
+    got = cross_attend(Tensor(primary[None]), Tensor(ctx[None]), params).data[0]
     # a key bias adds q.bk to every score of a query, so it cannot matter
     want = naive_cross_attention(primary, ctx, params, rng.normal(size=H))
     assert np.max(np.abs(got - want)) < 1e-10
@@ -191,12 +204,18 @@ def test_attention_weights_normalised():
 
 # --- transformer encoder ---
 
+def speech_transformer(x, params, cfg):
+    """The speech transformer's states of raw (B, T, 6) features."""
+    return transformer_states(speech_inputs(x, params, cfg), params, cfg, "enc",
+                              cfg.layers).data
+
+
 def test_transformer_shapes_and_determinism():
     cfg = tr_cfg()
     params = make_params(cfg, seed=15)
-    x = Tensor(np.random.default_rng(8).normal(size=(1, 4, 6)))
-    a = transformer_states(x, params, cfg, "enc", "proj", cfg.layers).data
-    b = transformer_states(x, params, cfg, "enc", "proj", cfg.layers).data
+    x = np.random.default_rng(8).normal(size=(1, 4, 6))
+    a = speech_transformer(x, params, cfg)
+    b = speech_transformer(x, params, cfg)
     assert a.shape == (1, 4, H)
     assert a.tobytes() == b.tobytes()
 
@@ -222,10 +241,7 @@ def test_positions_break_equivariance():
     params = make_params(cfg, seed=17)
     seq = np.random.default_rng(9).normal(size=(1, 5, 6))
     perm = np.array([3, 0, 4, 1, 2])
-    base, permuted = (
-        transformer_states(Tensor(x), params, cfg, "enc", "proj", cfg.layers).data
-        for x in (seq, seq[:, perm])
-    )
+    base, permuted = (speech_transformer(x, params, cfg) for x in (seq, seq[:, perm]))
     assert not np.allclose(permuted, base[:, perm])
 
 
@@ -351,6 +367,23 @@ def test_checkpoint_with_non_finite_tensor_is_rejected(tmp_path, value):
     save_checkpoint(tmp_path / "x.ckpt", params, cfg)
     with pytest.raises(DataError, match="head.b"):
         load_checkpoint(tmp_path / "x.ckpt")
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39], ids=["1e39", "-1e39"])
+def test_save_checkpoint_rejects_values_beyond_float32(tmp_path, value):
+    # float32 would hold it as inf, which load_checkpoint rejects; saving
+    # must fail first, with no warning, and leave an existing file alone.
+    cfg = lstm_cfg()
+    params = make_params(cfg)
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, params, cfg)
+    before = path.read_bytes()
+    params["head.b"].data[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="head.b"):
+            save_checkpoint(path, params, cfg)
+    assert path.read_bytes() == before
 
 
 def test_forward_on_loaded_checkpoint_records_no_tape(tmp_path):

@@ -7,11 +7,13 @@ from dynstress.labelling import LabellingConfig, relabel_sequence
 from dynstress.model import (
     ModelConfig,
     context_array,
+    context_states,
     forward_batch,
     fuse,
     init_params,
     make_context,
     param_names,
+    speech_inputs,
     speech_states,
 )
 from dynstress.pipeline import (
@@ -259,26 +261,54 @@ def test_batched_last_speech_states_equal_per_window(arch):
         got = last_speech_states(feats, n, params, cfg)
         for t in range(feats.shape[0]):
             X = feats[max(0, t - n) : t + 1][None]
-            want = speech_states(X, params, cfg).data[0, -1]
+            want = speech_states(speech_inputs(X, params, cfg), params, cfg).data[0, -1]
             np.testing.assert_allclose(got[t], want, rtol=1e-12, atol=0)
 
 
 def test_speech_is_encoded_once_per_window_length(monkeypatch):
-    batches = []
+    projected, batches = [], []
 
-    def counting(X, *args):
-        batches.append(X.shape[:2])
-        return speech_states(X, *args)
+    def counting_inputs(X, *args):
+        projected.append(X.shape)
+        return speech_inputs(X, *args)
 
+    def counting(P, *args):
+        batches.append(P.shape[:2])
+        return speech_states(P, *args)
+
+    monkeypatch.setattr(pipeline, "speech_inputs", counting_inputs)
     monkeypatch.setattr(pipeline, "speech_states", counting)
     cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(0))
     feats = np.random.default_rng(1).normal(size=(9, 4))
     predict_recording(feats, 3, params, cfg)
+    assert projected == [(9, 4)]  # every row once, in one call
     assert batches == [(1, 1), (1, 2), (1, 3), (6, 4)]
+    projected.clear()
     batches.clear()
     predict_recording(feats[:2], 3, params, cfg)
+    assert projected == [(2, 4)]
     assert batches == [(1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_context_encoder_runs_once_per_distinct_context(arch, monkeypatch):
+    calls = []
+
+    def counting(S, *args):
+        calls.append(S.shape)
+        return context_states(S, *args)
+
+    monkeypatch.setattr(pipeline, "context_states", counting)
+    repeated = False
+    for feats, n, params, cfg in ragged_cases(arch, 4):
+        calls.clear()
+        codes = predict_recording(feats, n, params, cfg)
+        distinct = {tuple(codes[max(0, t - n) : t]) for t in range(len(codes))}
+        assert len(calls) == len(distinct), (n, len(feats))
+        assert all(shape[0] == 1 for shape in calls)
+        repeated |= len(distinct) < len(codes)
+    assert repeated  # some context recurs, so the count says something
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
@@ -286,7 +316,8 @@ def test_fuse_without_dropout_reads_only_the_last_speech_state(arch):
     cfg = ModelConfig(arch, feature_dim=4, hidden=8, heads=2, ffn=16, dropout=0.3)
     params = init_params(cfg, np.random.default_rng(2))
     rng = np.random.default_rng(3)
-    hs = speech_states(rng.normal(size=(2, 4, 4)), params, cfg)
+    hs = speech_states(speech_inputs(rng.normal(size=(2, 4, 4)), params, cfg),
+                       params, cfg)
     S = np.stack([context_array(make_context([VadCode(1, 0, 1)] * 3))] * 2)
     whole = fuse(hs, S, params, cfg).data
     assert whole.tobytes() == fuse(hs[:, -1:, :], S, params, cfg).data.tobytes()
