@@ -137,12 +137,12 @@ def _base_dir(args) -> Path:
 def cmd_segment(args, out):
     with open(out / "windows.jsonl", "w") as f:
         for rec in read_manifest(args.manifest):
-            clip = load_clip(rec, _base_dir(args))
-            for w in align_labels(segment(clip), rec.spans):
+            windows = segment(load_clip(rec, _base_dir(args)))
+            for w, label in zip(windows, align_labels(windows, rec.spans)):
                 f.write(json.dumps({
                     "clip_id": w.clip_id, "index": w.index,
                     "start_s": w.start, "end_s": w.end,
-                    "label": w.label.to_text() if w.label else None,
+                    "label": label.to_text() if label else None,
                 }) + "\n")
     return 0
 

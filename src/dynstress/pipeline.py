@@ -88,30 +88,23 @@ def load_recording(
 
     ``feature_spec=None`` skips feature extraction (labelling-only use)."""
     clip = load_clip(rec, base_dir)
-    windows = align_labels(segment(clip), rec.spans)
+    windows = segment(clip)
     if feature_spec is None:
         feats = np.zeros((len(windows), 0))
     else:
         feats = clip_feature_matrix(clip, windows, feature_spec, mfcc_cfg)
-    ref_windows = (
-        align_labels(windows, rec.stress_spans) if rec.stress_spans else None
-    )
-    labels = [w.label for w in windows]
+    labels = align_labels(windows, rec.spans)
+    refs = align_labels(windows, rec.stress_spans)
     out = []
     for run_idx, (lo, hi) in enumerate(_labelled_runs(labels)):
-        emotions = [labels[i] for i in range(lo, hi)]
-        stress = relabel_sequence(emotions, lab_cfg)
-        refs = (
-            [ref_windows[i].label for i in range(lo, hi)]
-            if ref_windows is not None else [None] * (hi - lo)
-        )
+        emotions = labels[lo:hi]
         out.append(RecordingData(
             clip_id=f"{rec.utterance_id}#{run_idx}",
             split=rec.split,
             features=feats[lo:hi],
             emotion_codes=emotions,
-            stress_codes=stress,
-            reference_codes=refs,
+            stress_codes=relabel_sequence(emotions, lab_cfg),
+            reference_codes=refs[lo:hi],
             stress_label=rec.stress_label,
         ))
     return out
@@ -125,27 +118,24 @@ def build_samples(
 
     ``prev_indices`` point at the samples for the context windows so teacher
     forcing can substitute model rollouts; -1 where no full-length sample
-    exists (early windows keep ground truth there).
+    exists (early windows keep ground truth there).  A recording's windows
+    t >= h become consecutive samples, so window j's sample is found by
+    position.
     """
+    if history < 0:
+        raise DataError(f"history must be non-negative, got {history}")
     samples: list[TrainSample] = []
-    index_of: dict[tuple[str, int], int] = {}
     for rd in recordings:
+        first = len(samples) - history  # the sample index of window 0
         for t in range(history, len(rd.stress_codes)):
-            ctx_codes = make_context(rd.stress_codes[t - history : t])
-            prev = tuple(
-                index_of.get((rd.clip_id, t - history + k), -1)
-                for k in range(history)
-            )
-            idx = len(samples)
             samples.append(TrainSample(
                 features=rd.features[t - history : t + 1],
-                context=context_array(ctx_codes),
+                context=context_array(make_context(rd.stress_codes[t - history : t])),
                 target=rd.stress_codes[t],
-                clip_id=rd.clip_id,
-                window_index=t,
-                prev_indices=prev,
+                prev_indices=tuple(
+                    first + j if j >= history else -1 for j in range(t - history, t)
+                ),
             ))
-            index_of[(rd.clip_id, t)] = idx
     return samples
 
 

@@ -56,7 +56,6 @@ class SegmentWindow:
     start: float
     end: float
     clip_id: str
-    label: VadCode | None = None
 
 
 @dataclass(frozen=True)
@@ -101,17 +100,17 @@ def segment(clip: AudioClip) -> list[SegmentWindow]:
 
 def align_labels(
     windows: Sequence[SegmentWindow], spans: Sequence[LabelSpan]
-) -> list[SegmentWindow]:
-    """Attach to each window the label of the span containing its midpoint.
+) -> list[VadCode | None]:
+    """The label of the span containing each window's midpoint.
 
-    Spans are half-open [start, end); windows whose midpoint no span covers
-    stay unlabelled.  Overlapping spans are rejected.
+    Spans are half-open [start, end); a window whose midpoint no span covers
+    gets None.  Overlapping spans are rejected.
     """
     spans = sorted(spans, key=lambda s: s.start)
     for a, b in zip(spans, spans[1:]):
         if b.start < a.end:
             raise DataError(f"overlapping label spans: {a} / {b}")
-    out = []
+    labels = []
     for w in windows:
         mid = (w.start + w.end) / 2.0
         label = None
@@ -119,8 +118,8 @@ def align_labels(
             if s.start <= mid < s.end:
                 label = s.code
                 break
-        out.append(SegmentWindow(w.index, w.start, w.end, w.clip_id, label))
-    return out
+        labels.append(label)
+    return labels
 
 
 def concat_augment(
@@ -257,6 +256,7 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: manifest is not UTF-8 (byte {e.start})") from None
     records = []
+    first_line: dict[str, int] = {}  # utterance_id -> the line that used it first
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -289,6 +289,11 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
             )
         except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as e:
             raise DataError(f"{path}:{lineno}: bad manifest record ({e})") from e
+        # recordings are keyed by utterance_id in run ids and feature files
+        if rec.utterance_id in first_line:
+            raise DataError(f"{path}:{lineno}: utterance_id {rec.utterance_id!r} "
+                            f"is already used on line {first_line[rec.utterance_id]}")
+        first_line[rec.utterance_id] = lineno
         records.append(rec)
     return records
 

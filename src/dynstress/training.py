@@ -213,8 +213,6 @@ class TrainSample:
     features: np.ndarray          # (T, d)
     context: np.ndarray           # (T, 3) ground-truth context (default first)
     target: VadCode
-    clip_id: str = ""
-    window_index: int = 0
     prev_indices: tuple[int, ...] = ()  # dataset indices of the context windows
     # (-1 where no full sample exists; ground truth is used there)
 
@@ -225,29 +223,24 @@ def _step_rng(seed: int, *counters: int) -> np.random.Generator:
 
 def _rollout_contexts(
     samples: Sequence[TrainSample], idx: Sequence[int], params, cfg: ModelConfig,
-) -> dict[int, np.ndarray]:
-    """One-step rollout for the rows ``idx`` that drew one: predict each of
-    their context windows with ground-truth context, binarise, and substitute
-    into the row's context.  Gradients never flow through these predictions."""
-    needed = sorted({
-        j for i in idx for j in samples[i].prev_indices if j >= 0
-    })
-    preds: dict[int, np.ndarray] = {}
+) -> np.ndarray:
+    """Contexts (len(idx), T, 3) for the rows ``idx`` that drew a rollout:
+    predict each of their context windows with ground-truth context,
+    binarise, and substitute into a copy of the row's context.  Gradients
+    never flow through these predictions."""
+    S = np.stack([samples[i].context for i in idx])
+    needed = sorted({j for i in idx for j in samples[i].prev_indices if j >= 0})
     if needed:
         X = np.stack([samples[j].features for j in needed])
-        S = np.stack([samples[j].context for j in needed])
-        probs = forward_batch(X, S, params, cfg).data
+        C = np.stack([samples[j].context for j in needed])
+        probs = forward_batch(X, C, params, cfg).data
         preds = dict(zip(needed, binarise(probs).astype(np.float64)))
-    out = {}
-    for i in idx:
-        s = samples[i]
-        ctx = s.context.copy()
-        # ctx rows: [default, label_{t-h}, ..., label_{t-1}]
-        for slot, j in enumerate(s.prev_indices, start=1):
-            if j >= 0:
-                ctx[slot] = preds[j]
-        out[i] = ctx
-    return out
+        # context rows: [default, label_{t-h}, ..., label_{t-1}]
+        for row, i in enumerate(idx):
+            for slot, j in enumerate(samples[i].prev_indices, start=1):
+                if j >= 0:
+                    S[row, slot] = preds[j]
+    return S
 
 
 def _targets(samples: Sequence[TrainSample]) -> np.ndarray:
@@ -318,17 +311,13 @@ def train(
         for it in range(tcfg.iterations_per_epoch):
             rng = _step_rng(tcfg.seed, 1, epoch, it)
             idx = rng.integers(0, len(train_samples), size=tcfg.batch_size)
-            use_rollout = [
+            roll = np.array([
                 not _teacher_forced(tcfg.teacher_forcing_p, rng) for _ in idx
-            ]
-            if any(use_rollout):
-                rollouts = _rollout_contexts(
-                    train_samples, idx[use_rollout], const, mcfg)
-            X = np.stack([train_samples[i].features for i in idx])
-            S = np.stack([
-                rollouts[i] if roll else train_samples[i].context
-                for i, roll in zip(idx, use_rollout)
             ])
+            X = np.stack([train_samples[i].features for i in idx])
+            S = np.stack([train_samples[i].context for i in idx])
+            if roll.any():
+                S[roll] = _rollout_contexts(train_samples, idx[roll], const, mcfg)
             T = _targets([train_samples[i] for i in idx])
             loss, grads = gradient(params, X, S, T, mcfg, rng=rng)
             opt.step(grads)

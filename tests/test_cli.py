@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynstress import segmentation
+from dynstress import cli, segmentation
 from dynstress.autodiff import Tensor
 from dynstress.cli import main
 from dynstress.features import read_fseq
 from dynstress.model import ModelConfig, init_params, save_checkpoint
 from dynstress.segmentation import write_wav
+from dynstress.training import TrainingDiverged
 
 SR = 16000
 
@@ -208,6 +209,7 @@ INPUT_ERRORS = {
     "wav-cut-inside-data": ["label"],
     "span-bound-is-a-string": ["label"],
     "span-bound-is-a-boolean": ["label"],
+    "manifest-repeats-utterance-id": ["eval", "--ckpt", "good.ckpt"],
 }
 
 # Cases above that write or replace one fixture file: (file name, new bytes).
@@ -231,6 +233,12 @@ BROKEN_FILES = {
         "a", [("0", 30, "fear")]).encode()),
     "span-bound-is-a-boolean": ("manifest.jsonl", lambda d: manifest_line(
         "a", [(0, 30, "fear")], stress_spans=[(True, 30, "fear")]).encode()),
+    # b.wav's record takes its id from its file name, which a.wav's record uses
+    "manifest-repeats-utterance-id": ("manifest.jsonl", lambda d: "\n".join([
+        manifest_line("a", [(0, 30, "fear")], split="test", extra={"utterance_id": "b"}),
+        json.dumps({"audio_path": "b.wav", "split": "test", "spans": [
+            {"start_s": 0, "end_s": 30, "label": "anger"}]}),
+    ]).encode()),
 }
 
 
@@ -293,6 +301,17 @@ def test_sweep_without_references_exits_data(tmp_path):
     )
     assert run(["sweep", "--manifest", tmp_path / "m.jsonl",
                 "--out", tmp_path / "run"]) == 2
+
+
+def test_train_divergence_exits_3_with_one_line(data_dir, monkeypatch, capsys):
+    def diverging(*args):
+        raise TrainingDiverged("non-finite training loss: nan")
+    monkeypatch.setattr(cli, "train", diverging)
+    code = run(["train", "--manifest", data_dir / "manifest.jsonl",
+                "--out", data_dir / "run", "--n", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: non-finite training loss: nan\n"
 
 
 def test_train_then_eval_roundtrip(data_dir):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,10 +105,12 @@ def test_load_recording_mfcc_features(tmp_path):
 def test_build_samples_counts_and_context(clip_dir):
     rec = record("full", [LabelSpan(0, 30, FEAR)])
     rd = load_recording(rec, clip_dir, None, LAB)[0]
+    rd = replace(rd, features=np.arange(5.0)[:, None])  # row k is window k
     samples = build_samples([rd], history=2)
     assert len(samples) == 3  # windows 2,3,4 of 5
+    for t, s in enumerate(samples, start=2):
+        assert np.array_equal(s.features[:, 0], [t - 2, t - 1, t])
     s0 = samples[0]
-    assert s0.features.shape == (3, 0)
     assert s0.context.shape == (3, 3)
     assert np.array_equal(s0.context[0], [0, 0, 0])
     assert np.array_equal(
@@ -114,7 +118,6 @@ def test_build_samples_counts_and_context(clip_dir):
         [c.as_tuple() for c in rd.stress_codes[:2]],
     )
     assert s0.target == rd.stress_codes[2]
-    assert s0.window_index == 2
 
 
 def test_build_samples_prev_indices(clip_dir):
@@ -125,6 +128,9 @@ def test_build_samples_prev_indices(clip_dir):
     assert samples[0].prev_indices == (-1, -1)
     assert samples[1].prev_indices == (-1, 0)
     assert samples[2].prev_indices == (0, 1)
+    # a second recording's indices start after the first's samples
+    samples = build_samples([rd, rd], history=2)
+    assert [s.prev_indices for s in samples[3:]] == [(-1, -1), (-1, 3), (3, 4)]
 
 
 def test_build_samples_history_zero(clip_dir):
@@ -135,6 +141,13 @@ def test_build_samples_history_zero(clip_dir):
     for s in samples:
         assert s.context.shape == (1, 3)
         assert s.prev_indices == ()
+
+
+def test_build_samples_rejects_negative_history(clip_dir):
+    rec = record("full", [LabelSpan(0, 30, FEAR)])
+    rd = load_recording(rec, clip_dir, None, LAB)[0]
+    with pytest.raises(DataError, match="history"):
+        build_samples([rd], history=-1)
 
 
 def test_load_recording_decodes_each_wav_once(clip_dir, monkeypatch):

@@ -76,15 +76,14 @@ def test_align_labels_midpoint_rule():
     clip = make_clip(50)
     windows = segment(clip)
     spans = [LabelSpan(0, 30, FEAR)]
-    labelled = align_labels(windows, spans)
+    labels = align_labels(windows, spans)
     # midpoints 5,10,...; window [40,50) midpoint 45 uncovered
-    assert labelled[0].label == FEAR
-    assert labelled[-1].label is None
+    assert labels == [FEAR] * 5 + [None] * (len(windows) - 5)
 
     spans = [LabelSpan(0, 10, HAPPY), LabelSpan(10, 20, FEAR)]
-    labelled = align_labels(segment(make_clip(15)), spans)
+    labels = align_labels(segment(make_clip(15)), spans)
     # window [5,15) midpoint 10 falls in the second half-open span
-    assert labelled[1].label == FEAR
+    assert labels[1] == FEAR
 
 
 def test_align_rejects_overlap():
@@ -159,6 +158,18 @@ def test_manifest_bad_record(tmp_path):
     m = tmp_path / "m.jsonl"
     m.write_text('{"speaker_id": "s"}\n')
     with pytest.raises(DataError):
+        read_manifest(m)
+
+
+@pytest.mark.parametrize("repeat", [
+    {"audio_path": "y.wav", "utterance_id": "x"},
+    {"audio_path": "other/x.wav"},  # defaulted from the audio path's stem
+])
+def test_manifest_rejects_repeated_utterance_id(tmp_path, repeat):
+    m = tmp_path / "m.jsonl"
+    m.write_text(json.dumps({"audio_path": "x.wav"}) + "\n"
+                 + json.dumps({"audio_path": "z.wav"}) + "\n\n" + json.dumps(repeat))
+    with pytest.raises(DataError, match=r"m\.jsonl:4: utterance_id 'x' .*line 1"):
         read_manifest(m)
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,14 @@ import pytest
 from dynstress import training
 from dynstress.autodiff import Tensor
 from dynstress.model import ModelConfig, forward_batch, init_params, param_names
+from dynstress.pipeline import RecordingData, build_samples
 from dynstress.training import (
     EVAL_BATCH,
     Adam,
     EarlyStopping,
     TrainConfig,
     TrainSample,
+    TrainingDiverged,
     bce_loss,
     batch_loss_graph,
     evaluate_accuracy,
@@ -238,18 +241,18 @@ def test_rollout_contexts_substitute_binarised_predictions():
     truth = [s.context.copy() for s in samples]
     idx = [0, 3, 3, 4, 6, 7]
     out = _rollout_contexts(samples, idx, params, cfg)
-    assert sorted(out) == sorted(set(idx))
+    assert out.shape == (len(idx), 3, 3)
     changed = 0
-    for i in idx:
-        assert np.array_equal(out[i][0], truth[i][0])  # default code
+    for row, i in enumerate(idx):
+        assert np.array_equal(out[row][0], truth[i][0])  # default code
         for slot, j in enumerate(samples[i].prev_indices, start=1):
             if j < 0:
-                assert np.array_equal(out[i][slot], truth[i][slot])
+                assert np.array_equal(out[row][slot], truth[i][slot])
                 continue
             probs = forward_batch(samples[j].features[None],
                                   samples[j].context[None], params, cfg).data[0]
-            assert np.array_equal(out[i][slot], (probs > 0.5).astype(float))
-            changed += not np.array_equal(out[i][slot], truth[i][slot])
+            assert np.array_equal(out[row][slot], (probs > 0.5).astype(float))
+            changed += not np.array_equal(out[row][slot], truth[i][slot])
     assert changed  # some predictions differ from the ground truth
     for s, t in zip(samples, truth):
         assert np.array_equal(s.context, t)  # samples are not modified
@@ -336,6 +339,79 @@ def test_train_rolls_out_only_the_rows_that_drew_a_rollout(tmp_path, monkeypatch
                 want.append([int(i) for i, d in zip(idx, drew) if d])
     assert calls == want
     assert sum(map(len, want)) < 4 * len(want)  # some rows were teacher forced
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_train_step_feeds_gradient_rollouts_or_ground_truth(p, tmp_path, monkeypatch):
+    """With p = 0 every batch row reaches ``gradient`` with its one-step
+    rollout under the step's parameters (each slot naming a sample holds
+    that sample's binarised prediction); with p = 1, with its ground truth."""
+    rng = np.random.default_rng(12)
+    cfg = reduced_cfg("lstm")
+    recordings = [RecordingData(
+        f"r{k}", "train", rng.normal(size=(n, cfg.feature_dim)), [],
+        [VadCode(*(int(b) for b in rng.integers(0, 2, 3))) for _ in range(n)],
+        [None] * n, None) for k, n in enumerate((6, 5))]
+    samples = build_samples(recordings, history=2)
+    real_gradient = training.gradient
+    rows = changed = 0
+
+    def checking(params, X, S, targets, cfg, rng=None):
+        nonlocal rows, changed
+        view = {n: Tensor(t.data) for n, t in params.items()}
+        for x, ctx in zip(X, S):
+            (s,) = [s for s in samples if np.array_equal(s.features, x)]
+            want = s.context.copy()
+            for slot, j in enumerate(s.prev_indices if p == 0 else (), start=1):
+                if j >= 0:
+                    probs = forward_batch(samples[j].features[None],
+                                          samples[j].context[None], view, cfg).data[0]
+                    want[slot] = probs > 0.5
+            assert np.array_equal(ctx, want)
+            rows += 1
+            changed += not np.array_equal(ctx, s.context)
+        return real_gradient(params, X, S, targets, cfg, rng=rng)
+    monkeypatch.setattr(training, "gradient", checking)
+    tcfg = TrainConfig(epochs=2, iterations_per_epoch=3, batch_size=6,
+                       teacher_forcing_p=p, seed=5)
+    train(samples, samples, tcfg, cfg, tmp_path)
+    assert rows == 2 * 3 * 6
+    assert (changed > 0) == (p == 0)  # some rollouts differ from the truth
+
+
+def test_train_stops_early_and_keeps_the_best_epochs_checkpoint(tmp_path, monkeypatch):
+    """Validation losses 1.0, 0.5, 0.6, 0.7 with patience 1: the loop stops
+    after epoch 3, and best.ckpt is the one epoch 1 wrote."""
+    samples = make_samples(np.random.default_rng(13), 8)
+    cfg = reduced_cfg("lstm")
+
+    def run(epochs, out):
+        losses = iter([1.0, 0.5, 0.6, 0.7, 0.8, 0.9])
+        monkeypatch.setattr(training, "evaluate_loss", lambda *args: next(losses))
+        tcfg = TrainConfig(epochs=epochs, iterations_per_epoch=2, batch_size=4,
+                           teacher_forcing_p=0.5, seed=6, patience=1)
+        return train(samples, samples, tcfg, cfg, tmp_path / out)
+    result = run(6, "stopped")
+    assert result["epochs_run"] == 4
+    assert [row[3] for row in result["history"]] == [1.0, 0.5, 0.6, 0.7]
+    assert result["best_val_loss"] == 0.5
+    assert len(result["metrics"].read_text().splitlines()) == 1 + 4
+    ckpt = result["checkpoint"].read_bytes()
+    assert ckpt == run(2, "epoch1")["checkpoint"].read_bytes()
+    assert ckpt != run(1, "epoch0")["checkpoint"].read_bytes()
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_gradient_raises_diverged_on_a_nan_feature(arch):
+    rng = np.random.default_rng(14)
+    cfg = reduced_cfg(arch)
+    params = init_params(cfg, rng)
+    X, S, targets = random_batch(rng)
+    X[1, 2, 5] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDiverged, match="non-finite training loss"):
+            gradient(params, X, S, targets, cfg)
 
 
 def test_rollout_and_validation_get_an_untaped_view(tmp_path, monkeypatch):
