@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Just enough generic ops for the sequence models: addition, multiplication,
-division, sigmoid, sums, slicing and concatenation.  Only a constant operand
-broadcasts in them; an operand that needs a gradient must have the result's
-shape.  A projection by a 2-D weight (``linear``) and multi-head scaled
-dot-product attention are one node each, and the model's heavier layers
-build their own single nodes with ``Tensor._make``.  Gradients are exact;
-the test suite checks them against central finite differences.
+division, sigmoid, sums, slicing, row gathers and concatenation.  Only a
+constant operand broadcasts in them; an operand that needs a gradient must
+have the result's shape.  A projection by a 2-D weight (``linear``) and
+multi-head scaled dot-product attention are one node each, and the model's
+heavier layers build their own single nodes with ``Tensor._make``.
+Gradients are exact; the test suite checks them against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -160,6 +161,17 @@ def concat(tensors, axis=0):
                 t._accum(g[tuple(sl)])
             offset += size
     return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
+
+
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``x[index]`` along the first axis, as one node; a row of ``x`` may
+    be read many times or never.  The backward sums each row's gradients
+    with one (rows of ``x``, len(index)) indicator product."""
+    index = np.asarray(index)
+    def back(g):
+        onehot = (np.arange(x.shape[0])[:, None] == index).astype(np.float64)
+        x._accum((onehot @ g.reshape(len(index), -1)).reshape(x.shape))
+    return Tensor._make(x.data[index], (x,), back)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

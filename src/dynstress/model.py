@@ -8,6 +8,7 @@ classify the result into three independent VAD probabilities.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat, linear
+from .autodiff import Tensor, attention, concat, linear, take_rows
 from .segmentation import DataError
 from .vad import DEFAULT_CODE, VadCode
 
@@ -36,7 +37,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ("lstm", "transformer"):
             raise DataError(f"unknown architecture {self.arch!r}")
-        for name in ("feature_dim", "hidden", "ffn"):
+        # every encoder has a layer: the speech encoder's last one computes
+        # the only state the head reads
+        for name in ("feature_dim", "hidden", "ffn", "layers", "ctx_layers"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if self.heads < 1 or self.hidden % self.heads != 0:
@@ -174,16 +177,21 @@ def layer_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(xn * g.data + b.data, (x, g, b), back)
 
 
+@functools.lru_cache(maxsize=None)
 def positional_encoding(length: int, dim: int) -> np.ndarray:
+    """Sinusoidal positions (length, dim), computed once per shape and shared
+    by every caller, so the array is read-only."""
     pos = np.arange(length)[:, None]
     i = np.arange(dim)[None, :]
     angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    enc.flags.writeable = False
     return enc
 
 
-def _self_attention(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    q = linear(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
+def _self_attention(xq: Tensor, x: Tensor, params, prefix: str, heads: int) -> Tensor:
+    """Attention of the rows ``xq`` over keys and values of every row ``x``."""
+    q = linear(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = linear(x, params[f"{prefix}.wk"])
     v = linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
     out = attention(q, k, v, heads)
@@ -201,13 +209,17 @@ def _gelu(x: Tensor) -> Tensor:
     return Tensor._make(0.5 * a * (1.0 + t), (x,), back)
 
 
-def transformer_layer(x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    # Pre-norm: residual around attention, then around the feed-forward.
-    a = _self_attention(
-        layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"]),
-        params, f"{prefix}.attn", heads,
-    )
-    x = x + a
+def transformer_layer(
+    x: Tensor, params, prefix: str, heads: int, last: bool = False,
+) -> Tensor:
+    """Pre-norm layer: residual around attention, then around the
+    feed-forward.  With ``last``, only the last row's output (B, 1, H) is
+    computed; it still attends to every row."""
+    h = layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+    hq = h
+    if last:
+        x, hq = x[:, -1:, :], h[:, -1:, :]
+    x = x + _self_attention(hq, h, params, f"{prefix}.attn", heads)
     h = layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     ff = _gelu(linear(h, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
     ff = linear(ff, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
@@ -216,11 +228,15 @@ def transformer_layer(x: Tensor, params, prefix: str, heads: int) -> Tensor:
 
 def transformer_states(
     h: Tensor, params, cfg: ModelConfig, prefix: str, n_layers: int,
+    last: bool = False,
 ) -> Tensor:
-    """Encoder states (B, T, H) of projected inputs; adds the positions."""
+    """Encoder states (B, T, H) of projected inputs; adds the positions.  With
+    ``last``, only the last state (B, 1, H), which the last layer computes
+    for the last row alone."""
     h = h + Tensor(positional_encoding(h.shape[1], cfg.hidden))
     for i in range(n_layers):
-        h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads)
+        h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads,
+                              last and i == n_layers - 1)
     return layer_norm(h, params[f"{prefix}.lnf.g"], params[f"{prefix}.lnf.b"])
 
 
@@ -267,11 +283,12 @@ def speech_inputs(X: np.ndarray, params, cfg: ModelConfig) -> Tensor:
 
 
 def speech_states(P: Tensor, params, cfg: ModelConfig) -> Tensor:
-    """Speech encoder states (B, T, H) of projected windows ``P``.  They do
-    not depend on the context, so inference encodes each window only once."""
+    """Last speech encoder state (B, 1, H) of projected windows ``P``, the
+    only one the head reads.  It does not depend on the context, so
+    inference encodes each window only once."""
     if cfg.arch == "lstm":
-        return lstm_states(P, params["speech_lstm.u"])
-    return transformer_states(P, params, cfg, "enc", cfg.layers)
+        return lstm_states(P, params["speech_lstm.u"])[:, -1:, :]
+    return transformer_states(P, params, cfg, "enc", cfg.layers, last=True)
 
 
 def context_states(S: np.ndarray, params, cfg: ModelConfig) -> Tensor:
@@ -297,21 +314,32 @@ def readout(q: Tensor, hc: Tensor, k: Tensor, v: Tensor, params, cfg) -> Tensor:
     return linear(last, params["head.w"], params["head.b"]).sigmoid()
 
 
+def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``S`` in order of first appearance, and the
+    position of each row of ``S`` among them."""
+    first: dict[bytes, int] = {}
+    index = np.array([first.setdefault(row.tobytes(), len(first)) for row in S],
+                     dtype=np.intp)
+    distinct = np.empty((len(first), *S.shape[1:]), dtype=S.dtype)
+    distinct[index] = S  # repeated rows write the same bytes
+    return distinct, index
+
+
 def fuse(
     hs: Tensor, S: np.ndarray, params, cfg: ModelConfig,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Probabilities (B, 3) from speech states ``hs`` (B, T, H) and contexts
-    ``S`` (B, T', 3): the context encoder, dropout, cross-attention and head.
-    Only the last speech state is read."""
-    hc = context_states(S, params, cfg)
-    # The head reads only the last position, so only it queries the context.
-    query = hs[:, -1:, :]
+    """Probabilities (B, 3) from last speech states ``hs`` (B, 1, H) and
+    contexts ``S`` (B, T', 3): the context encoder, dropout, cross-attention
+    and head."""
+    # A batch repeats few contexts: encode each once, then gather every row.
+    distinct, index = _distinct_rows(S)
+    hc = take_rows(context_states(distinct, params, cfg), index)
     if rng is not None and cfg.dropout > 0:
         # the speech mask is drawn before the context mask
-        query = _dropout(query, cfg.dropout, rng)
+        hs = _dropout(hs, cfg.dropout, rng)
         hc = _dropout(hc, cfg.dropout, rng)
-    q = linear(query, params["attn.wq"], params["attn.bq"])
+    q = linear(hs, params["attn.wq"], params["attn.bq"])
     return readout(q, *context_memory(hc, params), params, cfg)
 
 

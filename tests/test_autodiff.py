@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, attention, concat, linear
+from dynstress.autodiff import Tensor, attention, concat, linear, take_rows
 from dynstress.model import _gelu, layer_norm, lstm_states
 from dynstress.training import _bce_terms, numerical_gradient
 
@@ -26,6 +26,7 @@ OPS = {
     "mean": lambda a, b: a.mean(),
     "getitem": lambda a, b: a[:, 1:3],
     "concat": lambda a, b: concat([a, b], axis=1),
+    "take_rows": lambda a, b: take_rows(a, [2, 0, 2]),
     "lstm": lambda a, b: lstm_on(a[None], linear(Tensor(b.data.T), b), b[:1], b[0]),
     "layer_norm": lambda a, b: layer_norm(a, b[0], b[1]),
     "attention": lambda a, b: attention(a[None], b[None], b[None], 2),
@@ -95,6 +96,23 @@ def test_getitem_basic_key_gradient(key):
         return (x[key] * weights).sum() + (x * x).sum()
 
     graph().backward()
+    num = numerical_gradient(lambda: float(graph().data), {"x": x}, h=1e-6)
+    assert np.allclose(x.grad, num["x"], rtol=1e-6, atol=1e-8)
+
+
+def test_take_rows_gradient_with_repeated_and_unread_rows():
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(4, 2, 3)), requires_grad=True)
+    index = np.array([2, 0, 2, 2, 1])  # row 2 is read three times, row 3 never
+    weights = rng.normal(size=(5, 2, 3))
+
+    def graph():
+        return (take_rows(x, index) * weights).sum()
+
+    assert take_rows(x, index).data.tobytes() == x.data[index].tobytes()
+    graph().backward()
+    assert np.all(x.grad[3] == 0.0)
+    assert np.allclose(x.grad[2], weights[[0, 2, 3]].sum(axis=0), rtol=1e-12, atol=0)
     num = numerical_gradient(lambda: float(graph().data), {"x": x}, h=1e-6)
     assert np.allclose(x.grad, num["x"], rtol=1e-6, atol=1e-8)
 

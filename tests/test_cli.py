@@ -148,8 +148,9 @@ def test_config_file_sets_only_optional_flags(data_dir):
 
 
 def write_checkpoints(d):
-    """A valid checkpoint plus two CRC-valid ones with a bad header, one cut
-    inside the model dimensions and one naming the architecture 'gru', and
+    """A valid checkpoint plus three CRC-valid ones with a bad header, one cut
+    inside the model dimensions, one naming the architecture 'gru' and one
+    with zero speech layers, and
     three whose tensors do not fit the header's model: one without `head.w`,
     one with `head.w` of the wrong shape, one with a NaN `head.b`."""
     cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
@@ -164,7 +165,9 @@ def write_checkpoints(d):
     body = (d / "good.ckpt").read_bytes()[:-4]
     # magic (4), version (4), arch length (1), arch, six model dimensions
     assert body[8:13] == b"\x04lstm"
-    for name, edited in (("cut", body[:23]), ("gru", body[:8] + b"\x03gru" + body[13:])):
+    zero_layers = body[:21] + struct.pack("<I", 0) + body[25:]  # the third dimension
+    for name, edited in (("cut", body[:23]), ("gru", body[:8] + b"\x03gru" + body[13:]),
+                         ("zero-layers", zero_layers)):
         (d / f"{name}.ckpt").write_bytes(edited + struct.pack("<I", zlib.crc32(edited)))
 
 
@@ -189,6 +192,7 @@ INPUT_ERRORS = {
     "bad-sweep-n": ["sweep", "--n", "1..q"],
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
+    "checkpoint-zero-layers": ["eval", "--ckpt", "zero-layers.ckpt"],
     "checkpoint-missing-tensor": ["eval", "--ckpt", "no-head.ckpt"],
     "checkpoint-tensor-wrong-shape": ["ablate", "--ckpt", "bad-head.ckpt"],
     "checkpoint-tensor-nan": ["eval", "--ckpt", "nan-head.ckpt"],

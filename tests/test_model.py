@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -251,6 +252,27 @@ def test_positional_encoding_values():
     assert np.allclose(enc[0], [0, 1, 0, 1, 0, 1])
 
 
+def test_positional_encoding_is_computed_once_read_only_and_exact():
+    enc = positional_encoding(5, 6)
+    for p in range(5):
+        for j in range(6):
+            angle = p / 10000.0 ** (2 * (j // 2) / 6)
+            want = math.sin(angle) if j % 2 == 0 else math.cos(angle)
+            assert enc[p, j] == pytest.approx(want, rel=0, abs=1e-15), (p, j)
+    assert not enc.flags.writeable
+    with pytest.raises(ValueError):
+        enc[0, 0] = 1.0
+    assert positional_encoding(5, 6) is enc
+    # encoder calls reuse the cached array: a second forward computes none
+    cfg = tr_cfg()
+    params = make_params(cfg)
+    x = np.random.default_rng(8).normal(size=(2, 3, 6))
+    speech_transformer(x, params, cfg)
+    misses = positional_encoding.cache_info().misses
+    speech_transformer(x, params, cfg)
+    assert positional_encoding.cache_info().misses == misses
+
+
 # --- forward_batch on one sequence ---
 
 def test_forward_zero_params_gives_half_probs():
@@ -330,6 +352,14 @@ def test_forward_golden_regression():
 def test_model_config_rejects_bad_settings(setting):
     with pytest.raises(DataError):
         ModelConfig(**{"arch": "lstm", "feature_dim": 4, **setting})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["layers", "ctx_layers"])
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_model_config_rejects_non_positive_layer_counts(arch, field, value):
+    with pytest.raises(DataError, match=f"^{field} must be positive"):
+        ModelConfig(arch, feature_dim=4, **{field: value})
 
 
 @pytest.mark.parametrize("cfg, count", [(lstm_cfg(), 13), (tr_cfg(), 60)],

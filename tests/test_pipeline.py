@@ -11,12 +11,13 @@ from dynstress.model import (
     context_array,
     context_states,
     forward_batch,
-    fuse,
     init_params,
+    lstm_states,
     make_context,
     param_names,
     speech_inputs,
     speech_states,
+    transformer_states,
 )
 from dynstress.pipeline import (
     build_samples,
@@ -325,15 +326,20 @@ def test_context_encoder_runs_once_per_distinct_context(arch, monkeypatch):
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
-def test_fuse_without_dropout_reads_only_the_last_speech_state(arch):
+def test_speech_states_are_the_last_row_of_the_full_encoder(arch):
+    """The speech encoder computes only the state the head reads: the LSTM
+    slices its recurrence, and the transformer's last layer (of two) runs on
+    the last row alone."""
     cfg = ModelConfig(arch, feature_dim=4, hidden=8, heads=2, ffn=16, dropout=0.3)
     params = init_params(cfg, np.random.default_rng(2))
-    rng = np.random.default_rng(3)
-    hs = speech_states(speech_inputs(rng.normal(size=(2, 4, 4)), params, cfg),
-                       params, cfg)
-    S = np.stack([context_array(make_context([VadCode(1, 0, 1)] * 3))] * 2)
-    whole = fuse(hs, S, params, cfg).data
-    assert whole.tobytes() == fuse(hs[:, -1:, :], S, params, cfg).data.tobytes()
+    P = speech_inputs(np.random.default_rng(3).normal(size=(2, 4, 4)), params, cfg)
+    if arch == "lstm":
+        full = lstm_states(P, params["speech_lstm.u"]).data
+    else:
+        full = transformer_states(P, params, cfg, "enc", cfg.layers).data
+    last = speech_states(P, params, cfg).data
+    assert last.shape == (2, 1, 8)
+    assert np.abs(last - full[:, -1:]).max() <= 1e-12 * np.abs(full[:, -1:]).max()
 
 
 def test_predict_recording_rejects_negative_history():

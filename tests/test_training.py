@@ -6,9 +6,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynstress import training
-from dynstress.autodiff import Tensor
-from dynstress.model import ModelConfig, forward_batch, init_params, param_names
+from dynstress import model, training
+from dynstress.autodiff import Tensor, linear
+from dynstress.model import (
+    ModelConfig,
+    context_memory,
+    context_states,
+    forward_batch,
+    init_params,
+    lstm_states,
+    param_names,
+    readout,
+    speech_inputs,
+    transformer_states,
+)
 from dynstress.pipeline import RecordingData, build_samples
 from dynstress.training import (
     EVAL_BATCH,
@@ -46,6 +57,14 @@ def random_batch(rng, B=2, T=3, d=8):
     return X, S, targets
 
 
+def repeated_context_batch(rng, B=12, T=4, distinct=4):
+    """A batch whose rows cycle through ``distinct`` contexts."""
+    X, S, targets = random_batch(rng, B=B, T=T)
+    S = S[np.arange(B) % distinct]
+    assert len({row.tobytes() for row in S}) == distinct
+    return X, S, targets
+
+
 def test_bce_half_probs():
     rep = bce_loss((0.5, 0.5, 0.5), VadCode(0, 1, 0))
     assert rep.total == pytest.approx(math.log(2), abs=1e-12)
@@ -70,16 +89,22 @@ def test_bce_total_is_mean_of_components():
     )
 
 
-@pytest.mark.parametrize("arch, dropout", [
-    ("lstm", 0.0), ("transformer", 0.0), ("lstm", 0.3), ("transformer", 0.3),
-], ids=["lstm", "transformer", "lstm-dropout", "transformer-dropout"])
-def test_gradient_matches_finite_differences(arch, dropout):
+@pytest.mark.parametrize("arch, dropout, repeated", [
+    ("lstm", 0.0, False), ("transformer", 0.0, False), ("lstm", 0.3, False),
+    ("transformer", 0.3, False), ("lstm", 0.3, True), ("transformer", 0.3, True),
+], ids=["lstm", "transformer", "lstm-dropout", "transformer-dropout",
+        "lstm-repeated-contexts", "transformer-repeated-contexts"])
+def test_gradient_matches_finite_differences(arch, dropout, repeated):
     """With dropout, a fresh rng of one seed for every loss evaluation fixes
-    the masks, so central differences check the dropout backward too."""
+    the masks, so central differences check the dropout backward too.  Rows
+    that share a context add their gradients through the gather."""
     cfg = replace(reduced_cfg(arch), dropout=dropout)
     rng = np.random.default_rng(1)
     params = init_params(cfg, rng)
-    X, S, targets = random_batch(rng, B=1)
+    if repeated:
+        X, S, targets = repeated_context_batch(rng, B=3, T=3, distinct=2)
+    else:
+        X, S, targets = random_batch(rng, B=1)
 
     def masks():
         return np.random.default_rng(5) if dropout else None
@@ -141,6 +166,85 @@ def test_gradient_leaves_no_cyclic_garbage(arch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def plain_forward(X, S, params, cfg, rng=None):
+    """``forward_batch`` without its savings: the speech encoder computes
+    every row's state and the context encoder encodes every row."""
+    P = speech_inputs(X, params, cfg)
+    if cfg.arch == "lstm":
+        hs = lstm_states(P, params["speech_lstm.u"])
+    else:
+        hs = transformer_states(P, params, cfg, "enc", cfg.layers)
+    hs, hc = hs[:, -1:, :], context_states(S, params, cfg)
+    if rng is not None and cfg.dropout > 0:  # the speech mask first, as in fuse
+        hs = hs * Tensor((rng.random(hs.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+        hc = hc * Tensor((rng.random(hc.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+    q = linear(hs, params["attn.wq"], params["attn.bq"])
+    return readout(q, *context_memory(hc, params), params, cfg)
+
+
+def within(got, want, scale=1e-12):
+    return np.abs(got - want).max() <= scale * np.abs(want).max()
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_forward_and_gradient_equal_the_plain_path(arch, monkeypatch):
+    """Encoding each distinct context once and only the last speech row
+    changes no probability and no gradient beyond rounding, dropout on."""
+    # two speech layers: the last-row layer reads a full one's output
+    cfg = replace(reduced_cfg(arch), dropout=0.3, layers=2)
+    rng = np.random.default_rng(31)
+    params = init_params(cfg, rng)
+    X, S, targets = repeated_context_batch(rng)
+
+    def masks():
+        return np.random.default_rng(5)
+
+    probs = forward_batch(X, S, params, cfg, rng=masks()).data
+    assert not np.array_equal(probs, forward_batch(X, S, params, cfg).data)
+    assert within(probs, plain_forward(X, S, params, cfg, rng=masks()).data)
+    loss, grads = gradient(params, X, S, targets, cfg, rng=masks())
+    monkeypatch.setattr(training, "forward_batch", plain_forward)
+    want_loss, want = gradient(params, X, S, targets, cfg, rng=masks())
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+    for n in param_names(params):
+        assert np.any(want[n] != 0.0), n
+        assert within(grads[n], want[n]), n
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_context_encoder_sees_each_distinct_context_once(arch, monkeypatch):
+    """The gradient, rollout and validation forwards each encode only the
+    distinct contexts of their batch."""
+    rng = np.random.default_rng(32)
+    cfg = replace(reduced_cfg(arch), dropout=0.3)
+    params = init_params(cfg, rng)
+    samples = make_samples(rng, 24)
+    pool = [samples[k].context for k in range(3)]
+    assert len({c.tobytes() for c in pool}) == 3
+    prev = [((i + 5) % 24, (i + 7) % 24) for i in range(24)]
+    samples = [replace(s, context=pool[i % 3], prev_indices=prev[i])
+               for i, s in enumerate(samples)]
+    encoded = []
+
+    def counting(S, *args):
+        encoded.append(len(S))
+        return context_states(S, *args)
+
+    monkeypatch.setattr(model, "context_states", counting)
+    idx = np.arange(16)
+    X = np.stack([samples[i].features for i in idx])
+    S = np.stack([samples[i].context for i in idx])
+    targets = training._targets([samples[i] for i in idx])
+    gradient(params, X, S, targets, cfg, rng=np.random.default_rng(0))
+    assert encoded == [3]
+    encoded.clear()
+    _rollout_contexts(samples, idx, params, cfg)
+    assert encoded == [3]
+    encoded.clear()
+    evaluate_loss(samples, params, cfg)
+    assert encoded == [3]
 
 
 def test_adam_zero_gradient_is_noop():
