@@ -43,9 +43,11 @@ class _Parser(argparse.ArgumentParser):
 def _read_config_file(path: str) -> dict:
     """Simple key=value config; '#' starts a comment."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as e:
         raise DataError(f"cannot read config file {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: config file is not UTF-8 (byte {e.start})") from None
     values = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -208,12 +210,18 @@ def cmd_extract(args, out):
 
 def _load_split(args, records, split: str, mfcc_cfg, use: str) -> list:
     """RecordingData of ``split`` in manifest order, an error when it has
-    none; the clips of other splits are never decoded."""
+    none or when its feature widths differ; the clips of other splits are
+    never decoded."""
     lab = _lab_cfg(args)
     recs = [rd for rec in records if rec.split == split for rd in
             pipeline.load_recording(rec, _base_dir(args), args.features, lab, mfcc_cfg)]
     if not recs:
         raise DataError(f"no recordings to {use} in split {split!r}")
+    width = recs[0].features.shape[1]
+    for rd in recs:
+        if rd.features.shape[1] != width:
+            raise DataError(f"{rd.clip_id}: features are {rd.features.shape[1]} wide, "
+                            f"but {recs[0].clip_id}'s are {width}")
     return recs
 
 

@@ -147,6 +147,10 @@ def concat_augment(
             )
         if c.text_id != text:
             raise DataError(f"text mismatch: {c.text_id!r} vs {text!r}")
+    # NaN fails too; a 16-bit WAV's 32-bit data size holds under 2**31 samples
+    if not 0.0 <= gap_s * REQUIRED_SAMPLE_RATE < 2**31:
+        raise DataError(f"gap_s must be a non-negative number of seconds "
+                        f"that fits in a WAV file, got {gap_s}")
     gap = np.zeros(int(round(gap_s * REQUIRED_SAMPLE_RATE)))
     pieces, spans = [], []
     cursor = 0.0

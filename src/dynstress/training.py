@@ -247,35 +247,30 @@ def _targets(samples: Sequence[TrainSample]) -> np.ndarray:
     return np.array([s.target.as_tuple() for s in samples], dtype=np.float64)
 
 
-def _batched_probs(samples: Sequence[TrainSample], params, cfg: ModelConfig):
-    """(chunk, probabilities) per batch of samples, ground-truth contexts."""
+def evaluate_loss(samples: Sequence[TrainSample], params,
+                  cfg: ModelConfig) -> tuple[float, EvalReport]:
+    """Mean BCE and the stress confusion counts over samples with
+    ground-truth contexts, both from one forward per ``EVAL_BATCH`` chunk;
+    ``perfbench`` traces it by this name as ``training.validation``.
+    Records a tape only when ``params`` are trainable; ``train`` passes an
+    untaped view."""
+    total = 0.0
+    preds, truths = [], []
     for lo in range(0, len(samples), EVAL_BATCH):
         chunk = samples[lo : lo + EVAL_BATCH]
         X = np.stack([s.features for s in chunk])
         S = np.stack([s.context for s in chunk])
-        yield chunk, forward_batch(X, S, params, cfg)
-
-
-def evaluate_loss(samples: Sequence[TrainSample], params, cfg: ModelConfig) -> float:
-    """Mean BCE over samples with ground-truth contexts.  Records a tape
-    only when ``params`` are trainable; ``train`` passes an untaped view."""
-    total = 0.0
-    for chunk, probs in _batched_probs(samples, params, cfg):
-        losses = _bce_terms(probs, _targets(chunk)).data.mean(axis=1)
-        total += float(losses.sum())
-    return total / max(len(samples), 1)
+        probs = forward_batch(X, S, params, cfg)
+        total += float(_bce_terms(probs, _targets(chunk)).data.mean(axis=1).sum())
+        preds += [is_stress(decode(p)) for p in probs.data]
+        truths += [is_stress(s.target) for s in chunk]
+    return total / max(len(samples), 1), EvalReport.from_pairs(preds, truths)
 
 
 def evaluate_accuracy(samples: Sequence[TrainSample], params,
                       cfg: ModelConfig) -> tuple[float, float]:
-    """Segment accuracy / F1 on the stress decision, ground-truth contexts.
-    Records a tape only when ``params`` are trainable; ``train`` passes an
-    untaped view."""
-    preds, truths = [], []
-    for chunk, probs in _batched_probs(samples, params, cfg):
-        preds += [is_stress(decode(p)) for p in probs.data]
-        truths += [is_stress(s.target) for s in chunk]
-    report = EvalReport.from_pairs(preds, truths)
+    """Segment accuracy / F1 on the stress decision, ground-truth contexts."""
+    report = evaluate_loss(samples, params, cfg)[1]
     return report.accuracy, report.f1
 
 
@@ -324,11 +319,10 @@ def train(
             epoch_loss += loss
             step += 1
         train_loss = epoch_loss / tcfg.iterations_per_epoch
-        val_loss = evaluate_loss(val_samples, const, mcfg)
+        val_loss, val = evaluate_loss(val_samples, const, mcfg)
         if not np.isfinite(val_loss):
             raise TrainingDiverged(f"non-finite validation loss: {val_loss}")
-        val_acc, val_f1 = evaluate_accuracy(val_samples, const, mcfg)
-        rows.append((epoch, step, train_loss, val_loss, val_acc, val_f1, opt.lr))
+        rows.append((epoch, step, train_loss, val_loss, val.accuracy, val.f1, opt.lr))
         if stopper.update(val_loss):
             save_checkpoint(ckpt_path, params, mcfg)
         if stopper.stop:

@@ -9,7 +9,7 @@ import pytest
 from dynstress import cli, segmentation
 from dynstress.autodiff import Tensor
 from dynstress.cli import main
-from dynstress.features import read_fseq
+from dynstress.features import read_fseq, write_fseq
 from dynstress.model import ModelConfig, init_params, save_checkpoint
 from dynstress.segmentation import write_wav
 from dynstress.training import TrainingDiverged
@@ -214,11 +214,17 @@ INPUT_ERRORS = {
     "span-bound-is-a-string": ["label"],
     "span-bound-is-a-boolean": ["label"],
     "manifest-repeats-utterance-id": ["eval", "--ckpt", "good.ckpt"],
+    "config-not-utf8": ["label", "--config", "latin1.cfg"],
+    "augment-gap-negative": ["augment", "--gap-s", "-1"],
+    "augment-gap-nan": ["augment", "--gap-s", "nan"],
+    "augment-gap-inf": ["augment", "--gap-s", "inf"],
+    "augment-gap-beyond-a-wav": ["augment", "--gap-s", "1e300"],
 }
 
 # Cases above that write or replace one fixture file: (file name, new bytes).
 BROKEN_FILES = {
     "config-boolean-not-recognised": ("bad-bool.cfg", lambda d: b"deltas = on\n"),
+    "config-not-utf8": ("latin1.cfg", lambda d: b"tau = 0.5  # caf\xe9\n"),
     "no-spans": ("manifest.jsonl", lambda d: "".join(
         manifest_line(name, []) + "\n" for name in ("a", "b")).encode()),
     "manifest-line-is-a-list": ("manifest.jsonl", lambda d: b"[1]\n"),
@@ -260,6 +266,23 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_train_rejects_feature_files_of_different_widths(data_dir, capsys):
+    """The embedding files of one split must share a width: a mismatch is a
+    data error naming the recording and both widths, not a stacking error."""
+    emb = data_dir / "emb"
+    emb.mkdir()
+    rng = np.random.default_rng(5)
+    for name, width in (("a", 8), ("b", 9)):
+        write_fseq(emb / f"{name}.fseq", rng.normal(size=(5, width)))
+    (data_dir / "manifest.jsonl").write_text("".join(
+        manifest_line(name, [(0, 30, "fear")]) + "\n" for name in ("a", "b")))
+    code = run(["train", "--manifest", data_dir / "manifest.jsonl",
+                "--out", data_dir / "run", "--features", f"file:{emb}",
+                "--n", "2", "--epochs", "1", "--iterations", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: b#0: features are 9 wide, but a#0's are 8\n"
 
 
 def test_extract_writes_fseq(data_dir):

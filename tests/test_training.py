@@ -8,6 +8,7 @@ import pytest
 
 from dynstress import model, training
 from dynstress.autodiff import Tensor, linear
+from dynstress.evaluation import EvalReport
 from dynstress.model import (
     ModelConfig,
     context_memory,
@@ -491,7 +492,8 @@ def test_train_stops_early_and_keeps_the_best_epochs_checkpoint(tmp_path, monkey
 
     def run(epochs, out):
         losses = iter([1.0, 0.5, 0.6, 0.7, 0.8, 0.9])
-        monkeypatch.setattr(training, "evaluate_loss", lambda *args: next(losses))
+        monkeypatch.setattr(training, "evaluate_loss",
+                            lambda *args: (next(losses), EvalReport(1, 1, 1, 1)))
         tcfg = TrainConfig(epochs=epochs, iterations_per_epoch=2, batch_size=4,
                            teacher_forcing_p=0.5, seed=6, patience=1)
         return train(samples, samples, tcfg, cfg, tmp_path / out)
@@ -534,12 +536,36 @@ def test_rollout_and_validation_get_an_untaped_view(tmp_path, monkeypatch):
     tcfg = TrainConfig(epochs=1, iterations_per_epoch=3, batch_size=4,
                        teacher_forcing_p=0.0, seed=4)
     result = train(samples, samples, tcfg, reduced_cfg("lstm"), tmp_path)
-    assert len(seen) == 3 + 2
+    assert len(seen) == 3 + 1  # three rollouts, one validation pass
     for view in seen:
         assert view is seen[0]
         for n, p in result["params"].items():
             assert not view[n].requires_grad
             assert view[n].data is p.data
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_train_runs_one_validation_forward_per_epoch(tmp_path, monkeypatch, arch):
+    """With the validation set inside one EVAL_BATCH chunk, each epoch runs
+    the model over the validation rows exactly once, for the loss and the
+    accuracy and F1 that metrics.csv records alike."""
+    rng = np.random.default_rng(17)
+    train_samples, val_samples = make_samples(rng, 8), make_samples(rng, 10)
+    assert len(val_samples) <= EVAL_BATCH
+    val_X = np.stack([s.features for s in val_samples])
+    val_forwards = 0
+
+    def counting(X, *args, **kwargs):
+        nonlocal val_forwards
+        val_forwards += X.shape == val_X.shape and np.array_equal(X, val_X)
+        return forward_batch(X, *args, **kwargs)
+    monkeypatch.setattr(training, "forward_batch", counting)
+    epochs = 3
+    tcfg = TrainConfig(epochs=epochs, iterations_per_epoch=2, batch_size=4,
+                       teacher_forcing_p=0.5, seed=8, patience=epochs)
+    result = train(train_samples, val_samples, tcfg, reduced_cfg(arch), tmp_path)
+    assert result["epochs_run"] == epochs
+    assert val_forwards == epochs
 
 
 def test_train_rejects_empty(tmp_path):
@@ -557,9 +583,10 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
 def test_validation_matches_numpy_bce_and_confusion_counts(arch):
-    """evaluate_loss equals a numpy BCE bit for bit, and evaluate_accuracy a
-    hand-counted confusion matrix, including probabilities clamped at 0/1,
-    over two full validation chunks and a short last one."""
+    """evaluate_loss returns a numpy BCE bit for bit and a hand-counted
+    confusion matrix, and evaluate_accuracy scores that matrix, including
+    probabilities clamped at 0/1, over two full validation chunks and a
+    short last one."""
     rng = np.random.default_rng(31)
     samples = make_samples(rng, 150)
     assert len(samples) > 2 * EVAL_BATCH
@@ -589,8 +616,9 @@ def test_validation_matches_numpy_bce_and_confusion_counts(arch):
             fn += truth and not pred
             tn += not pred and not truth
     assert tp and tn and (fp or fn)  # every branch of the scorer is reached
-    got = evaluate_loss(samples, params, cfg)
+    got, report = evaluate_loss(samples, params, cfg)
     assert got.hex() == (total / len(samples)).hex()
+    assert report == EvalReport(tp=tp, fp=fp, tn=tn, fn=fn)
     acc, f1 = evaluate_accuracy(samples, params, cfg)
     assert acc == (tp + tn) / len(samples)
     assert f1 == 2 * tp / (2 * tp + fp + fn)
