@@ -3,7 +3,9 @@ precomputed self-supervised embeddings (d=1024)."""
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -79,6 +81,9 @@ _FRAME_LEN = int(round(MfccConfig.frame_len_s * REQUIRED_SAMPLE_RATE))
 _FRAME_HOP = int(round(MfccConfig.frame_hop_s * REQUIRED_SAMPLE_RATE))
 _WINDOW_FRAMES = (WINDOW_SAMPLES - _FRAME_LEN) // _FRAME_HOP + 1  # 998
 _HOP_FRAMES = HOP_SAMPLES // _FRAME_HOP  # 500
+# Every block, a clip's last included, holds 248 or 250 frames.  numpy may
+# give a row of a far smaller batch other last bits: a 10-frame one did.
+_BLOCK_FRAMES = _HOP_FRAMES // 2  # 250
 _HANN = np.hanning(_FRAME_LEN)
 _FILTERBANK = mel_filterbank()
 _DCT = dct_basis(MfccConfig.n_mels).T[:, : MfccConfig.n_coeffs]
@@ -134,17 +139,48 @@ def pool_window(frames: np.ndarray) -> np.ndarray:
     return frames.mean(axis=0)
 
 
+# The caller computes blocks next to one helper per further CPU the process
+# may use; numpy's FFT, GEMMs and ufuncs release the GIL on blocks this size.
+# Threads start on first submit, and the pool needs at least one.
+_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1) - 1
+
+
+def _start_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(max(_HELPERS, 1), thread_name_prefix="window_mfcc")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads, so the parent's pool
+    # would queue its blocks forever
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _fill_rows(rows: np.ndarray, samples: np.ndarray, blocks) -> None:
+    """Write the rows of each block that ``blocks`` starts.  Threads share
+    one range iterator, whose ``next`` is atomic under the GIL."""
+    for lo in blocks:
+        hi = min(lo + _BLOCK_FRAMES, len(rows))
+        rows[lo:hi] = _mfcc_rows(
+            samples[lo * _FRAME_HOP : (hi - 1) * _FRAME_HOP + _FRAME_LEN]
+        )
+
+
 def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """Pooled features of every 10 s / 5 s window of a clip, shape
     (n_windows, d) with d = 40, or 80 with deltas; trailing audio shorter
     than a hop is dropped.
 
     Each frame is computed once: window k pools clip frames
-    [500k, 500k + 998).  Frames are computed in blocks of one hop whose
+    [500k, 500k + 998).  Frames are computed in blocks of 250 frames whose
     pre-emphasis restarts at the block's first sample.  The Hann window is
     exactly zero at that sample, so the restart never reaches a spectrum and
     every row is bit-identical to ``mfcc_frames`` of the window's samples.
-    Blocks also bound the memory that frames and spectra take.
+    Blocks also bound the memory that frames and spectra take.  The calling
+    thread computes blocks next to one helper thread per further CPU the
+    process may use; every helper has finished when this returns or raises.
     """
     samples = np.asarray(samples, dtype=np.float64)
     count = window_count(len(samples))
@@ -155,11 +191,16 @@ def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarr
         )
     n_frames = (count - 1) * _HOP_FRAMES + _WINDOW_FRAMES
     rows = np.empty((n_frames, MfccConfig.n_coeffs))
-    for lo in range(0, n_frames, _HOP_FRAMES):
-        hi = min(lo + _HOP_FRAMES, n_frames)
-        rows[lo:hi] = _mfcc_rows(
-            samples[lo * _FRAME_HOP : (hi - 1) * _FRAME_HOP + _FRAME_LEN]
-        )
+    starts = range(0, n_frames, _BLOCK_FRAMES)
+    blocks = iter(starts)
+    helpers = [_POOL.submit(_fill_rows, rows, samples, blocks)
+               for _ in range(min(_HELPERS, len(starts) - 1))]
+    try:
+        _fill_rows(rows, samples, blocks)
+    finally:
+        wait(helpers)  # no helper may write into rows after this returns
+    for helper in helpers:
+        helper.result()  # re-raises a helper's exception
     out = np.empty((count, cfg.dim))
     for k in range(count):
         frames = rows[k * _HOP_FRAMES : k * _HOP_FRAMES + _WINDOW_FRAMES]

@@ -1,3 +1,10 @@
+import os
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -20,6 +27,7 @@ from dynstress.segmentation import DataError
 
 SR = 16000
 TEN_S = 10 * SR
+BLOCK = 250 * 160  # samples from one MFCC block's start to the next
 
 
 def test_mel_scale_roundtrip():
@@ -153,17 +161,151 @@ def per_window_mfcc(x, cfg):
 
 
 @pytest.mark.parametrize("deltas", [False, True], ids=["mfcc", "deltas"])
-@pytest.mark.parametrize("n_samples", [TEN_S, 37 * SR + 4321], ids=["10s", "37s-ragged"])
+@pytest.mark.parametrize(
+    "n_samples", [TEN_S, 37 * SR + 4321, 121 * SR + 999],
+    ids=["10s", "37s-ragged", "121s-48-blocks"],
+)
 def test_window_mfcc_equals_per_window_path(n_samples, deltas):
     """Every clip frame is computed once, yet each row is bit-identical to
-    the window's own MFCC, whose pre-emphasis restarts at its first sample."""
+    the window's own MFCC, whose pre-emphasis restarts at its first sample.
+
+    A clip of n windows has 2n + 2 blocks of 250 frames, the last one 248
+    frames long: 4 blocks for the shortest clip, 48 for the longest here,
+    more than the threads that compute them."""
     x = 0.1 * np.random.default_rng(6).normal(size=n_samples)
-    # loud samples exactly at every window start expose a wrong restart
-    x[:: 5 * SR] = np.where(np.arange(len(x[:: 5 * SR])) % 2, -0.9, 0.9)
+    # loud samples exactly at every block start (and so at every window
+    # start) expose a wrong restart
+    x[::BLOCK] = np.where(np.arange(len(x[::BLOCK])) % 2, -0.9, 0.9)
     cfg = MfccConfig(include_deltas=deltas)
     got = window_mfcc(x, cfg)
     assert got.shape == ((n_samples - TEN_S) // (5 * SR) + 1, cfg.dim)
     assert np.array_equal(got, per_window_mfcc(x, cfg))
+
+
+@pytest.mark.parametrize("helpers", [None, 3], ids=["own-pool", "3-helpers"])
+def test_concurrent_window_mfcc_calls_match_lone_calls(monkeypatch, helpers):
+    """Callers that share the helper pool neither deadlock nor write into
+    each other's rows, also with more threads than cores and thread
+    switches as often as the interpreter allows."""
+    clips = [0.1 * np.random.default_rng(k).normal(size=(20 + 7 * k) * SR + 77 * k)
+             for k in range(4)]
+    cfg = MfccConfig(include_deltas=True)
+    want = [window_mfcc(clip, cfg) for clip in clips]
+    pool = None
+    if helpers is not None:
+        pool = ThreadPoolExecutor(helpers)
+        monkeypatch.setattr(features, "_POOL", pool)
+        monkeypatch.setattr(features, "_HELPERS", helpers)
+    got = [[] for _ in clips]
+
+    def run(k):
+        for _ in range(3):
+            got[k].append(window_mfcc(clips[k], cfg))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(clips))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if pool is not None:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    for rows, expected in zip(got, want):
+        assert len(rows) == 3
+        assert all(np.array_equal(r, expected) for r in rows)
+
+
+def test_window_mfcc_starts_its_helper_threads_once(monkeypatch):
+    real = features._mfcc_rows
+    workers = set()
+
+    def recording_rows(samples):
+        workers.add(threading.current_thread())
+        return real(samples)
+
+    monkeypatch.setattr(features, "_mfcc_rows", recording_rows)
+    x = 0.1 * np.random.default_rng(9).normal(size=30 * SR)
+    before = threading.active_count()
+    for _ in range(20):
+        window_mfcc(x)
+    assert threading.active_count() - before <= features._HELPERS
+    assert len(workers - {threading.current_thread()}) <= features._HELPERS
+
+
+class BlockError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_block_error_reaches_caller_after_every_helper_stops(monkeypatch, raiser):
+    """The first block that the raising thread takes fails while the other
+    thread computes blocks; window_mfcc raises that error only once no block
+    is running, and none starts afterwards."""
+    monkeypatch.setattr(features, "_HELPERS", max(features._HELPERS, 1))
+    real = features._mfcc_rows
+    lock = threading.Lock()
+    running, calls = [0], [0]
+    helper_started = threading.Event()
+
+    def failing_rows(samples):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller:
+            helper_started.wait(timeout=10)
+        else:
+            helper_started.set()
+        with lock:
+            running[0] += 1
+            calls[0] += 1
+        try:
+            time.sleep(0.005)  # keep the threads' blocks overlapping
+            if on_caller == (raiser == "caller"):
+                raise BlockError(raiser)
+            return real(samples)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(features, "_mfcc_rows", failing_rows)
+    with pytest.raises(BlockError, match=raiser):
+        window_mfcc(0.1 * np.random.default_rng(10).normal(size=60 * SR))
+    assert running[0] == 0
+    done = calls[0]
+    time.sleep(0.05)
+    assert calls[0] == done
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_window_mfcc_runs_in_a_forked_child():
+    """A child forked after the helpers started has none of their threads,
+    so it must not wait on the parent's pool."""
+    x = 0.1 * np.random.default_rng(11).normal(size=30 * SR)
+    want = window_mfcc(x)
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that forking a multi-threaded process can deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(window_mfcc(x), want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("window_mfcc hung in the forked child")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_window_mfcc_rejects_less_than_one_window():
