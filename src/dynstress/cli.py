@@ -65,33 +65,35 @@ _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
 
 
+def _file_value(path: str, key: str, action: argparse.Action, text: str):
+    """A config-file value, converted and checked by its flag's own action
+    as if typed after the flag on the command line."""
+    try:
+        if isinstance(action, argparse._StoreTrueAction):
+            return _BOOLEANS[text.lower()]
+        value = action.type(text) if action.type else text
+    except (KeyError, ValueError):
+        kind = action.type.__name__ if action.type else "bool"
+        raise DataError(f"{path}: {key} must be {kind}, got {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise DataError(f"{path}: {key} must be one of "
+                        f"{', '.join(action.choices)}, got {text!r}")
+    return value
+
+
 def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     """File values become the flag defaults, so flags given on the command
     line win over the file even when they equal the built-in default."""
     if not getattr(args, "config", None):
         return args
     file_vals = _read_config_file(args.config)
-    # the subcommand's own parser holds the flag defaults
-    sub = args.subparser
-    # optional flags only: required ones always come from the command line
-    flags = {a.dest for a in sub._actions if not a.required}
-    defaults = {}
-    for key, val in file_vals.items():
-        if key not in flags or not hasattr(args, key):
-            continue
-        default = sub.get_default(key)
-        try:
-            if isinstance(default, bool):
-                val = _BOOLEANS[val.lower()]
-            elif isinstance(default, (int, float)):
-                val = type(default)(val)
-        except (KeyError, ValueError):
-            raise DataError(
-                f"{args.config}: {key} must be "
-                f"{type(default).__name__}, got {val!r}"
-            ) from None
-        defaults[key] = val
-    sub.set_defaults(**defaults)
+    # the subcommand's own parser holds the flag defaults; optional flags
+    # only: required ones always come from the command line
+    actions = {a.dest: a for a in args.subparser._actions
+               if not a.required and hasattr(args, a.dest)}
+    defaults = {key: _file_value(args.config, key, actions[key], val)
+                for key, val in file_vals.items() if key in actions}
+    args.subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -115,21 +117,6 @@ def _lab_cfg(args) -> LabellingConfig:
     return LabellingConfig(n=args.n, lam=args.lam, tau=args.tau)
 
 
-def _add_label_flags(p):
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.8)
-    p.add_argument("--tau", type=float, default=0.5)
-
-
-def _add_common(p):
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--base-dir", default=None,
-                   help="directory audio paths are relative to "
-                        "(default: the manifest's directory)")
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
-
-
 def _base_dir(args) -> Path:
     return Path(args.base_dir) if args.base_dir else Path(args.manifest).parent
 
@@ -151,11 +138,12 @@ def cmd_segment(args, out):
 
 def cmd_augment(args, out):
     records = read_manifest(args.manifest)
-    groups: dict[tuple[str, str], list] = {}
+    # clips of different splits are never joined, so no audio crosses a split
+    groups: dict[tuple[str, str, str], list] = {}
     for rec in records:
-        groups.setdefault((rec.speaker_id, rec.text_id), []).append(rec)
+        groups.setdefault((rec.speaker_id, rec.text_id, rec.split), []).append(rec)
     with open(out / "augmented.jsonl", "w") as f:
-        for (speaker, text), recs in groups.items():
+        for (speaker, text, split), recs in groups.items():
             if len(recs) < 2:
                 continue
             for r in recs:
@@ -175,7 +163,7 @@ def cmd_augment(args, out):
                 "spans": [{"start_s": s.start, "end_s": s.end,
                            "label": s.code.to_text()} for s in spans],
                 "final_label": final.to_text(),
-                "split": recs[0].split,
+                "split": split,
             }) + "\n")
     return 0
 
@@ -225,11 +213,6 @@ def _load_split(args, records, split: str, mfcc_cfg, use: str) -> list:
     return recs
 
 
-def _checkpoint_mfcc(mcfg: ModelConfig) -> MfccConfig:
-    """The MFCC setting a checkpoint was trained with: deltas double the width."""
-    return MfccConfig(include_deltas=mcfg.feature_dim == 2 * MfccConfig.n_coeffs)
-
-
 def cmd_train(args, out):
     records = read_manifest(args.manifest)
     names = {rec.split for rec in records}
@@ -261,42 +244,49 @@ def cmd_train(args, out):
     return 0
 
 
-def _stress_flags(recs, n, params, mcfg):
-    """(run, predicted flags, true flags) for each labelled run."""
+def _report(recs, n, params, mcfg, level: str) -> evaluation.EvalReport:
+    """Scores of the model's self-fed predictions over ``recs``: one per
+    window at the segment level; at the sequence level, one vote per
+    recording over the windows of all its labelled runs (`utt#k`), whose
+    truth is its stress_label, else the majority of its windows."""
+    preds, truths, labels = {}, {}, {}
     for rd in recs:
-        codes = pipeline.predict_recording(rd.features, n, params, mcfg)
-        yield rd, [is_stress(c) for c in codes], [is_stress(c) for c in rd.stress_codes]
-
-
-def _segment_report(recs, n, params, mcfg) -> evaluation.EvalReport:
-    preds, truths = [], []
-    for _, pred, true in _stress_flags(recs, n, params, mcfg):
-        preds += pred
-        truths += true
-    return evaluation.score_segment_level(preds, truths)
-
-
-def _sequence_report(recs, n, params, mcfg) -> evaluation.EvalReport:
-    """One vote per recording over the windows of all its labelled runs
-    (`utt#k`).  The truth is its stress_label, else the majority of its
-    windows."""
-    preds, windows, labels = {}, {}, {}
-    for rd, pred, true in _stress_flags(recs, n, params, mcfg):
         utt = rd.clip_id.rsplit("#", 1)[0]
-        preds.setdefault(utt, []).extend(pred)
-        windows.setdefault(utt, []).extend(true)
+        codes = pipeline.predict_recording(rd.features, n, params, mcfg)
+        preds.setdefault(utt, []).extend(is_stress(c) for c in codes)
+        truths.setdefault(utt, []).extend(is_stress(c) for c in rd.stress_codes)
         labels[utt] = rd.stress_label
-    truth = {utt: evaluation.majority_vote(windows[utt]) if label is None else label
+    if level == "segment":
+        return evaluation.score_segment_level(
+            [p for utt in preds for p in preds[utt]],
+            [t for utt in truths for t in truths[utt]])
+    truth = {utt: evaluation.majority_vote(truths[utt]) if label is None else label
              for utt, label in labels.items()}
     return evaluation.score_sequence_level(preds, truth)
 
 
+def _cells(args, ckpts, n_values, level: str):
+    """An AblationCell per checkpoint and history n, in that order, scored at
+    ``level`` on ``--split``.  The split is decoded once per MFCC width among
+    the checkpoints: under ``--features mfcc`` an 80-wide model was trained
+    with deltas and is scored on them."""
+    records = read_manifest(args.manifest)
+    loaded: dict[bool, list] = {}  # --split's recordings, with or without deltas
+    for ckpt in ckpts:
+        params, mcfg = load_checkpoint(ckpt)
+        deltas = (args.features == "mfcc"
+                  and mcfg.feature_dim == 2 * MfccConfig.n_coeffs)
+        if deltas not in loaded:
+            mfcc_cfg = MfccConfig(include_deltas=deltas)
+            loaded[deltas] = _load_split(args, records, args.split, mfcc_cfg, "evaluate")
+        features = "mfcc+deltas" if deltas else args.features
+        for n in n_values:
+            report = _report(loaded[deltas], n, params, mcfg, level)
+            yield evaluation.AblationCell(str(ckpt), features, n, report)
+
+
 def cmd_eval(args, out):
-    params, mcfg = load_checkpoint(args.ckpt)
-    recs = _load_split(args, read_manifest(args.manifest), args.split,
-                       _checkpoint_mfcc(mcfg), "evaluate")
-    report_fn = _segment_report if args.level == "segment" else _sequence_report
-    report = report_fn(recs, args.n, params, mcfg)
+    report = next(_cells(args, [args.ckpt], [args.n], args.level)).report
     summary = {
         "level": args.level, "accuracy": report.accuracy, "f1": report.f1,
         "tp": report.tp, "fp": report.fp, "tn": report.tn, "fn": report.fn,
@@ -347,52 +337,48 @@ def cmd_sweep(args, out):
 
 def cmd_ablate(args, out):
     n_values = _parse_list(args.n_values, int)
-    records = read_manifest(args.manifest)
-    recs_by_mfcc: dict[MfccConfig, list] = {}  # one load per MFCC setting
-    cells = []
-    for ckpt in args.ckpt:
-        params, mcfg = load_checkpoint(ckpt)
-        mfcc_cfg = _checkpoint_mfcc(mcfg)
-        if mfcc_cfg not in recs_by_mfcc:
-            recs_by_mfcc[mfcc_cfg] = _load_split(
-                args, records, args.split, mfcc_cfg, "evaluate")
-        for n in n_values:
-            report = _segment_report(recs_by_mfcc[mfcc_cfg], n, params, mcfg)
-            cells.append(evaluation.AblationCell(
-                str(ckpt), args.features, n, report
-            ))
+    cells = list(_cells(args, args.ckpt, n_values, "segment"))
     evaluation.ablation_grid(cells, out / "ablation.csv")
     print(f"wrote {len(cells)} ablation cells to {out}")
     return 0
 
 
 def build_parser() -> _Parser:
+    # flags shared by several commands; their actions are shared too, so
+    # each parser built here makes its own, whose defaults _merge_config sets
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--manifest", required=True)
+    common.add_argument("--base-dir", default=None,
+                        help="directory audio paths are relative to "
+                             "(default: the manifest's directory)")
+    common.add_argument("--out", default=None)
+    common.add_argument("--config", default=None, help="key=value config file")
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--n", type=int, default=4)
+    labels.add_argument("--lambda", dest="lam", type=float, default=0.8)
+    labels.add_argument("--tau", type=float, default=0.5)
+
     parser = _Parser(prog="dynstress")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("segment", parents=[], help="cut clips into windows")
-    _add_common(p)
-    p.set_defaults(func=cmd_segment)
+    def command(name, func, help, *parents):
+        """A subcommand taking the common flags, then those of ``parents``."""
+        p = sub.add_parser(name, help=help, parents=[common, *parents])
+        p.set_defaults(func=func, subparser=p)
+        return p
 
-    p = sub.add_parser("augment", help="concatenate same-speaker clips")
-    _add_common(p)
+    command("segment", cmd_segment, "cut clips into windows")
+
+    p = command("augment", cmd_augment, "concatenate same-speaker clips")
     p.add_argument("--gap-s", type=float, default=0.0)
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("label", help="derive temporal stress labels")
-    _add_common(p)
-    _add_label_flags(p)
-    p.set_defaults(func=cmd_label)
+    command("label", cmd_label, "derive temporal stress labels", labels)
 
-    p = sub.add_parser("extract", help="write per-window feature files")
-    _add_common(p)
+    p = command("extract", cmd_extract, "write per-window feature files")
     p.add_argument("--features", default="mfcc")
     p.add_argument("--deltas", action="store_true")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train a stress classifier")
-    _add_common(p)
-    _add_label_flags(p)
+    p = command("train", cmd_train, "train a stress classifier", labels)
     p.add_argument("--arch", choices=["lstm", "transformer"], default="lstm")
     p.add_argument("--features", default="mfcc")
     p.add_argument("--deltas", action="store_true")
@@ -406,35 +392,23 @@ def build_parser() -> _Parser:
     p.add_argument("--teacher-forcing-p", type=float, default=0.8)
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint")
-    _add_common(p)
-    _add_label_flags(p)
+    p = command("eval", cmd_eval, "score a checkpoint", labels)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--features", default="mfcc")
     p.add_argument("--level", choices=["segment", "sequence"], default="segment")
     p.add_argument("--split", default="test")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="labelling agreement grid")
-    _add_common(p)
+    p = command("sweep", cmd_sweep, "labelling agreement grid")
     p.add_argument("--n", default="0..5")
     p.add_argument("--lambda", dest="lam", default="0.01,0.1,0.8,1")
     p.add_argument("--tau", type=float, default=0.5)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ablate", help="evaluate checkpoints over a grid")
-    _add_common(p)
-    _add_label_flags(p)
+    p = command("ablate", cmd_ablate, "evaluate checkpoints over a grid", labels)
     p.add_argument("--ckpt", action="append", required=True)
     p.add_argument("--features", default="mfcc")
     p.add_argument("--n-values", default="0..5")
     p.add_argument("--split", default="test")
-    p.set_defaults(func=cmd_ablate)
-
-    for sp in sub.choices.values():
-        sp.set_defaults(subparser=sp)
     return parser
 
 

@@ -63,10 +63,13 @@ def clip_feature_matrix(
     mfcc_cfg: MfccConfig,
 ) -> np.ndarray:
     """Features for every window of one decoded clip: from-scratch MFCC or
-    rows of a precomputed embedding file (`file:<dir>`)."""
+    rows of a precomputed embedding file (`file:<dir>`).  Deltas apply to
+    MFCC only."""
     if feature_spec == "mfcc":
         mat, source = window_mfcc(clip.samples, mfcc_cfg), "MFCC"
     elif feature_spec.startswith("file:"):
+        if mfcc_cfg.include_deltas:
+            raise DataError(f"deltas apply to MFCC features only, not {feature_spec!r}")
         emb_dir = Path(feature_spec[5:])
         mat = load_embeddings(emb_dir / f"{clip.utterance_id}.fseq")
         source = "embedding file"

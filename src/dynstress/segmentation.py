@@ -291,6 +291,11 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
                 stress_spans=_parse_spans(obj.get("stress_spans", [])),
                 stress_label=stress_label,
             )
+            # it names the recording's .fseq and augmented .wav files
+            if rec.utterance_id in ("", ".", "..") or any(
+                    c in rec.utterance_id for c in "/\\"):
+                raise ValueError(f"utterance_id {rec.utterance_id!r} "
+                                 "is not a plain file name")
         except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as e:
             raise DataError(f"{path}:{lineno}: bad manifest record ({e})") from e
         # recordings are keyed by utterance_id in run ids and feature files

@@ -219,11 +219,29 @@ INPUT_ERRORS = {
     "augment-gap-nan": ["augment", "--gap-s", "nan"],
     "augment-gap-inf": ["augment", "--gap-s", "inf"],
     "augment-gap-beyond-a-wav": ["augment", "--gap-s", "1e300"],
+    "utterance-id-not-a-file-name": ["extract"],
+    "config-value-not-a-choice": ["eval", "--ckpt", "good.ckpt",
+                                  "--config", "bogus-level.cfg"],
+    "train-deltas-with-feature-files": ["train", "--features", "file:emb", "--deltas",
+                                        "--epochs", "1", "--iterations", "1"],
+    "extract-deltas-with-feature-files": ["extract", "--features", "file:emb",
+                                          "--deltas"],
 }
+
+# augment joins clips of one split only; the fixture's a and b differ in split
+SAME_SPLIT = ("manifest.jsonl", lambda d: (
+    d / "manifest.jsonl").read_bytes().replace(b'"split": "test"', b'"split": "train"'))
 
 # Cases above that write or replace one fixture file: (file name, new bytes).
 BROKEN_FILES = {
     "config-boolean-not-recognised": ("bad-bool.cfg", lambda d: b"deltas = on\n"),
+    "config-value-not-a-choice": ("bogus-level.cfg", lambda d: b"level = bogus\n"),
+    "augment-gap-negative": SAME_SPLIT,
+    "augment-gap-nan": SAME_SPLIT,
+    "augment-gap-inf": SAME_SPLIT,
+    "augment-gap-beyond-a-wav": SAME_SPLIT,
+    "utterance-id-not-a-file-name": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [(0, 30, "fear")], extra={"utterance_id": "sub/r0"}).encode()),
     "config-not-utf8": ("latin1.cfg", lambda d: b"tau = 0.5  # caf\xe9\n"),
     "no-spans": ("manifest.jsonl", lambda d: "".join(
         manifest_line(name, []) + "\n" for name in ("a", "b")).encode()),
@@ -258,10 +276,14 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
     cmd, *flags = INPUT_ERRORS[case]
     (data_dir / "bad.cfg").write_text("n = four\n")
     write_checkpoints(data_dir)
+    (data_dir / "emb").mkdir()
+    for name in ("a", "b"):  # five windows in each 30 s clip
+        write_fseq(data_dir / "emb" / f"{name}.fseq", np.zeros((5, 8)))
     if case in BROKEN_FILES:
         name, body = BROKEN_FILES[case]
         (data_dir / name).write_bytes(body(data_dir))
     flags = [data_dir / f if f.endswith((".cfg", ".ckpt")) else f for f in flags]
+    flags = [f"file:{data_dir / 'emb'}" if f == "file:emb" else f for f in flags]
     args = [cmd, "--manifest", manifest, "--out", data_dir / case, *flags]
     assert run(args) == 2
     err = capsys.readouterr().err
@@ -401,6 +423,23 @@ def test_augment_command(tmp_path):
     assert (out / f"{rows[0]['utterance_id']}.wav").exists()
 
 
+def test_augment_keeps_splits_apart(tmp_path):
+    """Clips of one speaker and sentence are joined within their split only,
+    so no test audio reaches a training record."""
+    rng = np.random.default_rng(4)
+    splits = {"u1": "train", "u2": "test", "u3": "train", "u4": "test"}
+    for name in splits:
+        write_wav(tmp_path / f"{name}.wav", 0.1 * rng.normal(size=5 * SR))
+    (tmp_path / "m.jsonl").write_text("".join(
+        manifest_line(name, [(0, 5, "fear")], split=split) + "\n"
+        for name, split in splits.items()))
+    out = tmp_path / "aug"
+    assert run(["augment", "--manifest", tmp_path / "m.jsonl", "--out", out]) == 0
+    rows = [json.loads(l) for l in (out / "augmented.jsonl").read_text().splitlines()]
+    assert [(r["utterance_id"], r["split"]) for r in rows] == [
+        ("u1+u3", "train"), ("u2+u4", "test")]
+
+
 def test_run_dir_env_fallback(data_dir, monkeypatch, tmp_path):
     target = tmp_path / "envrun"
     monkeypatch.setenv("DYNSTRESS_RUN_DIR", str(target))
@@ -490,7 +529,72 @@ def test_eval_and_ablate_follow_the_checkpoint_mfcc_width(data_dir, decoded):
                 "--ckpt", deltas, "--ckpt", plain, "--ckpt", deltas,
                 "--n-values", "0..1"]) == 0
     assert decoded == ["b.wav", "b.wav"]
-    assert len((data_dir / "abl" / "ablation.csv").read_text().splitlines()) == 7
+    rows = (data_dir / "abl" / "ablation.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [
+        "mfcc+deltas", "mfcc+deltas", "mfcc", "mfcc", "mfcc+deltas", "mfcc+deltas"]
+
+
+def test_an_80_wide_model_scores_on_feature_files(data_dir):
+    """Deltas apply to MFCC only: under `file:` features an 80-wide model is
+    scored on the files' rows, and its ablation rows name that spec."""
+    emb = data_dir / "emb"
+    emb.mkdir()
+    write_fseq(emb / "b.fseq", np.random.default_rng(7).normal(size=(5, 80)))
+    cfg = ModelConfig("lstm", feature_dim=80, hidden=8, heads=2)
+    save_checkpoint(data_dir / "w80.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
+    out = data_dir / "abl"
+    assert run(["ablate", "--manifest", data_dir / "manifest.jsonl", "--out", out,
+                "--ckpt", data_dir / "w80.ckpt", "--features", f"file:{emb}",
+                "--n-values", "0..1"]) == 0
+    rows = (out / "ablation.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [f"file:{emb}"] * 2
+
+
+def test_eval_equals_its_ablate_cell(data_dir):
+    """`eval --n k` reports the counts of ablate's row for n = k."""
+    write_checkpoints(data_dir)
+    manifest, ckpt = data_dir / "manifest.jsonl", data_dir / "good.ckpt"
+    assert run(["ablate", "--manifest", manifest, "--out", data_dir / "abl",
+                "--ckpt", ckpt, "--n-values", "0..2"]) == 0
+    rows = (data_dir / "abl" / "ablation.csv").read_text().splitlines()[1:]
+    for k, row in enumerate(rows):
+        out = data_dir / f"ev{k}"
+        assert run(["eval", "--manifest", manifest, "--out", out, "--ckpt", ckpt,
+                    "--n", k]) == 0
+        summary = json.loads((out / "eval.json").read_text())
+        cells = row.split(",")
+        assert cells[2] == str(k)
+        assert [int(x) for x in cells[5:]] == [summary[c] for c in ("tp", "fp", "tn", "fn")]
+
+
+COMMON_DEFAULTS = {"manifest": "m", "base_dir": None, "out": None, "config": None}
+LABEL_DEFAULTS = {"n": 4, "lam": 0.8, "tau": 0.5}
+RESOLVED_DEFAULTS = {
+    "segment": ([], {}),
+    "augment": ([], {"gap_s": 0.0}),
+    "label": ([], LABEL_DEFAULTS),
+    "extract": ([], {"features": "mfcc", "deltas": False}),
+    "train": ([], {**LABEL_DEFAULTS, "arch": "lstm", "features": "mfcc",
+                   "deltas": False, "hidden": 128, "dropout": 0.3, "epochs": 0,
+                   "iterations": 1000, "batch_size": 16, "lr": 0.001,
+                   "teacher_forcing_p": 0.8, "patience": 5, "seed": 0}),
+    "eval": (["--ckpt", "c"], {**LABEL_DEFAULTS, "ckpt": "c", "features": "mfcc",
+                               "level": "segment", "split": "test"}),
+    "sweep": ([], {"n": "0..5", "lam": "0.01,0.1,0.8,1", "tau": 0.5}),
+    "ablate": (["--ckpt", "c"], {**LABEL_DEFAULTS, "ckpt": ["c"], "features": "mfcc",
+                                 "n_values": "0..5", "split": "test"}),
+}
+
+
+@pytest.mark.parametrize("cmd", RESOLVED_DEFAULTS)
+def test_every_subcommand_resolves_its_defaults(cmd):
+    """Every flag's name and default, given only the required flags."""
+    required, defaults = RESOLVED_DEFAULTS[cmd]
+    args = vars(cli.build_parser().parse_args([cmd, "--manifest", "m", *required]))
+    del args["func"], args["subparser"]
+    # as resolved_config.json writes them: 0 and false, 0.0 and 0 differ
+    want = {"command": cmd, **COMMON_DEFAULTS, **defaults}
+    assert json.dumps(args, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_sequence_level_votes_once_per_recording(tmp_path):
