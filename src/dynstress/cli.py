@@ -88,10 +88,12 @@ def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
         return args
     file_vals = _read_config_file(args.config)
     # the subcommand's own parser holds the flag defaults; optional flags
-    # only: required ones always come from the command line
-    actions = {a.dest: a for a in args.subparser._actions
-               if not a.required and hasattr(args, a.dest)}
-    defaults = {key: _file_value(args.config, key, actions[key], val)
+    # only: required ones always come from the command line.  A key names a
+    # flag by its dest or by its long option (`lambda` for --lambda's `lam`)
+    actions = {key.replace("-", "_"): a for a in args.subparser._actions
+               if not a.required and hasattr(args, a.dest)
+               for key in [a.dest, *(o[2:] for o in a.option_strings if o[:2] == "--")]}
+    defaults = {actions[key].dest: _file_value(args.config, key, actions[key], val)
                 for key, val in file_vals.items() if key in actions}
     args.subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
@@ -154,7 +156,12 @@ def cmd_augment(args, out):
             emotions = [r.spans[0].code for r in recs]
             joined, final, spans = concat_augment(clips, emotions, args.gap_s)
             wav_path = out / f"{joined.utterance_id}.wav"
-            write_wav(wav_path, joined.samples)
+            try:
+                write_wav(wav_path, joined.samples)
+            except OSError as e:  # such as a joined id too long for a file name
+                raise DataError(f"speaker {speaker!r}, text {text!r}, split "
+                                f"{split!r}: cannot write the joined clip "
+                                f"({e.strerror})") from None
             f.write(json.dumps({
                 "audio_path": wav_path.name,
                 "speaker_id": speaker,

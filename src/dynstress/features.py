@@ -89,15 +89,41 @@ _FILTERBANK = mel_filterbank()
 _DCT = dct_basis(MfccConfig.n_mels).T[:, : MfccConfig.n_coeffs]
 
 
+def _mel_bands(fb: np.ndarray) -> list:
+    """``(lo, hi, weights)`` per group of 16 consecutive filters: bins
+    [lo, hi) hold the group's nonzero weights, ``weights`` is its slice of
+    ``fb.T``.  4 groups skip most of the 97% of ``fb`` that is zero; on an
+    x86-64 host they beat 2 or 8, and 16 changed the product's last bits."""
+    bands = []
+    for rows in np.split(fb, 4):
+        bins = np.flatnonzero(rows.any(axis=0))
+        lo, hi = bins[0], bins[-1] + 1
+        bands.append((lo, hi, np.ascontiguousarray(rows[:, lo:hi].T)))
+    return bands
+
+
+_MEL_BANDS = _mel_bands(_FILTERBANK)
+
+
+def _mel_energies(mag: np.ndarray) -> np.ndarray:
+    """``mag @ _FILTERBANK.T``, each group of 16 filters from its own bins."""
+    mel = np.empty((len(mag), MfccConfig.n_mels))
+    for g, (lo, hi, weights) in enumerate(_MEL_BANDS):
+        np.matmul(mag[:, lo:hi], weights, out=mel[:, 16 * g : 16 * (g + 1)])
+    return mel
+
+
 def _mfcc_rows(samples: np.ndarray) -> np.ndarray:
     """MFCC rows of every full frame of ``samples``, with pre-emphasis
     restarting at ``samples[0]``."""
     emph = np.empty_like(samples)
     emph[0] = samples[0]
     emph[1:] = samples[1:] - MfccConfig.pre_emphasis * samples[:-1]
-    frames = sliding_window_view(emph, _FRAME_LEN)[::_FRAME_HOP] * _HANN
-    mag = np.abs(np.fft.rfft(frames, n=MfccConfig.n_fft, axis=1))
-    mel = mag @ _FILTERBANK.T
+    view = sliding_window_view(emph, _FRAME_LEN)[::_FRAME_HOP]
+    # frames are windowed straight into the FFT's zero-padded input
+    frames = np.zeros((len(view), MfccConfig.n_fft))
+    np.multiply(view, _HANN, out=frames[:, :_FRAME_LEN])
+    mel = _mel_energies(np.abs(np.fft.rfft(frames)))
     logmel = np.log(np.maximum(mel, MfccConfig.log_floor))
     return logmel @ _DCT
 
@@ -176,8 +202,11 @@ def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarr
     Each frame is computed once: window k pools clip frames
     [500k, 500k + 998).  Frames are computed in blocks of 250 frames whose
     pre-emphasis restarts at the block's first sample.  The Hann window is
-    exactly zero at that sample, so the restart never reaches a spectrum and
-    every row is bit-identical to ``mfcc_frames`` of the window's samples.
+    exactly zero at that sample, so the restart never reaches a spectrum and,
+    under one BLAS thread, every row is bit-identical to ``mfcc_frames`` of
+    the window's samples (threaded BLAS may split a GEMM by its row count,
+    and a 250-frame block then ends in other last bits than a 998-frame
+    window).
     Blocks also bound the memory that frames and spectra take.  The calling
     thread computes blocks next to one helper thread per further CPU the
     process may use; every helper has finished when this returns or raises.

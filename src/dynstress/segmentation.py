@@ -202,13 +202,16 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
         raise DataError(
             f"{path}: data chunk holds {len(raw)} bytes, header says {2 * n_frames}"
         )
-    pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    pcm *= 1.0 / 32768.0  # in place, and exact: the divisor is a power of two
     return AudioClip(pcm, rate, speaker_id, utterance_id or path.stem, text_id)
 
 
 def write_wav(path: str | Path, samples: np.ndarray) -> None:
     pcm = np.clip(np.asarray(samples) * 32768.0, -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    # open() first: wave.open of a path that cannot be created leaves a
+    # half-built writer whose finaliser raises a second, unraisable error
+    with open(path, "wb") as f, wave.open(f, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(REQUIRED_SAMPLE_RATE)

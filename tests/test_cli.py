@@ -147,6 +147,24 @@ def test_config_file_sets_only_optional_flags(data_dir):
     assert len((out / "ablation.csv").read_text().splitlines()) == 2
 
 
+def test_config_file_names_a_flag_by_its_long_option(data_dir):
+    """`lambda` names --lambda, whose dest is `lam`; `teacher-forcing-p`
+    and `teacher_forcing_p` both name --teacher-forcing-p."""
+    cfg = data_dir / "run.cfg"
+    cfg.write_text("n = 1\ntau = 0.75\nlambda = 0.5\n")
+    out = data_dir / "cfglab"
+    assert run(["label", "--manifest", data_dir / "manifest.jsonl",
+                "--config", cfg, "--out", out]) == 0
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert (resolved["n"], resolved["lam"], resolved["tau"]) == (1, 0.5, 0.75)
+    parser = cli.build_parser()
+    for spelling in ("teacher-forcing-p", "teacher_forcing_p"):
+        cfg.write_text(f"{spelling} = 0.25\nbatch-size = 4\n")
+        argv = ["train", "--manifest", "m", "--config", str(cfg)]
+        args = cli._merge_config(parser, parser.parse_args(argv), argv)
+        assert (args.teacher_forcing_p, args.batch_size) == (0.25, 4)
+
+
 def write_checkpoints(d):
     """A valid checkpoint plus three CRC-valid ones with a bad header, one cut
     inside the model dimensions, one naming the architecture 'gru' and one
@@ -438,6 +456,21 @@ def test_augment_keeps_splits_apart(tmp_path):
     rows = [json.loads(l) for l in (out / "augmented.jsonl").read_text().splitlines()]
     assert [(r["utterance_id"], r["split"]) for r in rows] == [
         ("u1+u3", "train"), ("u2+u4", "test")]
+
+
+def test_augment_with_a_joined_id_too_long_for_a_file_name_exits_data(tmp_path, capsys):
+    """30 clips with 13-character ids join into a 419-character id, longer
+    than a file name may be."""
+    names = [f"utterance-{k:03d}" for k in range(30)]
+    for name in names:
+        write_wav(tmp_path / f"{name}.wav", np.zeros(SR // 10))
+    (tmp_path / "m.jsonl").write_text("".join(
+        manifest_line(name, [(0, 0.1, "fear")]) + "\n" for name in names))
+    assert run(["augment", "--manifest", tmp_path / "m.jsonl",
+                "--out", tmp_path / "aug"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "speaker 'spk', text 't1', split 'train'" in err
 
 
 def test_run_dir_env_fallback(data_dir, monkeypatch, tmp_path):

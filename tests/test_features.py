@@ -54,6 +54,28 @@ def test_filterbank_shape_and_coverage():
     assert fb.sum(axis=0).max() <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("rows", [10, 248, 250, 998])
+def test_banded_mel_matches_dense_filterbank(rows):
+    """Each filter group multiplies only its own bins; the zeros it skips
+    change no more than the sums' last bits."""
+    mag = np.random.default_rng(rows).random((rows, 257))
+    np.testing.assert_allclose(features._mel_energies(mag),
+                               mag @ mel_filterbank().T, rtol=1e-14, atol=0)
+
+
+def test_mfcc_frames_match_the_dense_formula():
+    """The padded-buffer, banded path against the textbook one: frames
+    zero-padded by rfft's n, and the whole filterbank in one product."""
+    x = 0.3 * np.random.default_rng(12).normal(size=TEN_S)
+    cfg = MfccConfig()
+    emph = np.append(x[0], x[1:] - cfg.pre_emphasis * x[:-1])
+    frames = np.stack([emph[i : i + 400] for i in range(0, TEN_S - 399, 160)])
+    mag = np.abs(np.fft.rfft(frames * np.hanning(400), n=512))
+    mel = np.log(np.maximum(mag @ mel_filterbank().T, cfg.log_floor))
+    want = mel @ dct_basis(64)[:40].T
+    np.testing.assert_allclose(mfcc_frames(x), want, rtol=0, atol=1e-12)
+
+
 def test_frame_count():
     frames = mfcc_frames(np.zeros(TEN_S))
     assert frames.shape == (998, 40)

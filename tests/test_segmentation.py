@@ -1,4 +1,5 @@
 import json
+import wave
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_wav_roundtrip(tmp_path):
     assert clip.sample_rate == SR
     assert len(clip.samples) == len(samples)
     assert np.max(np.abs(clip.samples - samples)) < 1.0 / 32768
+
+
+def test_load_wav_scales_every_int16_exactly(tmp_path):
+    pcm = np.concatenate([
+        [-32768, -32767, -1, 0, 1, 32766, 32767],
+        np.random.default_rng(1).integers(-32768, 32768, SR),
+    ]).astype("<i2")
+    path = tmp_path / "x.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(SR)
+        wf.writeframes(pcm.tobytes())
+    samples = load_wav(path).samples
+    assert samples.dtype == np.float64
+    assert np.array_equal(samples, pcm / 32768.0)
 
 
 def test_load_wav_missing(tmp_path):
