@@ -174,6 +174,18 @@ def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return Tensor._make(x.data[index], (x,), back)
 
 
+def pick_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Row ``rows[b]`` of each sequence ``x[b]`` of (B, T, ...), as
+    (B, 1, ...) and one node.  Each element of the result reads a distinct
+    element of ``x``, so the backward adds ``g`` in place, as a slice's does."""
+    b = np.arange(x.shape[0])
+    def back(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[b, rows] += g[:, 0]
+    return Tensor._make(x.data[b, rows][:, None], (x,), back)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``, as one node: one GEMM over
     every leading row forward, one GEMM each for the ``x`` and ``w``
@@ -197,11 +209,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._make(out.reshape(*x.shape[:-1], n), parents, back)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None,
+) -> Tensor:
     """Multi-head scaled dot-product attention of queries (B, Tq, H) over keys
     and values (B, Tk, H), as one node.  H is split into ``heads`` slices of
     width d = H / heads; each head computes softmax(q k^T / sqrt(d)) v, and
-    the heads are merged back into (B, Tq, H)."""
+    the heads are merged back into (B, Tq, H).  A boolean key ``mask``
+    (B, Tk) keeps the keys where it is True: the others score -inf, so they
+    get zero weight and zero gradient.  Each row must keep a key."""
     H = q.shape[-1]
     d = H // heads
     def split(a):  # (B, T, H) -> (B, heads, T, d), a view
@@ -211,6 +227,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(d)
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
+    if mask is not None:
+        np.copyto(scores, -np.inf, where=~mask[:, None, None, :])
     # The max-shift is a constant per query; the softmax ignores it.
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     att = e / e.sum(axis=-1, keepdims=True)

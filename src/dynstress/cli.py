@@ -81,18 +81,31 @@ def _file_value(path: str, key: str, action: argparse.Action, text: str):
     return value
 
 
+def _flag_names(parser) -> dict[str, argparse.Action]:
+    """Each flag of ``parser`` by its dest and by its long options (`lambda`
+    for --lambda's `lam`), with `-` written `_`."""
+    return {key.replace("-", "_"): a for a in parser._actions
+            for key in [a.dest, *(o[2:] for o in a.option_strings if o[:2] == "--")]}
+
+
 def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     """File values become the flag defaults, so flags given on the command
     line win over the file even when they equal the built-in default."""
     if not getattr(args, "config", None):
         return args
     file_vals = _read_config_file(args.config)
+    # a key that names no option of any subcommand is a typo, not a no-op
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    known = {key for p in (parser, *commands)
+             for key in [*_flag_names(p), *p._defaults]}
+    for key in file_vals:
+        if key not in known:
+            raise DataError(f"{args.config}: {key} names no option")
     # the subcommand's own parser holds the flag defaults; optional flags
-    # only: required ones always come from the command line.  A key names a
-    # flag by its dest or by its long option (`lambda` for --lambda's `lam`)
-    actions = {key.replace("-", "_"): a for a in args.subparser._actions
-               if not a.required and hasattr(args, a.dest)
-               for key in [a.dest, *(o[2:] for o in a.option_strings if o[:2] == "--")]}
+    # only: required ones always come from the command line
+    actions = {key: a for key, a in _flag_names(args.subparser).items()
+               if not a.required and hasattr(args, a.dest)}
     defaults = {actions[key].dest: _file_value(args.config, key, actions[key], val)
                 for key, val in file_vals.items() if key in actions}
     args.subparser.set_defaults(**defaults)

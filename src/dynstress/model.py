@@ -18,9 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat, linear, take_rows
+from .autodiff import Tensor, attention, concat, linear, pick_rows, take_rows
 from .segmentation import DataError
-from .vad import DEFAULT_CODE, VadCode
+from .vad import ALL_CODES, DEFAULT_CODE, VadCode
 
 
 @dataclass(frozen=True)
@@ -189,12 +189,15 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return enc
 
 
-def _self_attention(xq: Tensor, x: Tensor, params, prefix: str, heads: int) -> Tensor:
-    """Attention of the rows ``xq`` over keys and values of every row ``x``."""
+def _self_attention(
+    xq: Tensor, x: Tensor, params, prefix: str, heads: int, mask=None,
+) -> Tensor:
+    """Attention of the rows ``xq`` over keys and values of the rows ``x``
+    that the key ``mask`` keeps (every row without one)."""
     q = linear(xq, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
     k = linear(x, params[f"{prefix}.wk"])
     v = linear(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    out = attention(q, k, v, heads)
+    out = attention(q, k, v, heads, mask)
     return linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
@@ -210,16 +213,18 @@ def _gelu(x: Tensor) -> Tensor:
 
 
 def transformer_layer(
-    x: Tensor, params, prefix: str, heads: int, last: bool = False,
+    x: Tensor, params, prefix: str, heads: int, rows=None, mask=None,
 ) -> Tensor:
     """Pre-norm layer: residual around attention, then around the
-    feed-forward.  With ``last``, only the last row's output (B, 1, H) is
-    computed; it still attends to every row."""
+    feed-forward.  With ``rows`` (B,), only the output (B, 1, H) of row
+    ``rows[b]`` of each sequence is computed; it still attends to every
+    row.  A key ``mask`` (B, T) hides the rows where it is False from every
+    row's attention."""
     h = layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     hq = h
-    if last:
-        x, hq = x[:, -1:, :], h[:, -1:, :]
-    x = x + _self_attention(hq, h, params, f"{prefix}.attn", heads)
+    if rows is not None:
+        x, hq = pick_rows(x, rows), pick_rows(h, rows)
+    x = x + _self_attention(hq, h, params, f"{prefix}.attn", heads, mask)
     h = layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     ff = _gelu(linear(h, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
     ff = linear(ff, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
@@ -228,15 +233,17 @@ def transformer_layer(
 
 def transformer_states(
     h: Tensor, params, cfg: ModelConfig, prefix: str, n_layers: int,
-    last: bool = False,
+    rows=None, mask=None,
 ) -> Tensor:
     """Encoder states (B, T, H) of projected inputs; adds the positions.  With
-    ``last``, only the last state (B, 1, H), which the last layer computes
-    for the last row alone."""
+    ``rows`` (B,), only state ``rows[b]`` of each sequence, (B, 1, H), which
+    the last layer computes for that row alone.  A key ``mask`` (B, T) hides
+    the rows where it is False from every layer's attention, so a sequence
+    padded after its rows has the states of its unpadded run on them."""
     h = h + Tensor(positional_encoding(h.shape[1], cfg.hidden))
     for i in range(n_layers):
         h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads,
-                              last and i == n_layers - 1)
+                              rows if i == n_layers - 1 else None, mask)
     return layer_norm(h, params[f"{prefix}.lnf.g"], params[f"{prefix}.lnf.b"])
 
 
@@ -282,13 +289,21 @@ def speech_inputs(X: np.ndarray, params, cfg: ModelConfig) -> Tensor:
     return _project(X, params, "speech_lstm" if cfg.arch == "lstm" else "proj")
 
 
-def speech_states(P: Tensor, params, cfg: ModelConfig) -> Tensor:
+def speech_states(
+    P: Tensor, params, cfg: ModelConfig, lengths: np.ndarray | None = None,
+) -> Tensor:
     """Last speech encoder state (B, 1, H) of projected windows ``P``, the
     only one the head reads.  It does not depend on the context, so
-    inference encodes each window only once."""
+    inference encodes each window only once.  With ``lengths`` (B,), window
+    b is the first ``lengths[b]`` rows of ``P[b]``, the rest padding, and its
+    state is that of its unpadded run: the LSTM is causal, and the
+    transformer hides the padding from every key."""
+    B, T = P.shape[:2]
+    rows = np.full(B, T - 1) if lengths is None else lengths - 1
     if cfg.arch == "lstm":
-        return lstm_states(P, params["speech_lstm.u"])[:, -1:, :]
-    return transformer_states(P, params, cfg, "enc", cfg.layers, last=True)
+        return pick_rows(lstm_states(P, params["speech_lstm.u"]), rows)
+    mask = None if lengths is None else np.arange(T) < lengths[:, None]
+    return transformer_states(P, params, cfg, "enc", cfg.layers, rows, mask)
 
 
 def context_states(S: np.ndarray, params, cfg: ModelConfig) -> Tensor:
@@ -367,8 +382,9 @@ def binarise(probs: np.ndarray) -> np.ndarray:
 
 
 def decode(probs: np.ndarray) -> VadCode:
-    """Binary code of one (3,) probability row."""
-    return VadCode(*(int(b) for b in binarise(probs)))
+    """Binary code of one (3,) probability row, one of the 8 ``ALL_CODES``."""
+    v, a, d = binarise(probs).tolist()
+    return ALL_CODES[4 * v + 2 * a + d]
 
 
 def param_names(params) -> list[str]:

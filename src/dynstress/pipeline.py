@@ -146,19 +146,19 @@ def last_speech_states(
     features: np.ndarray, history: int, params, cfg: ModelConfig,
 ) -> np.ndarray:
     """Last speech state (N, H) of each window ``features[max(0, t - history)
-    : t + 1]``.  Every row is projected once; windows are gathered from the
-    projection, one batched ``speech_states`` call per window length."""
+    : t + 1]``.  Every row is projected once, and every window is encoded in
+    one call: with k = min(N - 1, history), window t is gathered as the k + 1
+    rows from max(0, t - k).  A window t < k is then the first k + 1 rows,
+    of which it owns the first t + 1, so its state is row min(t, k)."""
     if history < 0:
         raise DataError(f"history must be non-negative, got {history}")
     N = features.shape[0]
+    k = max(min(N - 1, history), 0)  # 0 for a recording without windows
     P = speech_inputs(features, params, cfg).data
-    last = np.empty((N, cfg.hidden))
-    for k in range(min(N, history + 1)):
-        # windows of length k + 1: only t = k, or every t >= history
-        ts = np.arange(k, N if k == history else k + 1)
-        windows = Tensor(P[ts[:, None] + np.arange(-k, 1)])
-        last[ts] = speech_states(windows, params, cfg).data[:, -1, :]
-    return last
+    t = np.arange(N)
+    own = np.minimum(t, k)  # each window's last row
+    windows = Tensor(P[(t - own)[:, None] + np.arange(k + 1)])
+    return speech_states(windows, params, cfg, own + 1).data[:, 0]
 
 
 def predict_recording(
@@ -171,17 +171,17 @@ def predict_recording(
     no ground-truth stress labels are available.  Speech does not depend on
     the predictions, so it is encoded up front, and every window's query is
     projected in one matrix product.  Each distinct context is encoded once
-    per call, with its keys and values, so a step runs only the
-    cross-attention and the head.
+    per call, with its keys and values, under the codes it holds, so a step
+    runs only the cross-attention and the head.
     """
     last = last_speech_states(features, history, params, cfg)
     queries = linear(Tensor(last), params["attn.wq"], params["attn.bq"]).data
-    memo: dict[bytes, tuple[Tensor, Tensor, Tensor]] = {}
+    memo: dict[tuple[VadCode, ...], tuple[Tensor, Tensor, Tensor]] = {}
     preds: list[VadCode] = []
     for t in range(features.shape[0]):
-        ctx = context_array(make_context(preds[max(0, t - history) : t]))
-        key = ctx.tobytes()
+        key = tuple(preds[max(0, t - history) : t])
         if key not in memo:
+            ctx = context_array(make_context(key))
             memo[key] = context_memory(context_states(ctx[None], params, cfg), params)
         q = Tensor(queries[t][None, None])
         preds.append(decode(readout(q, *memo[key], params, cfg).data[0]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, attention, concat, linear, take_rows
+from dynstress.autodiff import Tensor, attention, concat, linear, pick_rows, take_rows
 from dynstress.model import _gelu, layer_norm, lstm_states
 from dynstress.training import _bce_terms, numerical_gradient
 
@@ -188,6 +188,9 @@ def _rand(rng, *shape, scale=1.0):
     return Tensor(rng.normal(size=shape) * scale, requires_grad=True)
 
 
+KEY_MASK = np.array([[True, False, True, True, False],
+                     [True, True, False, False, False]])
+
 # name: (inputs that need a gradient, the node applied to them, step h)
 FUSED = {
     # B=2, T=4: the h and c carries run through three steps of BPTT
@@ -201,6 +204,13 @@ FUSED = {
     "attention": (lambda rng: {"q": _rand(rng, 2, 3, 4), "k": _rand(rng, 2, 5, 4),
                                "v": _rand(rng, 2, 5, 4)},
                   lambda t: attention(t["q"], t["k"], t["v"], 2), 1e-6),
+    # the same, with keys 1 and 4 of row 0 and keys 2-4 of row 1 masked out
+    "masked_attention": (lambda rng: {"q": _rand(rng, 2, 3, 4), "k": _rand(rng, 2, 5, 4),
+                                      "v": _rand(rng, 2, 5, 4)},
+                         lambda t: attention(t["q"], t["k"], t["v"], 2, KEY_MASK), 1e-6),
+    # B=3, T=4: sequence 1 reads its first row, sequence 2 its third
+    "pick_rows": (lambda rng: {"x": _rand(rng, 3, 4, 2)},
+                  lambda t: pick_rows(t["x"], np.array([3, 0, 2])), 1e-6),
     "gelu": (lambda rng: {"x": _rand(rng, 3, 4, scale=2.0)},
              lambda t: _gelu(t["x"]), 1e-6),
     # h keeps the clamped probabilities clamped on both sides
@@ -223,6 +233,15 @@ def test_fused_node_matches_finite_differences(node):
     num = numerical_gradient(lambda: float(graph().data), inputs, h=h)
     for name, t in inputs.items():
         assert np.allclose(t.grad, num[name], rtol=1e-6, atol=1e-7), name
+    if node == "masked_attention":  # a masked key is not read at all
+        for name in ("k", "v"):
+            assert np.all(inputs[name].grad[~KEY_MASK] == 0.0), name
+            assert np.all(inputs[name].grad[KEY_MASK] != 0.0), name
+    if node == "pick_rows":  # a row not picked gets no gradient
+        picked = np.zeros((3, 4), bool)
+        picked[[0, 1, 2], [3, 0, 2]] = True
+        assert np.all(inputs["x"].grad[~picked] == 0.0)
+        assert np.all(inputs["x"].grad[picked] != 0.0)
     if node == "bce":
         assert np.all(inputs["p"].grad[1] == 0.0)
         assert np.all(inputs["p"].grad[0] != 0.0)
@@ -261,3 +280,26 @@ def test_attention_matches_per_head_reference(heads):
     want = per_head_attention(q.data, k.data, v.data, heads, g)
     for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_masked_attention_equals_attention_over_the_kept_keys(heads):
+    """Row by row, the output and the q, k, v gradients equal those of an
+    attention given only the kept keys; a masked key's gradient is zero."""
+    rng = np.random.default_rng(7)
+    q, k, v = (_rand(rng, 3, t, 4) for t in (2, 5, 5))
+    mask = np.array([[True, False, True, True, False],
+                     [False, False, False, False, True],  # one key kept
+                     [True] * 5])
+    g = rng.normal(size=(3, 2, 4))
+    out = attention(q, k, v, heads, mask)
+    (out * g).sum().backward()
+    for b, keep in enumerate(mask):
+        qb, kb, vb = (Tensor(x, requires_grad=True) for x in (
+            q.data[b : b + 1], k.data[b : b + 1, keep], v.data[b : b + 1, keep]))
+        want = attention(qb, kb, vb, heads)
+        (want * g[b : b + 1]).sum().backward()
+        for got, ref in ((out.data[b], want.data[0]), (q.grad[b], qb.grad[0]),
+                         (k.grad[b, keep], kb.grad[0]), (v.grad[b, keep], vb.grad[0])):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.all(k.grad[b, ~keep] == 0.0) and np.all(v.grad[b, ~keep] == 0.0)

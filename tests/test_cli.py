@@ -165,6 +165,22 @@ def test_config_file_names_a_flag_by_its_long_option(data_dir):
         assert (args.teacher_forcing_p, args.batch_size) == (0.25, 4)
 
 
+def test_config_file_key_naming_no_option_exits_data(data_dir, capsys):
+    """A misspelt key is an error, not a silently ignored line; a key that
+    names another subcommand's flag (`arch`, of train) is not."""
+    cfg = data_dir / "run.cfg"
+    out = data_dir / "cfglab"
+    argv = ["label", "--manifest", data_dir / "manifest.jsonl", "--config", cfg,
+            "--out", out]
+    cfg.write_text("n = 1\nlamda = 0.5\n")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "lamda" in err
+    assert not (out / "resolved_config.json").exists()
+    cfg.write_text("n = 1\narch = transformer\n")
+    assert run(argv) == 0
+
+
 def write_checkpoints(d):
     """A valid checkpoint plus three CRC-valid ones with a bad header, one cut
     inside the model dimensions, one naming the architecture 'gru' and one

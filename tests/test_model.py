@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -237,6 +238,28 @@ def test_transformer_permutation_equivariance_without_positions():
     assert np.max(np.abs(permuted - base[:, perm])) < 1e-10
 
 
+@pytest.mark.parametrize("layers", [1, 2])
+def test_masked_transformer_states_equal_the_unpadded_run(layers):
+    """Each sequence padded after its own rows, with the padding masked out
+    of the keys, has the states of its unpadded run on its rows."""
+    cfg = replace(tr_cfg(), layers=layers)
+    params = make_params(cfg, seed=21)
+    P = speech_inputs(np.random.default_rng(12).normal(size=(4, 5, 6)), params, cfg)
+    lengths = np.array([1, 3, 5, 2])
+    mask = np.arange(5) < lengths[:, None]
+    got = transformer_states(P, params, cfg, "enc", cfg.layers, mask=mask).data
+    for b, n in enumerate(lengths):
+        want = transformer_states(P[b : b + 1, :n], params, cfg, "enc", cfg.layers).data
+        np.testing.assert_allclose(got[b, :n], want[0], rtol=1e-12, atol=1e-15)
+    # the last layer computing only each sequence's own last row
+    last = transformer_states(P, params, cfg, "enc", cfg.layers, lengths - 1, mask).data
+    np.testing.assert_allclose(last[:, 0], got[np.arange(4), lengths - 1],
+                               rtol=1e-12, atol=1e-15)
+    # without a mask, the padding is attended to and the states move
+    unmasked = transformer_states(P, params, cfg, "enc", cfg.layers).data
+    assert not np.allclose(unmasked[0, :1], got[0, :1])
+
+
 def test_positions_break_equivariance():
     cfg = tr_cfg()
     params = make_params(cfg, seed=17)
@@ -296,6 +319,14 @@ def test_forward_threshold_contract():
         S = context_array(context(4))[None]
         probs = forward_batch(X, S, params, cfg).data[0]
         assert all(0.0 < p < 1.0 for p in probs)
+        assert decode(probs) == VadCode(*(int(p > 0.5) for p in probs))
+
+
+def test_decode_is_the_strict_threshold_code_for_every_pattern():
+    for v, a, d in np.ndindex(2, 2, 2):
+        # a 1 is just above the threshold, a 0 exactly on it
+        probs = np.array([0.5 + 1e-12 * b for b in (v, a, d)])
+        assert decode(probs) == VadCode(v, a, d)
         assert decode(probs) == VadCode(*(int(p > 0.5) for p in probs))
 
 

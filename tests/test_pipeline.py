@@ -279,7 +279,9 @@ def test_batched_last_speech_states_equal_per_window(arch):
             np.testing.assert_allclose(got[t], want, rtol=1e-12, atol=0)
 
 
-def test_speech_is_encoded_once_per_window_length(monkeypatch):
+def test_speech_is_encoded_once_per_recording(monkeypatch):
+    """One projection of every row and one encoder call over every window,
+    also when the recording has no more windows than the history."""
     projected, batches = [], []
 
     def counting_inputs(X, *args):
@@ -292,17 +294,16 @@ def test_speech_is_encoded_once_per_window_length(monkeypatch):
 
     monkeypatch.setattr(pipeline, "speech_inputs", counting_inputs)
     monkeypatch.setattr(pipeline, "speech_states", counting)
-    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
-    params = init_params(cfg, np.random.default_rng(0))
     feats = np.random.default_rng(1).normal(size=(9, 4))
-    predict_recording(feats, 3, params, cfg)
-    assert projected == [(9, 4)]  # every row once, in one call
-    assert batches == [(1, 1), (1, 2), (1, 3), (6, 4)]
-    projected.clear()
-    batches.clear()
-    predict_recording(feats[:2], 3, params, cfg)
-    assert projected == [(2, 4)]
-    assert batches == [(1, 1), (1, 2)]
+    for arch in ("lstm", "transformer"):
+        cfg = ModelConfig(arch, feature_dim=4, hidden=8, heads=2, ffn=16, dropout=0.0)
+        params = init_params(cfg, np.random.default_rng(0))
+        for N, n, window in ((9, 3, 4), (9, 0, 1), (3, 3, 3), (2, 3, 2), (1, 3, 1)):
+            projected.clear()
+            batches.clear()
+            predict_recording(feats[:N], n, params, cfg)
+            assert projected == [(N, 4)], (arch, N, n)
+            assert batches == [(N, window)], (arch, N, n)
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
