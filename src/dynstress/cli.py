@@ -40,75 +40,57 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _read_config_file(path: str) -> dict:
-    """Simple key=value config; '#' starts a comment."""
+# config-file spellings of a flag that is on or off
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Read the `key = value` lines of --config ('#' starts a comment) into
+    the subcommand's flag defaults, so flags given on the command line win
+    over the file even when they equal the built-in default.  A key names a
+    flag by its dest or long option (`lam` or `lambda`), `-` and `_` alike;
+    its value is checked as if typed after the flag."""
+    path = args.config
+    if not path:
+        return args
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except OSError as e:
         raise DataError(f"cannot read config file {path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: config file is not UTF-8 (byte {e.start})") from None
-    values = {}
+    # keys of all commands (the top parser's positional) map to None, and this
+    # command's optional flags, listed last so that they win, to their actions
+    flags = {}
+    for p in (parser, *parser._get_positional_actions()[0].choices.values(),
+              args.subparser):
+        flags.update(dict.fromkeys(p._defaults))
+        for a in p._actions:
+            own = p is args.subparser and not a.required and hasattr(args, a.dest)
+            for key in (a.dest, *(o[2:] for o in a.option_strings if o[:2] == "--")):
+                flags[key.replace("-", "_")] = a if own else None
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise DataError(f"{path}: bad config line {line!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = val
-    return values
-
-
-# config-file spellings of a flag that is on or off
-_BOOLEANS = {"1": True, "true": True, "yes": True,
-             "0": False, "false": False, "no": False}
-
-
-def _file_value(path: str, key: str, action: argparse.Action, text: str):
-    """A config-file value, converted and checked by its flag's own action
-    as if typed after the flag on the command line."""
-    try:
-        if isinstance(action, argparse._StoreTrueAction):
-            return _BOOLEANS[text.lower()]
-        value = action.type(text) if action.type else text
-    except (KeyError, ValueError):
-        kind = action.type.__name__ if action.type else "bool"
-        raise DataError(f"{path}: {key} must be {kind}, got {text!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise DataError(f"{path}: {key} must be one of "
-                        f"{', '.join(action.choices)}, got {text!r}")
-    return value
-
-
-def _flag_names(parser) -> dict[str, argparse.Action]:
-    """Each flag of ``parser`` by its dest and by its long options (`lambda`
-    for --lambda's `lam`), with `-` written `_`."""
-    return {key.replace("-", "_"): a for a in parser._actions
-            for key in [a.dest, *(o[2:] for o in a.option_strings if o[:2] == "--")]}
-
-
-def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
-    """File values become the flag defaults, so flags given on the command
-    line win over the file even when they equal the built-in default."""
-    if not getattr(args, "config", None):
-        return args
-    file_vals = _read_config_file(args.config)
-    # a key that names no option of any subcommand is a typo, not a no-op
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices.values()
-    known = {key for p in (parser, *commands)
-             for key in [*_flag_names(p), *p._defaults]}
-    for key in file_vals:
-        if key not in known:
-            raise DataError(f"{args.config}: {key} names no option")
-    # the subcommand's own parser holds the flag defaults; optional flags
-    # only: required ones always come from the command line
-    actions = {key: a for key, a in _flag_names(args.subparser).items()
-               if not a.required and hasattr(args, a.dest)}
-    defaults = {actions[key].dest: _file_value(args.config, key, actions[key], val)
-                for key, val in file_vals.items() if key in actions}
-    args.subparser.set_defaults(**defaults)
+        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in flags:
+            raise DataError(f"{path}: {key} names no option")
+        if (a := flags[key]) is None:  # a required, internal or other command's key
+            continue
+        try:
+            typed = _BOOLEANS[value.lower()] if a.nargs == 0 else (a.type or str)(value)
+        except (KeyError, ValueError):
+            kind = a.type.__name__ if a.type else "bool"
+            raise DataError(f"{path}: {key} must be {kind}, got {value!r}") from None
+        if a.choices is not None and typed not in a.choices:
+            raise DataError(f"{path}: {key} must be one of "
+                            f"{', '.join(a.choices)}, got {value!r}")
+        args.subparser.set_defaults(**{a.dest: typed})
     return parser.parse_args(argv)
 
 
@@ -376,7 +358,7 @@ def build_parser() -> _Parser:
     labels = argparse.ArgumentParser(add_help=False)
     labels.add_argument("--n", type=int, default=4)
     labels.add_argument("--lambda", dest="lam", type=float, default=0.8)
-    labels.add_argument("--tau", type=float, default=0.5)
+    labels.add_argument("--tau", type=float, default=LabellingConfig.tau)
 
     parser = _Parser(prog="dynstress")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,16 +384,17 @@ def build_parser() -> _Parser:
     p.add_argument("--arch", choices=["lstm", "transformer"], default="lstm")
     p.add_argument("--features", default="mfcc")
     p.add_argument("--deltas", action="store_true")
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--dropout", type=float, default=0.3)
+    p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--epochs", type=int, default=0,
                    help="0 = architecture default (20 lstm / 50 transformer)")
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--teacher-forcing-p", type=float, default=0.8)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iterations", type=int, default=TrainConfig.iterations_per_epoch)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--teacher-forcing-p", type=float,
+                   default=TrainConfig.teacher_forcing_p)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
     p = command("eval", cmd_eval, "score a checkpoint", labels)
     p.add_argument("--ckpt", required=True)
@@ -422,7 +405,7 @@ def build_parser() -> _Parser:
     p = command("sweep", cmd_sweep, "labelling agreement grid")
     p.add_argument("--n", default="0..5")
     p.add_argument("--lambda", dest="lam", default="0.01,0.1,0.8,1")
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--tau", type=float, default=LabellingConfig.tau)
 
     p = command("ablate", cmd_ablate, "evaluate checkpoints over a grid", labels)
     p.add_argument("--ckpt", action="append", required=True)

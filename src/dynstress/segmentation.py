@@ -180,8 +180,6 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
         raise DataError(f"missing WAV file: {path}")
     try:
         with wave.open(str(path), "rb") as wf:
-            if wf.getcomptype() != "NONE":
-                raise DataError(f"{path}: compressed WAV not supported")
             if wf.getsampwidth() != 2:
                 raise DataError(f"{path}: expected 16-bit PCM")
             if wf.getnchannels() != 1:
@@ -189,8 +187,8 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
             rate = wf.getframerate()
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
-    # EOFError: the file ends inside a header; RuntimeError: a chunk's size
-    # points outside the chunk
+    # wave.Error: also any format but PCM; EOFError: the file ends inside a
+    # header; RuntimeError: a chunk's size points outside the chunk
     except (wave.Error, EOFError, RuntimeError) as e:
         reason = str(e) or "truncated or corrupt chunk"
         raise DataError(f"{path}: not a readable WAV file ({reason})") from e

@@ -214,7 +214,8 @@ class TrainSample:
     context: np.ndarray           # (T, 3) ground-truth context (default first)
     target: VadCode
     prev_indices: tuple[int, ...] = ()  # dataset indices of the context windows
-    # (-1 where no full sample exists; ground truth is used there)
+    # (-1 where no full sample exists; ground truth is used there); without
+    # them a sample always trains on its ground truth, whatever teacher_forcing_p
 
 
 def _step_rng(seed: int, *counters: int) -> np.random.Generator:
@@ -284,7 +285,10 @@ def train(
     """Full optimisation loop; writes best checkpoint and a metrics CSV.
 
     Mini-batches are drawn with replacement; teacher forcing draws one
-    Bernoulli per sequence per step.  Deterministic given (config, seed).
+    Bernoulli per sequence per step.  A sample without ``prev_indices`` has
+    no context window to roll out, so it always trains on its ground-truth
+    context, whatever ``teacher_forcing_p`` is.  Deterministic given
+    (config, seed).
     """
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be non-empty")

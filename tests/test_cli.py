@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import zlib
@@ -10,9 +11,10 @@ from dynstress import cli, segmentation
 from dynstress.autodiff import Tensor
 from dynstress.cli import main
 from dynstress.features import read_fseq, write_fseq
+from dynstress.labelling import LabellingConfig
 from dynstress.model import ModelConfig, init_params, save_checkpoint
 from dynstress.segmentation import write_wav
-from dynstress.training import TrainingDiverged
+from dynstress.training import TrainConfig, TrainingDiverged
 
 SR = 16000
 
@@ -182,9 +184,9 @@ def test_config_file_key_naming_no_option_exits_data(data_dir, capsys):
 
 
 def write_checkpoints(d):
-    """A valid checkpoint plus three CRC-valid ones with a bad header, one cut
-    inside the model dimensions, one naming the architecture 'gru' and one
-    with zero speech layers, and
+    """A valid checkpoint plus four CRC-valid ones with a bad header, one cut
+    inside the model dimensions, one of version 2, one naming the
+    architecture 'gru' and one with zero speech layers, and
     three whose tensors do not fit the header's model: one without `head.w`,
     one with `head.w` of the wrong shape, one with a NaN `head.b`."""
     cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
@@ -201,6 +203,7 @@ def write_checkpoints(d):
     assert body[8:13] == b"\x04lstm"
     zero_layers = body[:21] + struct.pack("<I", 0) + body[25:]  # the third dimension
     for name, edited in (("cut", body[:23]), ("gru", body[:8] + b"\x03gru" + body[13:]),
+                         ("version-2", body[:4] + struct.pack("<I", 2) + body[8:]),
                          ("zero-layers", zero_layers)):
         (d / f"{name}.ckpt").write_bytes(edited + struct.pack("<I", zlib.crc32(edited)))
 
@@ -260,6 +263,14 @@ INPUT_ERRORS = {
                                         "--epochs", "1", "--iterations", "1"],
     "extract-deltas-with-feature-files": ["extract", "--features", "file:emb",
                                           "--deltas"],
+    "wav-not-pcm": ["label"],
+    "train-n-beyond-the-windows": ["train", "--n", "5"],
+    "manifest-missing": ["label", "--manifest", "absent.jsonl"],
+    "manifest-spans-an-object": ["label"],
+    "manifest-span-not-an-object": ["label"],
+    "unknown-feature-spec": ["extract", "--features", "bogus"],
+    "fseq-cut-inside-header": ["extract", "--features", "file:emb"],
+    "checkpoint-version-2": ["eval", "--ckpt", "version-2.ckpt"],
 }
 
 # augment joins clips of one split only; the fixture's a and b differ in split
@@ -295,6 +306,14 @@ BROKEN_FILES = {
         "a", [("0", 30, "fear")]).encode()),
     "span-bound-is-a-boolean": ("manifest.jsonl", lambda d: manifest_line(
         "a", [(0, 30, "fear")], stress_spans=[(True, 30, "fear")]).encode()),
+    # format tag 3, IEEE float, in place of 1, PCM
+    "wav-not-pcm": ("a.wav", lambda d: (d / "a.wav").read_bytes().replace(
+        b"fmt \x10\0\0\0\x01\0", b"fmt \x10\0\0\0\x03\0", 1)),
+    "manifest-spans-an-object": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [], extra={"spans": {"start_s": 0, "end_s": 30, "label": "fear"}}).encode()),
+    "manifest-span-not-an-object": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [], extra={"spans": [3]}).encode()),
+    "fseq-cut-inside-header": ("emb/a.fseq", lambda d: b"FSEQ" + bytes(8)),
     # b.wav's record takes its id from its file name, which a.wav's record uses
     "manifest-repeats-utterance-id": ("manifest.jsonl", lambda d: "\n".join([
         manifest_line("a", [(0, 30, "fear")], split="test", extra={"utterance_id": "b"}),
@@ -316,7 +335,7 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
     if case in BROKEN_FILES:
         name, body = BROKEN_FILES[case]
         (data_dir / name).write_bytes(body(data_dir))
-    flags = [data_dir / f if f.endswith((".cfg", ".ckpt")) else f for f in flags]
+    flags = [data_dir / f if f.endswith((".cfg", ".ckpt", ".jsonl")) else f for f in flags]
     flags = [f"file:{data_dir / 'emb'}" if f == "file:emb" else f for f in flags]
     args = [cmd, "--manifest", manifest, "--out", data_dir / case, *flags]
     assert run(args) == 2
@@ -644,6 +663,32 @@ def test_every_subcommand_resolves_its_defaults(cmd):
     # as resolved_config.json writes them: 0 and false, 0.0 and 0 differ
     want = {"command": cmd, **COMMON_DEFAULTS, **defaults}
     assert json.dumps(args, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+# (subcommand, flag dest, config class, field): flags whose default is a field's
+LIBRARY_DEFAULTS = [
+    ("train", "hidden", ModelConfig, "hidden"),
+    ("train", "dropout", ModelConfig, "dropout"),
+    ("train", "iterations", TrainConfig, "iterations_per_epoch"),
+    ("train", "batch_size", TrainConfig, "batch_size"),
+    ("train", "lr", TrainConfig, "learning_rate"),
+    ("train", "teacher_forcing_p", TrainConfig, "teacher_forcing_p"),
+    ("train", "patience", TrainConfig, "patience"),
+    ("train", "seed", TrainConfig, "seed"),
+    ("label", "tau", LabellingConfig, "tau"),
+    ("sweep", "tau", LabellingConfig, "tau"),
+]
+
+
+@pytest.mark.parametrize("cmd, dest, cls, field", LIBRARY_DEFAULTS,
+                         ids=[f"{cmd}-{dest}" for cmd, dest, *_ in LIBRARY_DEFAULTS])
+def test_flag_default_is_its_config_field_default(cmd, dest, cls, field):
+    """The library's config class states the default once: the flag's
+    default is the same value, of the same type."""
+    required = RESOLVED_DEFAULTS[cmd][0]
+    got = getattr(cli.build_parser().parse_args([cmd, "--manifest", "m", *required]), dest)
+    want = next(f.default for f in dataclasses.fields(cls) if f.name == field)
+    assert (got, type(got)) == (want, type(want))
 
 
 def test_sequence_level_votes_once_per_recording(tmp_path):

@@ -40,6 +40,11 @@ def test_majority_vote():
         majority_vote([])
 
 
+def test_from_pairs_rejects_lists_of_different_lengths():
+    with pytest.raises(ValueError, match="differ in length"):
+        EvalReport.from_pairs([True, False], [True])
+
+
 def test_report_identities():
     r = EvalReport(tp=3, fp=1, tn=4, fn=2)
     assert r.accuracy == pytest.approx(7 / 10)

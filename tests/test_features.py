@@ -349,6 +349,13 @@ def test_fseq_roundtrip(tmp_path):
     assert np.allclose(back, mat)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1-D", "3-D"])
+def test_write_fseq_rejects_a_matrix_that_is_not_2d(tmp_path, shape):
+    with pytest.raises(DataError, match="must be 2-D"):
+        write_fseq(tmp_path / "x.fseq", np.zeros(shape))
+    assert not (tmp_path / "x.fseq").exists()
+
+
 def test_load_embeddings_checks(tmp_path):
     p = tmp_path / "e.fseq"
     write_fseq(p, np.zeros((3, 1024)))

@@ -338,6 +338,16 @@ def test_forward_length_mismatch():
         forward_batch(np.zeros((1, 3, 6)), S, params, cfg)
 
 
+@pytest.mark.parametrize("X, S, message", [
+    (np.zeros((3, 6)), context_array(context(3)), r"expects \(B, T, d\)"),
+    (np.zeros((1, 0, 6)), np.zeros((1, 0, 3)), "empty sequences"),
+], ids=["2-D", "T=0"])
+def test_forward_rejects_unbatched_and_empty_sequences(X, S, message):
+    cfg = lstm_cfg()
+    with pytest.raises(DataError, match=message):
+        forward_batch(X, S, make_params(cfg), cfg)
+
+
 def test_forward_context_must_start_with_default():
     bad = [VadCode(1, 1, 1)] + context(3)[1:]
     with pytest.raises(DataError):

@@ -119,6 +119,16 @@ def test_concat_mismatches():
         concat_augment([make_clip(5)], [HAPPY])
 
 
+@pytest.mark.parametrize("texts, emotions, message", [
+    (("t1", "t2"), [HAPPY, FEAR], "text mismatch: 't2' vs 't1'"),
+    (("t1", "t1"), [HAPPY], "one emotion code per clip"),
+], ids=["text-mismatch", "emotion-too-few"])
+def test_concat_rejects_other_texts_and_missing_emotions(texts, emotions, message):
+    clips = [make_clip(5, utt=f"x{i}", text=t) for i, t in enumerate(texts)]
+    with pytest.raises(DataError, match=message):
+        concat_augment(clips, emotions)
+
+
 def test_concat_gap():
     a, b = make_clip(5), make_clip(5)
     joined, _, spans = concat_augment([a, b], [HAPPY, FEAR], gap_s=1.0)

@@ -574,6 +574,13 @@ def test_train_rejects_empty(tmp_path):
         train([], [], TrainConfig(), cfg, tmp_path)
 
 
+def test_gradient_rejects_an_empty_batch():
+    cfg = reduced_cfg("lstm")
+    X, S, targets = random_batch(np.random.default_rng(0), B=0)
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        gradient(init_params(cfg, np.random.default_rng(0)), X, S, targets, cfg)
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(teacher_forcing_p=1.2)
