@@ -31,6 +31,8 @@ from .vad import is_stress
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
+# each architecture's epoch budget when --epochs is 0
+EPOCHS = {"lstm": TrainConfig.epochs, "transformer": 50}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +80,8 @@ def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
             raise DataError(f"{path}: bad config line {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
+        if key == "config":  # the file is read only when --config names it
+            raise DataError(f"{path}: config cannot be set in a config file")
         if key not in flags:
             raise DataError(f"{path}: {key} names no option")
         if (a := flags[key]) is None:  # a required, internal or other command's key
@@ -143,10 +147,10 @@ def cmd_augment(args, out):
         for (speaker, text, split), recs in groups.items():
             if len(recs) < 2:
                 continue
-            for r in recs:
-                if not r.spans:
-                    raise DataError(f"{r.utterance_id}: augment needs a "
-                                    "labelled span per record")
+            for r in recs:  # a joined clip takes one emotion per record
+                if len(r.spans) != 1:
+                    raise DataError(f"{r.utterance_id}: augment needs one labelled "
+                                    f"span per record, got {len(r.spans)}")
             clips = [load_clip(r, _base_dir(args)) for r in recs]
             emotions = [r.spans[0].code for r in recs]
             joined, final, spans = concat_augment(clips, emotions, args.gap_s)
@@ -230,9 +234,8 @@ def cmd_train(args, out):
     d = train_samples[0].features.shape[1]
     mcfg = ModelConfig(arch=args.arch, feature_dim=d, hidden=args.hidden,
                        dropout=args.dropout)
-    default_epochs = 20 if args.arch == "lstm" else 50
     tcfg = TrainConfig(
-        epochs=args.epochs if args.epochs else default_epochs,
+        epochs=args.epochs or EPOCHS[args.arch],
         iterations_per_epoch=args.iterations,
         batch_size=args.batch_size,
         learning_rate=args.lr,
@@ -386,8 +389,8 @@ def build_parser() -> _Parser:
     p.add_argument("--deltas", action="store_true")
     p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
     p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
-    p.add_argument("--epochs", type=int, default=0,
-                   help="0 = architecture default (20 lstm / 50 transformer)")
+    p.add_argument("--epochs", type=int, default=0, help="0 = architecture default ("
+                   + " / ".join(f"{e} {arch}" for arch, e in EPOCHS.items()) + ")")
     p.add_argument("--iterations", type=int, default=TrainConfig.iterations_per_epoch)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)

@@ -39,11 +39,12 @@ class ModelConfig:
             raise DataError(f"unknown architecture {self.arch!r}")
         # every encoder has a layer: the speech encoder's last one computes
         # the only state the head reads
-        for name in ("feature_dim", "hidden", "ffn", "layers", "ctx_layers"):
+        for name in ("feature_dim", "hidden", "ffn", "layers", "ctx_layers", "heads"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.heads < 1 or self.hidden % self.heads != 0:
-            raise DataError("hidden size must be divisible by a positive head count")
+        # only self-attention splits into heads; the LSTM has none
+        if self.arch == "transformer" and self.hidden % self.heads != 0:
+            raise DataError("hidden size must be divisible by the head count")
         if not 0.0 <= self.dropout < 1.0:
             raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
 

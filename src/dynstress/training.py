@@ -185,27 +185,6 @@ class Adam:
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
 
 
-class EarlyStopping:
-    """Stop when validation loss fails to improve for `patience` epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.counter = 0
-        self.stop = False
-
-    def update(self, val_loss: float) -> bool:
-        """Returns True when this epoch improved on the best loss."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.counter = 0
-            return True
-        self.counter += 1
-        if self.counter > self.patience:
-            self.stop = True
-        return False
-
-
 @dataclass
 class TrainSample:
     """One sliding-window training example."""
@@ -282,7 +261,11 @@ def train(
     mcfg: ModelConfig,
     out_dir: str | Path,
 ) -> dict:
-    """Full optimisation loop; writes best checkpoint and a metrics CSV.
+    """Full optimisation loop.  Each epoch writes its ``metrics.csv`` row once
+    its validation has run, so a run that raises leaves the rows of the
+    epochs it validated, a non-finite validation loss last.  An epoch whose
+    validation loss is strictly below the best so far writes ``best.ckpt``;
+    the loop stops once more than ``patience`` epochs in a row have not.
 
     Mini-batches are drawn with replacement; teacher forcing draws one
     Bernoulli per sequence per step.  A sample without ``prev_indices`` has
@@ -299,50 +282,47 @@ def train(
     # Rollout and validation read the same buffers, which Adam updates in
     # place, through constant tensors, so their forwards record no tape.
     const = {n: Tensor(p.data) for n, p in params.items()}
-    stopper = EarlyStopping(tcfg.patience)
     ckpt_path = out_dir / "best.ckpt"
     metrics_path = out_dir / "metrics.csv"
-    rows = []
-    step = 0
-    for epoch in range(tcfg.epochs):
-        opt.lr = tcfg.learning_rate * LR_DECAY ** (epoch // LR_DECAY_EVERY)
-        epoch_loss = 0.0
-        for it in range(tcfg.iterations_per_epoch):
-            rng = _step_rng(tcfg.seed, 1, epoch, it)
-            idx = rng.integers(0, len(train_samples), size=tcfg.batch_size)
-            roll = np.array([
-                not _teacher_forced(tcfg.teacher_forcing_p, rng) for _ in idx
-            ])
-            X = np.stack([train_samples[i].features for i in idx])
-            S = np.stack([train_samples[i].context for i in idx])
-            if roll.any():
-                S[roll] = _rollout_contexts(train_samples, idx[roll], const, mcfg)
-            T = _targets([train_samples[i] for i in idx])
-            loss, grads = gradient(params, X, S, T, mcfg, rng=rng)
-            opt.step(grads)
-            epoch_loss += loss
-            step += 1
-        train_loss = epoch_loss / tcfg.iterations_per_epoch
-        val_loss, val = evaluate_loss(val_samples, const, mcfg)
-        if not np.isfinite(val_loss):
-            raise TrainingDiverged(f"non-finite validation loss: {val_loss}")
-        rows.append((epoch, step, train_loss, val_loss, val.accuracy, val.f1, opt.lr))
-        if stopper.update(val_loss):
-            save_checkpoint(ckpt_path, params, mcfg)
-        if stopper.stop:
-            break
+    best, since_best, history = np.inf, 0, []
     with open(metrics_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["epoch", "step", "train_loss", "val_loss", "val_acc", "val_f1", "lr"]
-        )
-        for r in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in r])
+        log = csv.writer(f)
+        log.writerow(["epoch", "step", "train_loss", "val_loss", "val_acc", "val_f1", "lr"])
+        for epoch in range(tcfg.epochs):
+            opt.lr = tcfg.learning_rate * LR_DECAY ** (epoch // LR_DECAY_EVERY)
+            epoch_loss = 0.0
+            for it in range(tcfg.iterations_per_epoch):
+                rng = _step_rng(tcfg.seed, 1, epoch, it)
+                idx = rng.integers(0, len(train_samples), size=tcfg.batch_size)
+                roll = np.array([
+                    not _teacher_forced(tcfg.teacher_forcing_p, rng) for _ in idx
+                ])
+                X = np.stack([train_samples[i].features for i in idx])
+                S = np.stack([train_samples[i].context for i in idx])
+                if roll.any():
+                    S[roll] = _rollout_contexts(train_samples, idx[roll], const, mcfg)
+                T = _targets([train_samples[i] for i in idx])
+                loss, grads = gradient(params, X, S, T, mcfg, rng=rng)
+                opt.step(grads)
+                epoch_loss += loss
+            train_loss = epoch_loss / tcfg.iterations_per_epoch
+            val_loss, val = evaluate_loss(val_samples, const, mcfg)
+            history.append((epoch, (epoch + 1) * tcfg.iterations_per_epoch, train_loss,
+                            val_loss, val.accuracy, val.f1, opt.lr))
+            log.writerow([repr(x) if isinstance(x, float) else x for x in history[-1]])
+            f.flush()  # the log is readable while the run goes on
+            if not np.isfinite(val_loss):
+                raise TrainingDiverged(f"non-finite validation loss: {val_loss}")
+            if val_loss < best:  # strictly better: keep this epoch's parameters
+                best, since_best = val_loss, 0
+                save_checkpoint(ckpt_path, params, mcfg)
+            elif (since_best := since_best + 1) > tcfg.patience:
+                break
     return {
         "params": params,
-        "best_val_loss": stopper.best,
-        "epochs_run": len(rows),
+        "best_val_loss": best,
+        "epochs_run": len(history),
         "checkpoint": ckpt_path,
         "metrics": metrics_path,
-        "history": rows,
+        "history": history,
     }

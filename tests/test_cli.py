@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 import struct
 import zlib
 from pathlib import Path
@@ -7,14 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynstress import cli, segmentation
+from dynstress import cli, segmentation, training
 from dynstress.autodiff import Tensor
 from dynstress.cli import main
 from dynstress.features import read_fseq, write_fseq
 from dynstress.labelling import LabellingConfig
 from dynstress.model import ModelConfig, init_params, save_checkpoint
 from dynstress.segmentation import write_wav
-from dynstress.training import TrainConfig, TrainingDiverged
+from dynstress.training import TrainConfig
 
 SR = 16000
 
@@ -213,7 +214,7 @@ INPUT_ERRORS = {
     "non-numeric": ["label", "--config", "bad.cfg"],
     "no-spans": ["augment"],
     "negative-n": ["label", "--n", "-1"],
-    "hidden-not-divisible-by-heads": ["train", "--hidden", "6"],
+    "hidden-not-divisible-by-heads": ["train", "--arch", "transformer", "--hidden", "6"],
     "hidden-zero": ["train", "--hidden", "0"],
     "hidden-negative": ["train", "--hidden", "-4"],
     "teacher-forcing-p-above-1": ["train", "--teacher-forcing-p", "2"],
@@ -271,16 +272,23 @@ INPUT_ERRORS = {
     "unknown-feature-spec": ["extract", "--features", "bogus"],
     "fseq-cut-inside-header": ["extract", "--features", "file:emb"],
     "checkpoint-version-2": ["eval", "--ckpt", "version-2.ckpt"],
+    "augment-record-with-two-spans": ["augment"],
+    "config-names-a-config-file": ["label", "--config", "nested.cfg"],
 }
 
-# augment joins clips of one split only; the fixture's a and b differ in split
-SAME_SPLIT = ("manifest.jsonl", lambda d: (
-    d / "manifest.jsonl").read_bytes().replace(b'"split": "test"', b'"split": "train"'))
+# augment joins clips of one split only, the fixture's a and b differ in split,
+# and a joined clip takes one emotion per record: a and b of one span in one split
+SAME_SPLIT = ("manifest.jsonl", lambda d: "".join(
+    manifest_line(name, [(0, 30, emotion)]) + "\n"
+    for name, emotion in (("a", "fear"), ("b", "anger"))).encode())
 
 # Cases above that write or replace one fixture file: (file name, new bytes).
 BROKEN_FILES = {
     "config-boolean-not-recognised": ("bad-bool.cfg", lambda d: b"deltas = on\n"),
     "config-value-not-a-choice": ("bogus-level.cfg", lambda d: b"level = bogus\n"),
+    "config-names-a-config-file": ("nested.cfg", lambda d: b"config = other.cfg\n"),
+    "augment-record-with-two-spans": ("manifest.jsonl", lambda d: (
+        d / "manifest.jsonl").read_bytes().replace(b'"split": "test"', b'"split": "train"')),
     "augment-gap-negative": SAME_SPLIT,
     "augment-gap-nan": SAME_SPLIT,
     "augment-gap-inf": SAME_SPLIT,
@@ -322,6 +330,13 @@ BROKEN_FILES = {
     ]).encode()),
 }
 
+# Cases above whose error line must name the input at fault.
+NAMED_IN_ERROR = {
+    **{f"augment-gap-{kind}": "gap_s" for kind in ("negative", "nan", "inf", "beyond-a-wav")},
+    "augment-record-with-two-spans": "a: augment needs one labelled span per record, got 2",
+    "config-names-a-config-file": "nested.cfg: config ",
+}
+
 
 @pytest.mark.parametrize("case", INPUT_ERRORS)
 def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
@@ -341,6 +356,7 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert NAMED_IN_ERROR.get(case, "") in err, err
 
 
 def test_train_rejects_feature_files_of_different_widths(data_dir, capsys):
@@ -406,14 +422,24 @@ def test_sweep_without_references_exits_data(tmp_path):
 
 
 def test_train_divergence_exits_3_with_one_line(data_dir, monkeypatch, capsys):
-    def diverging(*args):
-        raise TrainingDiverged("non-finite training loss: nan")
-    monkeypatch.setattr(cli, "train", diverging)
-    code = run(["train", "--manifest", data_dir / "manifest.jsonl",
-                "--out", data_dir / "run", "--n", "2"])
+    """A NaN validation loss at epoch 1 of 3 exits 3 with one line, and
+    leaves metrics.csv with the rows of epochs 0 and 1, and epoch 0's
+    best.ckpt."""
+    losses = iter([0.7, float("nan")])
+    evaluate_loss = training.evaluate_loss
+    monkeypatch.setattr(training, "evaluate_loss", lambda *args: (
+        next(losses), evaluate_loss(*args)[1]))
+    out = data_dir / "run"
+    code = run(["train", "--manifest", data_dir / "manifest.jsonl", "--out", out,
+                "--n", "2", "--hidden", "8", "--epochs", "3", "--iterations", "2",
+                "--batch-size", "2"])
     assert code == 3
-    err = capsys.readouterr().err
-    assert err == "error: non-finite training loss: nan\n"
+    assert capsys.readouterr().err == "error: non-finite validation loss: nan\n"
+    rows = (out / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[::3] for row in rows] == [
+        ["epoch", "val_loss", "lr"], ["0", "0.7", "0.001"], ["1", "nan", "0.001"]]
+    assert sorted(f.name for f in out.iterdir()) == [
+        "best.ckpt", "metrics.csv", "resolved_config.json"]
 
 
 def test_train_then_eval_roundtrip(data_dir):
@@ -663,6 +689,20 @@ def test_every_subcommand_resolves_its_defaults(cmd):
     # as resolved_config.json writes them: 0 and false, 0.0 and 0 differ
     want = {"command": cmd, **COMMON_DEFAULTS, **defaults}
     assert json.dumps(args, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_readme_cli_examples_parse():
+    """Each `dynstress ...` line of README's CLI block is a valid command
+    line, and the block shows every subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("dynstress ")]
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)  # a usage error exits
+    commands = parser._get_positional_actions()[0].choices
+    assert sorted(argv[0] for argv in examples) == sorted(commands)
 
 
 # (subcommand, flag dest, config class, field): flags whose default is a field's

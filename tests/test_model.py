@@ -386,7 +386,7 @@ def test_forward_golden_regression():
 
 
 @pytest.mark.parametrize("setting", [
-    {"arch": "gru"}, {"hidden": 6}, {"heads": 0}, {"dropout": 1.0},
+    {"arch": "gru"}, {"arch": "transformer", "hidden": 6}, {"heads": 0}, {"dropout": 1.0},
     {"dropout": -0.1}, {"hidden": 0}, {"hidden": -4}, {"feature_dim": 0},
     {"ffn": 0},
 ])

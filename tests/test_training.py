@@ -15,9 +15,11 @@ from dynstress.model import (
     context_states,
     forward_batch,
     init_params,
+    load_checkpoint,
     lstm_states,
     param_names,
     readout,
+    save_checkpoint,
     speech_inputs,
     transformer_states,
 )
@@ -25,7 +27,6 @@ from dynstress.pipeline import RecordingData, build_samples
 from dynstress.training import (
     EVAL_BATCH,
     Adam,
-    EarlyStopping,
     TrainConfig,
     TrainSample,
     TrainingDiverged,
@@ -304,22 +305,6 @@ def test_sample_context_frequency():
     assert 0.78 <= hits / 10_000 <= 0.82
 
 
-def test_early_stopping_patience_zero():
-    s = EarlyStopping(patience=0)
-    assert s.update(1.0)
-    assert not s.update(1.5)
-    assert s.stop
-
-
-def test_early_stopping_tracks_best():
-    s = EarlyStopping(patience=2)
-    losses = [1.0, 0.9, 0.95, 0.85, 0.9, 0.91, 0.92]
-    for v in losses:
-        s.update(v)
-    assert s.best == 0.85
-    assert s.stop
-
-
 def make_samples(rng, count, T=3, d=8):
     samples = []
     for _ in range(count):
@@ -484,27 +469,75 @@ def test_train_step_feeds_gradient_rollouts_or_ground_truth(p, tmp_path, monkeyp
     assert (changed > 0) == (p == 0)  # some rollouts differ from the truth
 
 
-def test_train_stops_early_and_keeps_the_best_epochs_checkpoint(tmp_path, monkeypatch):
-    """Validation losses 1.0, 0.5, 0.6, 0.7 with patience 1: the loop stops
-    after epoch 3, and best.ckpt is the one epoch 1 wrote."""
+def run_with_val_losses(losses, epochs, out, patience=1):
+    """``train`` on a fixed sample set, with ``evaluate_loss`` returning the
+    validation ``losses`` in turn."""
     samples = make_samples(np.random.default_rng(13), 8)
-    cfg = reduced_cfg("lstm")
-
-    def run(epochs, out):
-        losses = iter([1.0, 0.5, 0.6, 0.7, 0.8, 0.9])
-        monkeypatch.setattr(training, "evaluate_loss",
-                            lambda *args: (next(losses), EvalReport(1, 1, 1, 1)))
+    losses = iter(losses)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "evaluate_loss",
+                   lambda *args: (next(losses), EvalReport(1, 1, 1, 1)))
         tcfg = TrainConfig(epochs=epochs, iterations_per_epoch=2, batch_size=4,
-                           teacher_forcing_p=0.5, seed=6, patience=1)
-        return train(samples, samples, tcfg, cfg, tmp_path / out)
-    result = run(6, "stopped")
-    assert result["epochs_run"] == 4
-    assert [row[3] for row in result["history"]] == [1.0, 0.5, 0.6, 0.7]
-    assert result["best_val_loss"] == 0.5
-    assert len(result["metrics"].read_text().splitlines()) == 1 + 4
+                           teacher_forcing_p=0.5, seed=6, patience=patience)
+        return train(samples, samples, tcfg, reduced_cfg("lstm"), out)
+
+
+@pytest.mark.parametrize("patience, losses, best_epoch", [
+    (0, [1.0, 1.5], 0),
+    (1, [1.0, 0.5, 0.6, 0.7], 1),
+    (2, [1.0, 0.9, 0.95, 0.85, 0.9, 0.91, 0.92], 3),
+    (1, [1.0, 1.0, 1.0], 0),  # a tie does not improve
+], ids=["patience-0", "patience-1", "patience-2", "patience-1-ties"])
+def test_train_stops_early_and_keeps_the_best_epochs_checkpoint(
+    patience, losses, best_epoch, tmp_path
+):
+    """An epoch improves when its validation loss is strictly below the best
+    so far, and writes best.ckpt; the loop stops after the epoch that makes
+    more than ``patience`` epochs in a row without improvement, so it runs
+    exactly ``losses`` (the later ones, which would improve, go unread)."""
+    result = run_with_val_losses([*losses, 0.1, 0.1], len(losses) + 2,
+                                 tmp_path / "stopped", patience)
+    assert result["epochs_run"] == len(losses)
+    assert [row[3] for row in result["history"]] == losses
+    assert result["best_val_loss"] == losses[best_epoch] == min(losses)
+    assert len(result["metrics"].read_text().splitlines()) == 1 + len(losses)
     ckpt = result["checkpoint"].read_bytes()
-    assert ckpt == run(2, "epoch1")["checkpoint"].read_bytes()
-    assert ckpt != run(1, "epoch0")["checkpoint"].read_bytes()
+    assert ckpt == run_with_val_losses(
+        losses, best_epoch + 1, tmp_path / "best", patience)["checkpoint"].read_bytes()
+    save_checkpoint(tmp_path / "last.ckpt", result["params"], reduced_cfg("lstm"))
+    assert ckpt != (tmp_path / "last.ckpt").read_bytes()
+
+
+def test_train_keeps_its_log_when_the_validation_loss_turns_non_finite(tmp_path):
+    """Each epoch's metrics.csv row is written once its validation has run:
+    a NaN validation loss at epoch 2 of 5 raises after its row, and best.ckpt
+    is the one a 2-epoch run writes."""
+    with pytest.raises(TrainingDiverged, match="non-finite validation loss: nan"):
+        run_with_val_losses([1.0, 0.9, np.nan], 5, tmp_path / "diverged")
+    rows = (tmp_path / "diverged" / "metrics.csv").read_text().splitlines()
+    assert rows[0] == "epoch,step,train_loss,val_loss,val_acc,val_f1,lr"
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "2"], ["1", "4"], ["2", "6"]]
+    assert [row.split(",")[3] for row in rows[1:]] == ["1.0", "0.9", "nan"]
+    two = run_with_val_losses([1.0, 0.9], 2, tmp_path / "two")
+    assert (tmp_path / "diverged" / "best.ckpt").read_bytes() == \
+           two["checkpoint"].read_bytes()
+    assert (tmp_path / "two" / "metrics.csv").read_text().splitlines() == rows[:3]
+
+
+def test_an_lstm_takes_a_hidden_size_its_head_count_does_not_divide(tmp_path):
+    """Only the transformer's self-attention splits into heads: an LSTM of
+    hidden size 6 with the default 4 heads builds, trains a step, and its
+    checkpoint loads back as the same model."""
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=6)
+    assert cfg.hidden % cfg.heads != 0
+    samples = make_samples(np.random.default_rng(15), 8)
+    tcfg = TrainConfig(epochs=1, iterations_per_epoch=1, batch_size=4, seed=7)
+    result = train(samples, samples, tcfg, cfg, tmp_path)
+    params, loaded = load_checkpoint(result["checkpoint"])
+    assert loaded == cfg
+    assert params.keys() == result["params"].keys()
+    for n, p in result["params"].items():
+        assert np.array_equal(params[n].data, p.data.astype(np.float32))
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
