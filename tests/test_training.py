@@ -504,6 +504,9 @@ def test_train_stops_early_and_keeps_the_best_epochs_checkpoint(
     ckpt = result["checkpoint"].read_bytes()
     assert ckpt == run_with_val_losses(
         losses, best_epoch + 1, tmp_path / "best", patience)["checkpoint"].read_bytes()
+    if best_epoch:  # best.ckpt was written again at the later best epoch
+        assert ckpt != run_with_val_losses(
+            losses, 1, tmp_path / "epoch0", patience)["checkpoint"].read_bytes()
     save_checkpoint(tmp_path / "last.ckpt", result["params"], reduced_cfg("lstm"))
     assert ckpt != (tmp_path / "last.ckpt").read_bytes()
 
