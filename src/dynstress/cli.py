@@ -22,6 +22,7 @@ from .segmentation import (
     concat_augment,
     load_clip,
     read_manifest,
+    read_text,
     segment,
     write_wav,
 )
@@ -56,12 +57,7 @@ def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     path = args.config
     if not path:
         return args
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read config file {path}: {e.strerror}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: config file is not UTF-8 (byte {e.start})") from None
+    text = read_text(path, "config file")
     # keys of all commands (the top parser's positional) map to None, and this
     # command's optional flags, listed last so that they win, to their actions
     flags = {}
@@ -98,20 +94,18 @@ def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or
-               os.environ.get("DYNSTRESS_RUN_DIR", "runs"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_resolved(args, out: Path) -> None:
-    resolved = {
-        k: v for k, v in vars(args).items() if k not in ("func", "subparser")
-    }
+def _run_dir(args) -> Path:
+    """The run's output directory, made if need be, holding its
+    resolved_config.json."""
+    out = Path(args.out or os.environ.get("DYNSTRESS_RUN_DIR", "runs"))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # such as a file of that name
+        raise DataError(f"cannot make run directory {out}: {e.strerror}") from None
+    resolved = {k: v for k, v in vars(args).items() if k not in ("func", "subparser")}
     (out / "resolved_config.json").write_text(
-        json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n"
-    )
+        json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n")
+    return out
 
 
 def _lab_cfg(args) -> LabellingConfig:
@@ -235,7 +229,7 @@ def cmd_train(args, out):
     mcfg = ModelConfig(arch=args.arch, feature_dim=d, hidden=args.hidden,
                        dropout=args.dropout)
     tcfg = TrainConfig(
-        epochs=args.epochs or EPOCHS[args.arch],
+        epochs=args.epochs,
         iterations_per_epoch=args.iterations,
         batch_size=args.batch_size,
         learning_rate=args.lr,
@@ -423,8 +417,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _merge_config(parser, args, argv)
-        out = _out_dir(args)
-        _write_resolved(args, out)
+        if args.command == "train" and args.epochs == 0:  # before the run records it
+            args.epochs = EPOCHS[args.arch]
+        out = _run_dir(args)
         return args.func(args, out)
     except TrainingDiverged as e:
         sys.stderr.write(f"error: {e}\n")

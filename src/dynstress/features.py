@@ -19,6 +19,7 @@ from .segmentation import (
     WINDOW_S,
     WINDOW_SAMPLES,
     DataError,
+    open_input,
     window_count,
 )
 
@@ -256,10 +257,10 @@ def write_fseq(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_fseq(path: str | Path) -> np.ndarray:
+    """A feature matrix of any width, one row per window; values must be finite."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing feature file: {path}")
-    blob = path.read_bytes()
+    with open_input(path, "feature file") as f:
+        blob = f.read()
     if blob[:4] != _FSEQ_MAGIC:
         raise DataError(f"{path}: bad magic, not an FSEQ file")
     if len(blob) < 16:
@@ -270,13 +271,7 @@ def read_fseq(path: str | Path) -> np.ndarray:
     expected = 16 + 4 * rows * cols
     if len(blob) != expected:
         raise DataError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob[16:], dtype="<f4").reshape(rows, cols)
-    return data.astype(np.float64)
-
-
-def load_embeddings(path: str | Path) -> np.ndarray:
-    """Load precomputed per-window embeddings of any width, one row per window."""
-    mat = read_fseq(path)
-    if not np.all(np.isfinite(mat)):
+    data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(rows, cols)
+    if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite values in embeddings")
-    return mat
+    return data.astype(np.float64)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, attention, concat, linear, pick_rows, take_rows
-from .segmentation import DataError
+from .segmentation import DataError, open_input
 from .vad import ALL_CODES, DEFAULT_CODE, VadCode
 
 
@@ -432,9 +432,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
     config needs must be present with its shape; tensors it does not build
     (such as the attention key biases of older checkpoints) are dropped."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing checkpoint: {path}")
-    blob = path.read_bytes()
+    with open_input(path, "checkpoint") as f:
+        blob = f.read()
     if len(blob) < 8 or blob[:4] != _CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     body, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, linear
-from .features import MfccConfig, load_embeddings, window_mfcc
+from .features import MfccConfig, read_fseq, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
 from .model import (ModelConfig, context_array, context_memory, context_states, decode,
                     make_context, readout, speech_inputs, speech_states)
@@ -70,8 +70,7 @@ def clip_feature_matrix(
     elif feature_spec.startswith("file:"):
         if mfcc_cfg.include_deltas:
             raise DataError(f"deltas apply to MFCC features only, not {feature_spec!r}")
-        emb_dir = Path(feature_spec[5:])
-        mat = load_embeddings(emb_dir / f"{clip.utterance_id}.fseq")
+        mat = read_fseq(Path(feature_spec[5:]) / f"{clip.utterance_id}.fseq")
         source = "embedding file"
     else:
         raise DataError(f"unknown feature spec {feature_spec!r}")

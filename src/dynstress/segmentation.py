@@ -12,7 +12,7 @@ import math
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -27,6 +27,24 @@ HOP_SAMPLES = int(HOP_S * REQUIRED_SAMPLE_RATE)
 class DataError(ValueError):
     """Malformed or unusable input data (bad WAV, bad manifest, ...) or a
     setting outside its valid range."""
+
+
+def open_input(path: str | Path, what: str) -> BinaryIO:
+    """``path`` opened for binary reading; one that cannot be opened (missing,
+    a directory, unreadable) is a DataError naming ``what`` and the path."""
+    try:
+        return open(path, "rb")
+    except (OSError, ValueError) as e:  # ValueError: a NUL or lone surrogate in it
+        raise DataError(f"cannot read {what} {path}: {getattr(e, 'strerror', e)}") from None
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """``path`` read through :func:`open_input` and decoded as UTF-8."""
+    with open_input(path, what) as f:
+        try:
+            return f.read().decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: {what} is not UTF-8 (byte {e.start})") from None
 
 
 @dataclass
@@ -176,15 +194,13 @@ def concat_augment(
 def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
              text_id: str = "") -> AudioClip:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing WAV file: {path}")
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open_input(path, "WAV file") as f, wave.open(f, "rb") as wf:
             if wf.getsampwidth() != 2:
                 raise DataError(f"{path}: expected 16-bit PCM")
             if wf.getnchannels() != 1:
                 raise DataError(f"{path}: expected mono audio")
-            rate = wf.getframerate()
+            rate = wf.getframerate()  # AudioClip accepts 16 kHz only
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
     # wave.Error: also any format but PCM; EOFError: the file ends inside a
@@ -192,10 +208,6 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
     except (wave.Error, EOFError, RuntimeError) as e:
         reason = str(e) or "truncated or corrupt chunk"
         raise DataError(f"{path}: not a readable WAV file ({reason})") from e
-    if rate != REQUIRED_SAMPLE_RATE:
-        raise DataError(
-            f"{path}: sample rate {rate} Hz, expected {REQUIRED_SAMPLE_RATE}"
-        )
     if len(raw) != 2 * n_frames:
         raise DataError(
             f"{path}: data chunk holds {len(raw)} bytes, header says {2 * n_frames}"
@@ -254,12 +266,7 @@ _TEXT_FIELDS = ("audio_path", "speaker_id", "utterance_id", "text_id", "split")
 
 def read_manifest(path: str | Path) -> list[ClipRecord]:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"missing manifest: {path}")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: manifest is not UTF-8 (byte {e.start})") from None
+    text = read_text(path, "manifest")
     records = []
     first_line: dict[str, int] = {}  # utterance_id -> the line that used it first
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -309,7 +316,5 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
 
 
 def load_clip(rec: ClipRecord, base_dir: str | Path = ".") -> AudioClip:
-    p = Path(rec.audio_path)
-    if not p.is_absolute():
-        p = Path(base_dir) / p
+    p = Path(base_dir) / rec.audio_path  # an absolute audio_path ignores base_dir
     return load_wav(p, rec.speaker_id, rec.utterance_id, rec.text_id)

@@ -284,6 +284,7 @@ def train(
     const = {n: Tensor(p.data) for n, p in params.items()}
     ckpt_path = out_dir / "best.ckpt"
     metrics_path = out_dir / "metrics.csv"
+    ckpt_path.unlink(missing_ok=True)  # best.ckpt belongs to this run's metrics.csv
     best, since_best, history = np.inf, 0, []
     with open(metrics_path, "w", newline="") as f:
         log = csv.writer(f)

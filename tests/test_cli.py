@@ -274,6 +274,15 @@ INPUT_ERRORS = {
     "checkpoint-version-2": ["eval", "--ckpt", "version-2.ckpt"],
     "augment-record-with-two-spans": ["augment"],
     "config-names-a-config-file": ["label", "--config", "nested.cfg"],
+    "manifest-is-a-directory": ["label"],
+    "config-is-a-directory": ["label", "--config", "dir.cfg"],
+    "wav-is-a-directory": ["label"],
+    "fseq-is-a-directory": ["extract", "--features", "file:emb"],
+    "fseq-missing": ["extract", "--features", "file:absent"],
+    "checkpoint-is-a-directory": ["eval", "--ckpt", "dir.ckpt"],
+    "checkpoint-missing": ["eval", "--ckpt", "absent.ckpt"],
+    "out-is-a-file": ["label"],
+    "wav-sample-rate-8000": ["label"],
 }
 
 # augment joins clips of one split only, the fixture's a and b differ in split,
@@ -282,8 +291,20 @@ SAME_SPLIT = ("manifest.jsonl", lambda d: "".join(
     manifest_line(name, [(0, 30, emotion)]) + "\n"
     for name, emotion in (("a", "fear"), ("b", "anger"))).encode())
 
+# A BROKEN_FILES body: a directory takes the file's place.
+DIRECTORY = None
+
 # Cases above that write or replace one fixture file: (file name, new bytes).
 BROKEN_FILES = {
+    "manifest-is-a-directory": ("manifest.jsonl", DIRECTORY),
+    "config-is-a-directory": ("dir.cfg", DIRECTORY),
+    "wav-is-a-directory": ("a.wav", DIRECTORY),
+    "fseq-is-a-directory": ("emb/a.fseq", DIRECTORY),
+    "checkpoint-is-a-directory": ("dir.ckpt", DIRECTORY),
+    "out-is-a-file": ("out-is-a-file", lambda d: b""),  # the case's --out
+    # the fmt chunk's sample rate and byte rate
+    "wav-sample-rate-8000": ("a.wav", lambda d: (d / "a.wav").read_bytes().replace(
+        struct.pack("<II", SR, 2 * SR), struct.pack("<II", 8000, 16000), 1)),
     "config-boolean-not-recognised": ("bad-bool.cfg", lambda d: b"deltas = on\n"),
     "config-value-not-a-choice": ("bogus-level.cfg", lambda d: b"level = bogus\n"),
     "config-names-a-config-file": ("nested.cfg", lambda d: b"config = other.cfg\n"),
@@ -335,6 +356,14 @@ NAMED_IN_ERROR = {
     **{f"augment-gap-{kind}": "gap_s" for kind in ("negative", "nan", "inf", "beyond-a-wav")},
     "augment-record-with-two-spans": "a: augment needs one labelled span per record, got 2",
     "config-names-a-config-file": "nested.cfg: config ",
+    **{case: f"{BROKEN_FILES[case][0]}: Is a directory" for case in BROKEN_FILES
+       if BROKEN_FILES[case][1] is DIRECTORY},
+    "missing-config": "absent.cfg: No such file",
+    "manifest-missing": "absent.jsonl: No such file",
+    "fseq-missing": "absent/a.fseq: No such file",
+    "checkpoint-missing": "absent.ckpt: No such file",
+    "out-is-a-file": "out-is-a-file: File exists",
+    "wav-sample-rate-8000": "sample rate",
 }
 
 
@@ -349,9 +378,13 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
         write_fseq(data_dir / "emb" / f"{name}.fseq", np.zeros((5, 8)))
     if case in BROKEN_FILES:
         name, body = BROKEN_FILES[case]
-        (data_dir / name).write_bytes(body(data_dir))
-    flags = [data_dir / f if f.endswith((".cfg", ".ckpt", ".jsonl")) else f for f in flags]
-    flags = [f"file:{data_dir / 'emb'}" if f == "file:emb" else f for f in flags]
+        if body is DIRECTORY:
+            (data_dir / name).unlink(missing_ok=True)
+            (data_dir / name).mkdir()
+        else:
+            (data_dir / name).write_bytes(body(data_dir))
+    flags = [data_dir / f if f.endswith((".cfg", ".ckpt", ".jsonl"))
+             else f"file:{data_dir / f[5:]}" if f.startswith("file:") else f for f in flags]
     args = [cmd, "--manifest", manifest, "--out", data_dir / case, *flags]
     assert run(args) == 2
     err = capsys.readouterr().err
@@ -440,6 +473,33 @@ def test_train_divergence_exits_3_with_one_line(data_dir, monkeypatch, capsys):
         ["epoch", "val_loss", "lr"], ["0", "0.7", "0.001"], ["1", "nan", "0.001"]]
     assert sorted(f.name for f in out.iterdir()) == [
         "best.ckpt", "metrics.csv", "resolved_config.json"]
+
+
+def test_train_removes_an_earlier_runs_checkpoint(data_dir, monkeypatch, capsys):
+    """A run that diverges before any epoch improves leaves no best.ckpt, not
+    the one an earlier run left in the same directory."""
+    evaluate_loss = training.evaluate_loss
+    monkeypatch.setattr(training, "evaluate_loss", lambda *args: (
+        float("nan"), evaluate_loss(*args)[1]))
+    out = data_dir / "run"
+    out.mkdir()
+    (out / "best.ckpt").write_bytes(b"an earlier run's checkpoint")
+    code = run(["train", "--manifest", data_dir / "manifest.jsonl", "--out", out,
+                "--n", "2", "--hidden", "8", "--epochs", "3", "--iterations", "1",
+                "--batch-size", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: non-finite validation loss: nan\n"
+    assert sorted(f.name for f in out.iterdir()) == ["metrics.csv", "resolved_config.json"]
+
+
+@pytest.mark.parametrize("arch, epochs", [("lstm", 20), ("transformer", 50)])
+def test_resolved_config_records_the_epoch_budget(arch, epochs, data_dir):
+    """`--epochs 0` (the default) is resolved to the architecture's budget
+    before resolved_config.json is written, even by a run that then fails."""
+    out = data_dir / "run"
+    assert run(["train", "--manifest", data_dir / "manifest.jsonl", "--out", out,
+                "--arch", arch, "--n", "5"]) == 2
+    assert json.loads((out / "resolved_config.json").read_text())["epochs"] == epochs
 
 
 def test_train_then_eval_roundtrip(data_dir):

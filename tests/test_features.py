@@ -14,7 +14,6 @@ from dynstress.features import (
     dct_basis,
     delta_frames,
     hz_to_mel,
-    load_embeddings,
     mel_filterbank,
     mel_to_hz,
     mfcc_frames,
@@ -357,18 +356,19 @@ def test_write_fseq_rejects_a_matrix_that_is_not_2d(tmp_path, shape):
 
 
 def test_load_embeddings_checks(tmp_path):
+    """read_fseq, the one reader of embedding files, rejects non-finite values."""
     p = tmp_path / "e.fseq"
     write_fseq(p, np.zeros((3, 1024)))
-    assert load_embeddings(p).shape == (3, 1024)
+    assert read_fseq(p).shape == (3, 1024)
     bad = tmp_path / "nan.fseq"
     mat = np.zeros((2, 1024))
     mat[1, 7] = np.nan
     write_fseq(bad, mat)
-    with pytest.raises(DataError):
-        load_embeddings(bad)
+    with pytest.raises(DataError, match="non-finite"):
+        read_fseq(bad)
     trunc = tmp_path / "t.fseq"
     trunc.write_bytes((tmp_path / "e.fseq").read_bytes()[:-8])
     with pytest.raises(DataError):
-        load_embeddings(trunc)
+        read_fseq(trunc)
     with pytest.raises(DataError):
-        load_embeddings(tmp_path / "missing.fseq")
+        read_fseq(tmp_path / "missing.fseq")

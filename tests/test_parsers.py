@@ -84,6 +84,17 @@ def test_read_fseq_yields_matrix_or_data_error(tmp_path, blob):
         assert out.ndim == 2 and out.dtype == np.float64
 
 
+@pytest.mark.parametrize("read", [read_manifest, load_wav, read_fseq, load_checkpoint])
+@pytest.mark.parametrize("kind", ["missing", "directory", "nul-in-name"])
+def test_reader_of_a_path_it_cannot_open_raises_data_error(tmp_path, read, kind):
+    path = tmp_path / ("in\0put" if kind == "nul-in-name" else "input")
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(DataError, match="^cannot read ") as e:
+        read(path)
+    assert str(path) in str(e.value)
+
+
 def mutations(valid: bytes):
     """Arbitrary bytes, and the valid file cut short or with bytes flipped."""
     flips = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)),
