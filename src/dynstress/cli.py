@@ -1,6 +1,6 @@
 """Command-line entry point wiring the pipeline stages together.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
+Exit codes: 0 success, 1 usage error, 2 data or output error, 3 numeric divergence.
 Every run writes its fully resolved configuration next to its outputs.
 """
 
@@ -98,10 +98,9 @@ def _run_dir(args) -> Path:
     """The run's output directory, made if need be, holding its
     resolved_config.json."""
     out = Path(args.out or os.environ.get("DYNSTRESS_RUN_DIR", "runs"))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # such as a file of that name
-        raise DataError(f"cannot make run directory {out}: {e.strerror}") from None
+    if "\0" in str(out):  # a config file's `out` may hold one; mkdir raises ValueError
+        raise DataError(f"run directory {str(out)!r} holds a NUL byte")
+    out.mkdir(parents=True, exist_ok=True)
     resolved = {k: v for k, v in vars(args).items() if k not in ("func", "subparser")}
     (out / "resolved_config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n")
@@ -149,12 +148,7 @@ def cmd_augment(args, out):
             emotions = [r.spans[0].code for r in recs]
             joined, final, spans = concat_augment(clips, emotions, args.gap_s)
             wav_path = out / f"{joined.utterance_id}.wav"
-            try:
-                write_wav(wav_path, joined.samples)
-            except OSError as e:  # such as a joined id too long for a file name
-                raise DataError(f"speaker {speaker!r}, text {text!r}, split "
-                                f"{split!r}: cannot write the joined clip "
-                                f"({e.strerror})") from None
+            write_wav(wav_path, joined.samples)
             f.write(json.dumps({
                 "audio_path": wav_path.name,
                 "speaker_id": speaker,
@@ -196,20 +190,21 @@ def cmd_extract(args, out):
     return 0
 
 
-def _load_split(args, records, split: str, mfcc_cfg, use: str) -> list:
+def _load_split(args, records, split: str, mfcc_cfg, use: str, like=()) -> list:
     """RecordingData of ``split`` in manifest order, an error when it has
-    none or when its feature widths differ; the clips of other splits are
-    never decoded."""
+    none or when its feature widths differ from each other or from those of
+    the recordings ``like``; the clips of other splits are never decoded."""
     lab = _lab_cfg(args)
     recs = [rd for rec in records if rec.split == split for rd in
             pipeline.load_recording(rec, _base_dir(args), args.features, lab, mfcc_cfg)]
     if not recs:
         raise DataError(f"no recordings to {use} in split {split!r}")
-    width = recs[0].features.shape[1]
+    first = (like or recs)[0]
+    width = first.features.shape[1]
     for rd in recs:
         if rd.features.shape[1] != width:
             raise DataError(f"{rd.clip_id}: features are {rd.features.shape[1]} wide, "
-                            f"but {recs[0].clip_id}'s are {width}")
+                            f"but {first.clip_id}'s are {width}")
     return recs
 
 
@@ -220,7 +215,7 @@ def cmd_train(args, out):
     mfcc_cfg = MfccConfig(include_deltas=args.deltas)
     train_recs = _load_split(args, records, "train", mfcc_cfg, "train on")
     val_recs = train_recs if val_split == "train" else _load_split(
-        args, records, val_split, mfcc_cfg, "validate on")
+        args, records, val_split, mfcc_cfg, "validate on", train_recs)
     train_samples = pipeline.build_samples(train_recs, args.n)
     val_samples = pipeline.build_samples(val_recs, args.n)
     if not train_samples or not val_samples:
@@ -312,6 +307,8 @@ def _parse_list(text: str, kind: type) -> list:
 
 def cmd_sweep(args, out):
     records = read_manifest(args.manifest)
+    n_values = _parse_list(args.n, int)
+    lambdas = _parse_list(args.lam, float)
     sequences = []
     # Reference labels come from each record's stress_spans; the dummy
     # labelling config below only drives windowing, not the sweep itself.
@@ -325,8 +322,6 @@ def cmd_sweep(args, out):
                 sequences.append((rd.emotion_codes, rd.reference_codes))
     if not sequences:
         raise DataError("sweep needs records with stress_spans references")
-    n_values = _parse_list(args.n, int)
-    lambdas = _parse_list(args.lam, float)
     cells = evaluation.labelling_sweep(sequences, n_values, lambdas, args.tau)
     evaluation.write_sweep_csv(cells, out / "sweep_binary.csv", "binary")
     evaluation.write_sweep_csv(cells, out / "sweep_exact.csv", "exact")
@@ -426,6 +421,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except DataError as e:
         sys.stderr.write(f"error: {e}\n")
+        return EXIT_DATA
+    except OSError as e:  # inputs open through open_input, so an output failed
+        sys.stderr.write(f"error: cannot write {e.filename or 'output'}: {e.strerror}\n")
         return EXIT_DATA
 
 

@@ -301,7 +301,7 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
             )
             # it names the recording's .fseq and augmented .wav files
             if rec.utterance_id in ("", ".", "..") or any(
-                    c in rec.utterance_id for c in "/\\"):
+                    c in rec.utterance_id for c in "/\\\0"):
                 raise ValueError(f"utterance_id {rec.utterance_id!r} "
                                  "is not a plain file name")
         except (KeyError, ValueError, TypeError, OverflowError, RecursionError) as e:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import shlex
 import struct
@@ -253,10 +254,11 @@ INPUT_ERRORS = {
     "span-bound-is-a-boolean": ["label"],
     "manifest-repeats-utterance-id": ["eval", "--ckpt", "good.ckpt"],
     "config-not-utf8": ["label", "--config", "latin1.cfg"],
-    "augment-gap-negative": ["augment", "--gap-s", "-1"],
-    "augment-gap-nan": ["augment", "--gap-s", "nan"],
-    "augment-gap-inf": ["augment", "--gap-s", "inf"],
-    "augment-gap-beyond-a-wav": ["augment", "--gap-s", "1e300"],
+    "augment-gap-negative": ["augment", "--manifest", "same-split.jsonl", "--gap-s", "-1"],
+    "augment-gap-nan": ["augment", "--manifest", "same-split.jsonl", "--gap-s", "nan"],
+    "augment-gap-inf": ["augment", "--manifest", "same-split.jsonl", "--gap-s", "inf"],
+    "augment-gap-beyond-a-wav": ["augment", "--manifest", "same-split.jsonl",
+                                 "--gap-s", "1e300"],
     "utterance-id-not-a-file-name": ["extract"],
     "config-value-not-a-choice": ["eval", "--ckpt", "good.ckpt",
                                   "--config", "bogus-level.cfg"],
@@ -283,16 +285,35 @@ INPUT_ERRORS = {
     "checkpoint-missing": ["eval", "--ckpt", "absent.ckpt"],
     "out-is-a-file": ["label"],
     "wav-sample-rate-8000": ["label"],
+    "utterance-id-holds-a-nul": ["extract"],
+    "config-out-holds-a-nul": ["label", "--config", "nul-out.cfg"],
+    # every output the CLI writes, with a directory in its place
+    "resolved-config-is-a-directory": ["label"],
+    "windows-is-a-directory": ["segment"],
+    "augmented-manifest-is-a-directory": ["augment"],
+    "joined-wav-is-a-directory": ["augment", "--manifest", "same-split.jsonl"],
+    "labels-is-a-directory": ["label"],
+    "extracted-fseq-is-a-directory": ["extract"],
+    "metrics-is-a-directory": ["train", "--hidden", "8", "--epochs", "1",
+                               "--iterations", "1"],
+    "best-checkpoint-is-a-directory": ["train", "--hidden", "8", "--epochs", "1",
+                                       "--iterations", "1"],
+    "eval-json-is-a-directory": ["eval", "--ckpt", "good.ckpt"],
+    "sweep-binary-is-a-directory": ["sweep"],
+    "sweep-exact-is-a-directory": ["sweep"],
+    "ablation-is-a-directory": ["ablate", "--ckpt", "good.ckpt", "--n-values", "0..0"],
+    "extracted-fseq-name-too-long": ["extract"],
 }
 
 # augment joins clips of one split only, the fixture's a and b differ in split,
 # and a joined clip takes one emotion per record: a and b of one span in one split
-SAME_SPLIT = ("manifest.jsonl", lambda d: "".join(
-    manifest_line(name, [(0, 30, emotion)]) + "\n"
-    for name, emotion in (("a", "fear"), ("b", "anger"))).encode())
+SAME_SPLIT = "".join(manifest_line(name, [(0, 30, emotion)]) + "\n"
+                     for name, emotion in (("a", "fear"), ("b", "anger")))
 
 # A BROKEN_FILES body: a directory takes the file's place.
 DIRECTORY = None
+
+LONG_ID = "u" * 300  # longer than a file name may be
 
 # Cases above that write or replace one fixture file: (file name, new bytes).
 BROKEN_FILES = {
@@ -301,7 +322,26 @@ BROKEN_FILES = {
     "wav-is-a-directory": ("a.wav", DIRECTORY),
     "fseq-is-a-directory": ("emb/a.fseq", DIRECTORY),
     "checkpoint-is-a-directory": ("dir.ckpt", DIRECTORY),
-    "out-is-a-file": ("out-is-a-file", lambda d: b""),  # the case's --out
+    # outputs, in the case's run directory
+    **{case: (f"{case}/{name}", DIRECTORY) for case, name in (
+        ("resolved-config-is-a-directory", "resolved_config.json"),
+        ("windows-is-a-directory", "windows.jsonl"),
+        ("augmented-manifest-is-a-directory", "augmented.jsonl"),
+        ("joined-wav-is-a-directory", "a+b.wav"),
+        ("labels-is-a-directory", "labels.jsonl"),
+        ("extracted-fseq-is-a-directory", "a.fseq"),
+        ("metrics-is-a-directory", "metrics.csv"),
+        ("best-checkpoint-is-a-directory", "best.ckpt"),
+        ("eval-json-is-a-directory", "eval.json"),
+        ("sweep-binary-is-a-directory", "sweep_binary.csv"),
+        ("sweep-exact-is-a-directory", "sweep_exact.csv"),
+        ("ablation-is-a-directory", "ablation.csv"))},
+    "out-is-a-file": ("out-is-a-file", lambda d: b""),  # the case's run directory
+    "extracted-fseq-name-too-long": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [(0, 30, "fear")], extra={"utterance_id": LONG_ID}).encode()),
+    "utterance-id-holds-a-nul": ("manifest.jsonl", lambda d: manifest_line(
+        "a", [(0, 30, "fear")], extra={"utterance_id": "a\0b"}).encode()),
+    "config-out-holds-a-nul": ("nul-out.cfg", lambda d: b"out = a\0b\n"),
     # the fmt chunk's sample rate and byte rate
     "wav-sample-rate-8000": ("a.wav", lambda d: (d / "a.wav").read_bytes().replace(
         struct.pack("<II", SR, 2 * SR), struct.pack("<II", 8000, 16000), 1)),
@@ -310,10 +350,6 @@ BROKEN_FILES = {
     "config-names-a-config-file": ("nested.cfg", lambda d: b"config = other.cfg\n"),
     "augment-record-with-two-spans": ("manifest.jsonl", lambda d: (
         d / "manifest.jsonl").read_bytes().replace(b'"split": "test"', b'"split": "train"')),
-    "augment-gap-negative": SAME_SPLIT,
-    "augment-gap-nan": SAME_SPLIT,
-    "augment-gap-inf": SAME_SPLIT,
-    "augment-gap-beyond-a-wav": SAME_SPLIT,
     "utterance-id-not-a-file-name": ("manifest.jsonl", lambda d: manifest_line(
         "a", [(0, 30, "fear")], extra={"utterance_id": "sub/r0"}).encode()),
     "config-not-utf8": ("latin1.cfg", lambda d: b"tau = 0.5  # caf\xe9\n"),
@@ -351,7 +387,7 @@ BROKEN_FILES = {
     ]).encode()),
 }
 
-# Cases above whose error line must name the input at fault.
+# Cases above whose error line must name the input or output at fault.
 NAMED_IN_ERROR = {
     **{f"augment-gap-{kind}": "gap_s" for kind in ("negative", "nan", "inf", "beyond-a-wav")},
     "augment-record-with-two-spans": "a: augment needs one labelled span per record, got 2",
@@ -364,14 +400,21 @@ NAMED_IN_ERROR = {
     "checkpoint-missing": "absent.ckpt: No such file",
     "out-is-a-file": "out-is-a-file: File exists",
     "wav-sample-rate-8000": "sample rate",
+    "extracted-fseq-name-too-long": f"{LONG_ID}.fseq: File name too long",
+    "utterance-id-holds-a-nul": "utterance_id 'a\\x00b' is not a plain file name",
+    "config-out-holds-a-nul": "run directory 'a\\x00b' holds a NUL byte",
 }
 
 
 @pytest.mark.parametrize("case", INPUT_ERRORS)
-def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
+def test_input_errors_exit_data_with_one_line(case, data_dir, monkeypatch, capsys):
     manifest = data_dir / "manifest.jsonl"
     cmd, *flags = INPUT_ERRORS[case]
+    # the run directory, named here and not by --out so that a config file's
+    # `out` can take its place
+    monkeypatch.setenv("DYNSTRESS_RUN_DIR", str(data_dir / case))
     (data_dir / "bad.cfg").write_text("n = four\n")
+    (data_dir / "same-split.jsonl").write_text(SAME_SPLIT)
     write_checkpoints(data_dir)
     (data_dir / "emb").mkdir()
     for name in ("a", "b"):  # five windows in each 30 s clip
@@ -380,12 +423,12 @@ def test_input_errors_exit_data_with_one_line(case, data_dir, capsys):
         name, body = BROKEN_FILES[case]
         if body is DIRECTORY:
             (data_dir / name).unlink(missing_ok=True)
-            (data_dir / name).mkdir()
+            (data_dir / name).mkdir(parents=True)
         else:
             (data_dir / name).write_bytes(body(data_dir))
     flags = [data_dir / f if f.endswith((".cfg", ".ckpt", ".jsonl"))
              else f"file:{data_dir / f[5:]}" if f.startswith("file:") else f for f in flags]
-    args = [cmd, "--manifest", manifest, "--out", data_dir / case, *flags]
+    args = [cmd, "--manifest", manifest, *flags]
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -407,6 +450,35 @@ def test_train_rejects_feature_files_of_different_widths(data_dir, capsys):
                 "--n", "2", "--epochs", "1", "--iterations", "1"])
     assert code == 2
     assert capsys.readouterr().err == "error: b#0: features are 9 wide, but a#0's are 8\n"
+
+
+def test_train_checks_the_validation_width_before_training(data_dir, capsys):
+    """Validation features as wide as the training split's, checked by the
+    same rule before the first step: no epoch runs and no metrics.csv is
+    written."""
+    emb = data_dir / "emb"
+    emb.mkdir()
+    rng = np.random.default_rng(5)
+    for name, width in (("a", 8), ("b", 16)):  # a is in train, b in test
+        write_fseq(emb / f"{name}.fseq", rng.normal(size=(5, width)))
+    out = data_dir / "run"
+    code = run(["train", "--manifest", data_dir / "manifest.jsonl", "--out", out,
+                "--features", f"file:{emb}", "--n", "1", "--epochs", "1",
+                "--iterations", "50"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: b#0: features are 16 wide, but a#0's are 8\n"
+    assert not (out / "metrics.csv").exists()
+
+
+def test_a_write_error_naming_no_file_exits_data(data_dir, monkeypatch, capsys):
+    """An output error without a file name, such as a full disk, names no
+    path, not None."""
+    def full_disk(path, mat):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(cli, "write_fseq", full_disk)
+    assert run(["extract", "--manifest", data_dir / "manifest.jsonl",
+                "--out", data_dir / "run"]) == 2
+    assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"
 
 
 def test_extract_writes_fseq(data_dir):
@@ -591,7 +663,7 @@ def test_augment_with_a_joined_id_too_long_for_a_file_name_exits_data(tmp_path, 
                 "--out", tmp_path / "aug"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "speaker 'spk', text 't1', split 'train'" in err
+    assert f"{'+'.join(names)}.wav: File name too long" in err
 
 
 def test_run_dir_env_fallback(data_dir, monkeypatch, tmp_path):
@@ -612,6 +684,16 @@ def decoded(monkeypatch):
         return load_wav(path, *args)
     monkeypatch.setattr(segmentation, "load_wav", counting)
     return names
+
+
+@pytest.mark.parametrize("flag, value, kind", [("--n", "1..q", "int"),
+                                              ("--lambda", "a", "float")])
+def test_sweep_parses_its_grid_before_decoding(flag, value, kind, data_dir, decoded,
+                                               capsys):
+    assert run(["sweep", "--manifest", data_dir / "manifest.jsonl",
+                "--out", data_dir / "sweep", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: bad {kind} list {value!r}\n"
+    assert decoded == []
 
 
 @pytest.mark.parametrize("cmd", ["eval", "ablate"])
