@@ -43,11 +43,6 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-# config-file spellings of a flag that is on or off
-_BOOLEANS = {"1": True, "true": True, "yes": True,
-             "0": False, "false": False, "no": False}
-
-
 def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
     """Read the `key = value` lines of --config ('#' starts a comment) into
     the subcommand's flag defaults, so flags given on the command line win
@@ -83,10 +78,10 @@ def _merge_config(parser, args: argparse.Namespace, argv) -> argparse.Namespace:
         if (a := flags[key]) is None:  # a required, internal or other command's key
             continue
         try:
-            typed = _BOOLEANS[value.lower()] if a.nargs == 0 else (a.type or str)(value)
-        except (KeyError, ValueError):
-            kind = a.type.__name__ if a.type else "bool"
-            raise DataError(f"{path}: {key} must be {kind}, got {value!r}") from None
+            typed = (a.type or str)(value)
+        except ValueError:  # only a typed flag's value can fail: str never does
+            raise DataError(f"{path}: {key} must be {a.type.__name__}, "
+                            f"got {value!r}") from None
         if a.choices is not None and typed not in a.choices:
             raise DataError(f"{path}: {key} must be one of "
                             f"{', '.join(a.choices)}, got {value!r}")
@@ -180,23 +175,21 @@ def cmd_label(args, out):
 
 
 def cmd_extract(args, out):
-    mfcc_cfg = MfccConfig(include_deltas=args.deltas)
     for rec in read_manifest(args.manifest):
         clip = load_clip(rec, _base_dir(args))
-        mat = pipeline.clip_feature_matrix(
-            clip, segment(clip), args.features, mfcc_cfg
-        )
+        mat = pipeline.clip_feature_matrix(clip, segment(clip), args.features)
         write_fseq(out / f"{rec.utterance_id}.fseq", mat)
     return 0
 
 
-def _load_split(args, records, split: str, mfcc_cfg, use: str, like=()) -> list:
-    """RecordingData of ``split`` in manifest order, an error when it has
-    none or when its feature widths differ from each other or from those of
-    the recordings ``like``; the clips of other splits are never decoded."""
+def _load_split(args, records, split: str, features: str, use: str, like=()) -> list:
+    """RecordingData of ``split`` with ``features`` in manifest order, an
+    error when it has none or when its feature widths differ from each other
+    or from those of the recordings ``like``; the clips of other splits are
+    never decoded."""
     lab = _lab_cfg(args)
     recs = [rd for rec in records if rec.split == split for rd in
-            pipeline.load_recording(rec, _base_dir(args), args.features, lab, mfcc_cfg)]
+            pipeline.load_recording(rec, _base_dir(args), features, lab)]
     if not recs:
         raise DataError(f"no recordings to {use} in split {split!r}")
     first = (like or recs)[0]
@@ -212,10 +205,9 @@ def cmd_train(args, out):
     records = read_manifest(args.manifest)
     names = {rec.split for rec in records}
     val_split = next((s for s in ("val", "test") if s in names), "train")
-    mfcc_cfg = MfccConfig(include_deltas=args.deltas)
-    train_recs = _load_split(args, records, "train", mfcc_cfg, "train on")
+    train_recs = _load_split(args, records, "train", args.features, "train on")
     val_recs = train_recs if val_split == "train" else _load_split(
-        args, records, val_split, mfcc_cfg, "validate on", train_recs)
+        args, records, val_split, args.features, "validate on", train_recs)
     train_samples = pipeline.build_samples(train_recs, args.n)
     val_samples = pipeline.build_samples(val_recs, args.n)
     if not train_samples or not val_samples:
@@ -261,22 +253,20 @@ def _report(recs, n, params, mcfg, level: str) -> evaluation.EvalReport:
 
 def _cells(args, ckpts, n_values, level: str):
     """An AblationCell per checkpoint and history n, in that order, scored at
-    ``level`` on ``--split``.  The split is decoded once per MFCC width among
+    ``level`` on ``--split``, which is decoded once per feature spec among
     the checkpoints: under ``--features mfcc`` an 80-wide model was trained
-    with deltas and is scored on them."""
+    on ``mfcc+deltas`` and is scored on them."""
     records = read_manifest(args.manifest)
-    loaded: dict[bool, list] = {}  # --split's recordings, with or without deltas
+    loaded: dict[str, list] = {}  # --split's recordings by feature spec
     for ckpt in ckpts:
         params, mcfg = load_checkpoint(ckpt)
-        deltas = (args.features == "mfcc"
-                  and mcfg.feature_dim == 2 * MfccConfig.n_coeffs)
-        if deltas not in loaded:
-            mfcc_cfg = MfccConfig(include_deltas=deltas)
-            loaded[deltas] = _load_split(args, records, args.split, mfcc_cfg, "evaluate")
-        features = "mfcc+deltas" if deltas else args.features
+        wide = args.features == "mfcc" and mcfg.feature_dim == 2 * MfccConfig.n_coeffs
+        spec = "mfcc+deltas" if wide else args.features
+        if spec not in loaded:
+            loaded[spec] = _load_split(args, records, args.split, spec, "evaluate")
         for n in n_values:
-            report = _report(loaded[deltas], n, params, mcfg, level)
-            yield evaluation.AblationCell(str(ckpt), features, n, report)
+            report = _report(loaded[spec], n, params, mcfg, level)
+            yield evaluation.AblationCell(str(ckpt), spec, n, report)
 
 
 def cmd_eval(args, out):
@@ -351,6 +341,10 @@ def build_parser() -> _Parser:
     labels.add_argument("--n", type=int, default=4)
     labels.add_argument("--lambda", dest="lam", type=float, default=0.8)
     labels.add_argument("--tau", type=float, default=LabellingConfig.tau)
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("--features", default="mfcc",
+                          help="mfcc (d = 40), mfcc+deltas (pooled deltas appended, "
+                               "d = 80) or file:<dir> (<dir>/<utterance_id>.fseq)")
 
     parser = _Parser(prog="dynstress")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -368,14 +362,10 @@ def build_parser() -> _Parser:
 
     command("label", cmd_label, "derive temporal stress labels", labels)
 
-    p = command("extract", cmd_extract, "write per-window feature files")
-    p.add_argument("--features", default="mfcc")
-    p.add_argument("--deltas", action="store_true")
+    command("extract", cmd_extract, "write per-window feature files", features)
 
-    p = command("train", cmd_train, "train a stress classifier", labels)
+    p = command("train", cmd_train, "train a stress classifier", labels, features)
     p.add_argument("--arch", choices=["lstm", "transformer"], default="lstm")
-    p.add_argument("--features", default="mfcc")
-    p.add_argument("--deltas", action="store_true")
     p.add_argument("--hidden", type=int, default=ModelConfig.hidden)
     p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--epochs", type=int, default=0, help="0 = architecture default ("
@@ -388,9 +378,8 @@ def build_parser() -> _Parser:
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
-    p = command("eval", cmd_eval, "score a checkpoint", labels)
+    p = command("eval", cmd_eval, "score a checkpoint", labels, features)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--features", default="mfcc")
     p.add_argument("--level", choices=["segment", "sequence"], default="segment")
     p.add_argument("--split", default="test")
 
@@ -399,9 +388,9 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", default="0.01,0.1,0.8,1")
     p.add_argument("--tau", type=float, default=LabellingConfig.tau)
 
-    p = command("ablate", cmd_ablate, "evaluate checkpoints over a grid", labels)
+    p = command("ablate", cmd_ablate, "evaluate checkpoints over a grid",
+                labels, features)
     p.add_argument("--ckpt", action="append", required=True)
-    p.add_argument("--features", default="mfcc")
     p.add_argument("--n-values", default="0..5")
     p.add_argument("--split", default="test")
     return parser

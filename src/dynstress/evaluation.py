@@ -111,6 +111,8 @@ def labelling_sweep(
     for emo, ref in sequences:
         if len(emo) != len(ref):
             raise ValueError("emotion and reference sequences are misaligned")
+    if all(r is None for _, ref in sequences for r in ref):
+        raise ValueError("sweep needs at least one window with a reference")
     cells = []
     for n in n_values:
         for lam in lambdas:
@@ -130,11 +132,14 @@ def labelling_sweep(
 
 def write_sweep_csv(cells: Sequence[SweepCell], path: str | Path,
                     which: str = "binary") -> None:
-    """Grid CSV: one row per n, one column per lambda."""
+    """Grid CSV of ``which`` agreement, binary or exact: one row per n, one
+    column per lambda."""
+    if which not in ("binary", "exact"):
+        raise ValueError(f"which must be 'binary' or 'exact', got {which!r}")
     n_values = sorted({c.n for c in cells})
     lambdas = sorted({c.lam for c in cells})
     by_key = {(c.n, c.lam): c for c in cells}
-    attr = "binary_agreement" if which == "binary" else "exact_agreement"
+    attr = f"{which}_agreement"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["n"] + [f"lambda={g}" for g in lambdas])

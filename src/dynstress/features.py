@@ -6,7 +6,6 @@ from __future__ import annotations
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -24,9 +23,8 @@ from .segmentation import (
 )
 
 
-@dataclass(frozen=True)
 class MfccConfig:
-    """The paper's MFCC recipe; only the delta option is settable."""
+    """The paper's MFCC recipe, fixed; `window_mfcc` may append deltas."""
 
     frame_len_s: ClassVar[float] = 0.025
     frame_hop_s: ClassVar[float] = 0.010
@@ -37,11 +35,6 @@ class MfccConfig:
     fmin: ClassVar[float] = 0.0
     fmax: ClassVar[float] = 8000.0
     log_floor: ClassVar[float] = 1e-10
-    include_deltas: bool = False  # appends pooled deltas, doubling d
-
-    @property
-    def dim(self) -> int:
-        return self.n_coeffs * (2 if self.include_deltas else 1)
 
 
 def hz_to_mel(f):
@@ -195,10 +188,10 @@ def _fill_rows(rows: np.ndarray, samples: np.ndarray, blocks) -> None:
         )
 
 
-def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
+def window_mfcc(samples: np.ndarray, deltas: bool = False) -> np.ndarray:
     """Pooled features of every 10 s / 5 s window of a clip, shape
-    (n_windows, d) with d = 40, or 80 with deltas; trailing audio shorter
-    than a hop is dropped.
+    (n_windows, d) with d = 40, or 80 with the pooled deltas appended;
+    trailing audio shorter than a hop is dropped.
 
     Each frame is computed once: window k pools clip frames
     [500k, 500k + 998).  Frames are computed in blocks of 250 frames whose
@@ -231,12 +224,13 @@ def window_mfcc(samples: np.ndarray, cfg: MfccConfig = MfccConfig()) -> np.ndarr
         wait(helpers)  # no helper may write into rows after this returns
     for helper in helpers:
         helper.result()  # re-raises a helper's exception
-    out = np.empty((count, cfg.dim))
+    n = MfccConfig.n_coeffs
+    out = np.empty((count, 2 * n if deltas else n))
     for k in range(count):
         frames = rows[k * _HOP_FRAMES : k * _HOP_FRAMES + _WINDOW_FRAMES]
-        out[k, : MfccConfig.n_coeffs] = pool_window(frames)
-        if cfg.include_deltas:
-            out[k, MfccConfig.n_coeffs :] = pool_window(delta_frames(frames))
+        out[k, :n] = pool_window(frames)
+        if deltas:
+            out[k, n:] = pool_window(delta_frames(frames))
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, linear
-from .features import MfccConfig, read_fseq, window_mfcc
+from .features import read_fseq, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
 from .model import (ModelConfig, context_array, context_memory, context_states, decode,
                     make_context, readout, speech_inputs, speech_states)
@@ -60,20 +60,20 @@ def _labelled_runs(labels: list[VadCode | None]) -> list[tuple[int, int]]:
 
 def clip_feature_matrix(
     clip: AudioClip, windows: Sequence[SegmentWindow], feature_spec: str,
-    mfcc_cfg: MfccConfig,
 ) -> np.ndarray:
-    """Features for every window of one decoded clip: from-scratch MFCC or
-    rows of a precomputed embedding file (`file:<dir>`).  Deltas apply to
-    MFCC only."""
-    if feature_spec == "mfcc":
-        mat, source = window_mfcc(clip.samples, mfcc_cfg), "MFCC"
+    """Features for every window of one decoded clip, by ``feature_spec``:
+    from-scratch MFCC (`mfcc`, d = 40), the same with pooled deltas appended
+    (`mfcc+deltas`, d = 80), or rows of the precomputed embedding file
+    `<dir>/<utterance_id>.fseq` (`file:<dir>`)."""
+    if feature_spec in ("mfcc", "mfcc+deltas"):
+        mat = window_mfcc(clip.samples, feature_spec == "mfcc+deltas")
+        source = "MFCC"
     elif feature_spec.startswith("file:"):
-        if mfcc_cfg.include_deltas:
-            raise DataError(f"deltas apply to MFCC features only, not {feature_spec!r}")
         mat = read_fseq(Path(feature_spec[5:]) / f"{clip.utterance_id}.fseq")
         source = "embedding file"
     else:
-        raise DataError(f"unknown feature spec {feature_spec!r}")
+        raise DataError(f"unknown feature spec {feature_spec!r}: "
+                        "use mfcc, mfcc+deltas or file:<dir>")
     if mat.shape[0] != len(windows):
         raise DataError(
             f"{clip.utterance_id}: {source} has {mat.shape[0]} rows, "
@@ -84,7 +84,7 @@ def clip_feature_matrix(
 
 def load_recording(
     rec: ClipRecord, base_dir: str | Path, feature_spec: str | None,
-    lab_cfg: LabellingConfig, mfcc_cfg: MfccConfig = MfccConfig(),
+    lab_cfg: LabellingConfig,
 ) -> list[RecordingData]:
     """One RecordingData per maximal labelled run of a clip's windows.
 
@@ -94,7 +94,7 @@ def load_recording(
     if feature_spec is None:
         feats = np.zeros((len(windows), 0))
     else:
-        feats = clip_feature_matrix(clip, windows, feature_spec, mfcc_cfg)
+        feats = clip_feature_matrix(clip, windows, feature_spec)
     labels = align_labels(windows, rec.spans)
     refs = align_labels(windows, rec.stress_spans)
     out = []

@@ -128,13 +128,6 @@ def test_config_file_merge(data_dir):
                 "--config", cfg, "--tau", "0.5", "--out", out]) == 0
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["n"] == 1 and resolved["tau"] == 0.5
-    # booleans: 1/true/yes and 0/false/no in any case
-    for spelling, want in (("Yes", True), ("FALSE", False)):
-        cfg.write_text(f"deltas = {spelling}\n")
-        assert run(["extract", "--manifest", data_dir / "manifest.jsonl",
-                    "--config", cfg, "--out", out]) == 0
-        resolved = json.loads((out / "resolved_config.json").read_text())
-        assert resolved["deltas"] is want
 
 
 def test_config_file_sets_only_optional_flags(data_dir):
@@ -227,7 +220,7 @@ INPUT_ERRORS = {
     "negative-learning-rate": ["train", "--lr", "-0.001"],
     "negative-seed": ["train", "--seed", "-1"],
     "negative-patience": ["train", "--patience", "-3"],
-    "config-boolean-not-recognised": ["extract", "--config", "bad-bool.cfg"],
+    "config-sets-deltas": ["extract", "--config", "deltas.cfg"],
     "bad-sweep-n": ["sweep", "--n", "1..q"],
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
@@ -262,10 +255,6 @@ INPUT_ERRORS = {
     "utterance-id-not-a-file-name": ["extract"],
     "config-value-not-a-choice": ["eval", "--ckpt", "good.ckpt",
                                   "--config", "bogus-level.cfg"],
-    "train-deltas-with-feature-files": ["train", "--features", "file:emb", "--deltas",
-                                        "--epochs", "1", "--iterations", "1"],
-    "extract-deltas-with-feature-files": ["extract", "--features", "file:emb",
-                                          "--deltas"],
     "wav-not-pcm": ["label"],
     "train-n-beyond-the-windows": ["train", "--n", "5"],
     "manifest-missing": ["label", "--manifest", "absent.jsonl"],
@@ -345,7 +334,8 @@ BROKEN_FILES = {
     # the fmt chunk's sample rate and byte rate
     "wav-sample-rate-8000": ("a.wav", lambda d: (d / "a.wav").read_bytes().replace(
         struct.pack("<II", SR, 2 * SR), struct.pack("<II", 8000, 16000), 1)),
-    "config-boolean-not-recognised": ("bad-bool.cfg", lambda d: b"deltas = on\n"),
+    # `deltas = true` became `features = mfcc+deltas`
+    "config-sets-deltas": ("deltas.cfg", lambda d: b"deltas = yes\n"),
     "config-value-not-a-choice": ("bogus-level.cfg", lambda d: b"level = bogus\n"),
     "config-names-a-config-file": ("nested.cfg", lambda d: b"config = other.cfg\n"),
     "augment-record-with-two-spans": ("manifest.jsonl", lambda d: (
@@ -392,6 +382,7 @@ NAMED_IN_ERROR = {
     **{f"augment-gap-{kind}": "gap_s" for kind in ("negative", "nan", "inf", "beyond-a-wav")},
     "augment-record-with-two-spans": "a: augment needs one labelled span per record, got 2",
     "config-names-a-config-file": "nested.cfg: config ",
+    "config-sets-deltas": "deltas.cfg: deltas names no option",
     **{case: f"{BROKEN_FILES[case][0]}: Is a directory" for case in BROKEN_FILES
        if BROKEN_FILES[case][1] is DIRECTORY},
     "missing-config": "absent.cfg: No such file",
@@ -487,6 +478,38 @@ def test_extract_writes_fseq(data_dir):
                 "--out", out]) == 0
     mat = read_fseq(out / "a.fseq")
     assert mat.shape == (5, 40)
+
+
+def test_extract_mfcc_with_deltas_writes_80_wide_fseq(data_dir):
+    """`--features mfcc+deltas` appends the pooled deltas to the 40 MFCCs."""
+    for spec in ("mfcc", "mfcc+deltas"):
+        assert run(["extract", "--manifest", data_dir / "manifest.jsonl",
+                    "--out", data_dir / spec, "--features", spec]) == 0
+    plain, wide = (read_fseq(data_dir / spec / "a.fseq") for spec in ("mfcc", "mfcc+deltas"))
+    assert wide.shape == (5, 80)
+    assert np.array_equal(wide[:, :40], plain)
+
+
+@pytest.mark.parametrize("cmd", ["extract", "train"])
+def test_deltas_flag_is_a_usage_error(cmd, data_dir, capsys):
+    """`--deltas` became `--features mfcc+deltas`; the old flag exits 1."""
+    with pytest.raises(SystemExit) as e:
+        run([cmd, "--manifest", data_dir / "manifest.jsonl", "--out", data_dir / "run",
+             "--deltas"])
+    assert e.value.code == 1
+    assert "--deltas" in capsys.readouterr().err
+    assert not (data_dir / "run").exists()
+
+
+def test_features_help_names_its_three_values():
+    """The commands that read features say which values --features takes,
+    and no command offers --deltas."""
+    commands = cli.build_parser()._get_positional_actions()[0].choices
+    for cmd, parser in commands.items():
+        text = " ".join(parser.format_help().split())
+        assert "--deltas" not in text
+        if cmd in ("extract", "train", "eval", "ablate"):
+            assert all(v in text for v in ("mfcc ", "mfcc+deltas", "file:<dir>")), cmd
 
 
 def test_sweep_writes_grids(data_dir):
@@ -748,10 +771,11 @@ def test_train_val_split_without_labelled_windows_exits_data(tmp_path, capsys):
 
 
 def test_eval_and_ablate_follow_the_checkpoint_mfcc_width(data_dir, decoded):
-    """A `train --deltas` checkpoint (d = 80) is scored on deltas features;
-    ablate decodes the split once per MFCC width among its checkpoints."""
+    """A `train --features mfcc+deltas` checkpoint (d = 80) is scored on
+    deltas features under `--features mfcc`; ablate decodes the split once
+    per MFCC width among its checkpoints."""
     manifest = data_dir / "manifest.jsonl"
-    for name, extra in (("plain", []), ("deltas", ["--deltas"])):
+    for name, extra in (("plain", []), ("deltas", ["--features", "mfcc+deltas"])):
         assert run(["train", "--manifest", manifest, "--out", data_dir / name,
                     "--n", "2", "--hidden", "8", "--epochs", "1",
                     "--iterations", "2", "--batch-size", "2", *extra]) == 0
@@ -771,8 +795,9 @@ def test_eval_and_ablate_follow_the_checkpoint_mfcc_width(data_dir, decoded):
 
 
 def test_an_80_wide_model_scores_on_feature_files(data_dir):
-    """Deltas apply to MFCC only: under `file:` features an 80-wide model is
-    scored on the files' rows, and its ablation rows name that spec."""
+    """The width rule applies to `--features mfcc` only: under `file:`
+    features an 80-wide model is scored on the files' rows, and its
+    ablation rows name that spec."""
     emb = data_dir / "emb"
     emb.mkdir()
     write_fseq(emb / "b.fseq", np.random.default_rng(7).normal(size=(5, 80)))
@@ -787,20 +812,27 @@ def test_an_80_wide_model_scores_on_feature_files(data_dir):
 
 
 def test_eval_equals_its_ablate_cell(data_dir):
-    """`eval --n k` reports the counts of ablate's row for n = k."""
+    """`eval --n k` reports the counts of ablate's row for n = k, given the
+    row's checkpoint and its features value as `--features`: that column
+    holds `--features` values only, `mfcc+deltas` for the 80-wide model
+    that `--features mfcc` scores on deltas."""
     write_checkpoints(data_dir)
-    manifest, ckpt = data_dir / "manifest.jsonl", data_dir / "good.ckpt"
+    cfg = ModelConfig("lstm", feature_dim=80, hidden=8, heads=2)
+    save_checkpoint(data_dir / "w80.ckpt", init_params(cfg, np.random.default_rng(1)), cfg)
+    manifest = data_dir / "manifest.jsonl"
     assert run(["ablate", "--manifest", manifest, "--out", data_dir / "abl",
-                "--ckpt", ckpt, "--n-values", "0..2"]) == 0
-    rows = (data_dir / "abl" / "ablation.csv").read_text().splitlines()[1:]
-    for k, row in enumerate(rows):
-        out = data_dir / f"ev{k}"
+                "--ckpt", data_dir / "good.ckpt", "--ckpt", data_dir / "w80.ckpt",
+                "--n-values", "0..2"]) == 0
+    rows = [row.split(",") for row in
+            (data_dir / "abl" / "ablation.csv").read_text().splitlines()[1:]]
+    assert [(row[1], row[2]) for row in rows] == [
+        (features, str(k)) for features in ("mfcc", "mfcc+deltas") for k in range(3)]
+    for i, (ckpt, features, n, _, _, *counts) in enumerate(rows):
+        out = data_dir / f"ev{i}"
         assert run(["eval", "--manifest", manifest, "--out", out, "--ckpt", ckpt,
-                    "--n", k]) == 0
+                    "--features", features, "--n", n]) == 0
         summary = json.loads((out / "eval.json").read_text())
-        cells = row.split(",")
-        assert cells[2] == str(k)
-        assert [int(x) for x in cells[5:]] == [summary[c] for c in ("tp", "fp", "tn", "fn")]
+        assert [int(x) for x in counts] == [summary[c] for c in ("tp", "fp", "tn", "fn")]
 
 
 COMMON_DEFAULTS = {"manifest": "m", "base_dir": None, "out": None, "config": None}
@@ -809,9 +841,9 @@ RESOLVED_DEFAULTS = {
     "segment": ([], {}),
     "augment": ([], {"gap_s": 0.0}),
     "label": ([], LABEL_DEFAULTS),
-    "extract": ([], {"features": "mfcc", "deltas": False}),
+    "extract": ([], {"features": "mfcc"}),
     "train": ([], {**LABEL_DEFAULTS, "arch": "lstm", "features": "mfcc",
-                   "deltas": False, "hidden": 128, "dropout": 0.3, "epochs": 0,
+                   "hidden": 128, "dropout": 0.3, "epochs": 0,
                    "iterations": 1000, "batch_size": 16, "lr": 0.001,
                    "teacher_forcing_p": 0.8, "patience": 5, "seed": 0}),
     "eval": (["--ckpt", "c"], {**LABEL_DEFAULTS, "ckpt": "c", "features": "mfcc",
@@ -844,7 +876,7 @@ def test_readme_cli_examples_parse():
     for argv in examples:
         parser.parse_args(argv)  # a usage error exits
     commands = parser._get_positional_actions()[0].choices
-    assert sorted(argv[0] for argv in examples) == sorted(commands)
+    assert {argv[0] for argv in examples} == set(commands)
 
 
 # (subcommand, flag dest, config class, field): flags whose default is a field's

@@ -170,6 +170,8 @@ def test_sweep_empty_rejected():
         labelling_sweep([], [0], [0.8])
     with pytest.raises(ValueError):
         labelling_sweep([([FEAR], [FEAR, FEAR])], [0], [0.8])
+    with pytest.raises(ValueError, match="at least one window with a reference"):
+        labelling_sweep([([FEAR], [None]), ([HAPPY, FEAR], [None, None])], [0], [0.5])
 
 
 def test_sweep_csv_layout(tmp_path):
@@ -183,3 +185,14 @@ def test_sweep_csv_layout(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,lambda=0.1,lambda=0.8"
     assert len(lines) == 3
+
+
+def test_sweep_csv_rejects_an_unknown_agreement(tmp_path):
+    """`which` names binary or exact agreement; any other value, even a
+    capitalised one, is an error and writes no file."""
+    cells = labelling_sweep([([FEAR, HAPPY], [HAPPY, HAPPY])], [0], [0.8])
+    out = tmp_path / "grid.csv"
+    for which in ("Binary", "bogus"):
+        with pytest.raises(ValueError, match=repr(which)):
+            write_sweep_csv(cells, out, which)
+        assert not out.exists()

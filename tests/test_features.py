@@ -156,26 +156,26 @@ def test_window_mfcc_builds_no_filterbank_or_dct(monkeypatch):
     monkeypatch.setattr(features, "mel_filterbank", counting(mel_filterbank))
     monkeypatch.setattr(features, "dct_basis", counting(dct_basis))
     x = np.random.default_rng(4).normal(size=TEN_S) * 0.1
-    for cfg in (MfccConfig(), MfccConfig(include_deltas=True)):
-        window_mfcc(x, cfg)
+    for deltas in (False, True):
+        window_mfcc(x, deltas)
     assert calls == []
 
 
 def test_window_mfcc_dims():
     x = np.random.default_rng(2).normal(size=TEN_S) * 0.1
     assert window_mfcc(x).shape == (1, 40)
-    assert window_mfcc(x, MfccConfig(include_deltas=True)).shape == (1, 80)
+    assert window_mfcc(x, deltas=True).shape == (1, 80)
     x = np.random.default_rng(2).normal(size=27 * SR) * 0.1
     assert window_mfcc(x).shape == (4, 40)
 
 
-def per_window_mfcc(x, cfg):
+def per_window_mfcc(x, deltas):
     """The plain path: pooled MFCC of each 10 s / 5 s window on its own."""
     rows = []
     for k in range((len(x) - TEN_S) // (5 * SR) + 1):
         frames = mfcc_frames(x[5 * SR * k : 5 * SR * k + TEN_S])
         row = pool_window(frames)
-        if cfg.include_deltas:
+        if deltas:
             row = np.concatenate([row, pool_window(delta_frames(frames))])
         rows.append(row)
     return np.stack(rows)
@@ -197,10 +197,9 @@ def test_window_mfcc_equals_per_window_path(n_samples, deltas):
     # loud samples exactly at every block start (and so at every window
     # start) expose a wrong restart
     x[::BLOCK] = np.where(np.arange(len(x[::BLOCK])) % 2, -0.9, 0.9)
-    cfg = MfccConfig(include_deltas=deltas)
-    got = window_mfcc(x, cfg)
-    assert got.shape == ((n_samples - TEN_S) // (5 * SR) + 1, cfg.dim)
-    assert np.array_equal(got, per_window_mfcc(x, cfg))
+    got = window_mfcc(x, deltas)
+    assert got.shape == ((n_samples - TEN_S) // (5 * SR) + 1, 80 if deltas else 40)
+    assert np.array_equal(got, per_window_mfcc(x, deltas))
 
 
 @pytest.mark.parametrize("helpers", [None, 3], ids=["own-pool", "3-helpers"])
@@ -210,8 +209,7 @@ def test_concurrent_window_mfcc_calls_match_lone_calls(monkeypatch, helpers):
     switches as often as the interpreter allows."""
     clips = [0.1 * np.random.default_rng(k).normal(size=(20 + 7 * k) * SR + 77 * k)
              for k in range(4)]
-    cfg = MfccConfig(include_deltas=True)
-    want = [window_mfcc(clip, cfg) for clip in clips]
+    want = [window_mfcc(clip, deltas=True) for clip in clips]
     pool = None
     if helpers is not None:
         pool = ThreadPoolExecutor(helpers)
@@ -221,7 +219,7 @@ def test_concurrent_window_mfcc_calls_match_lone_calls(monkeypatch, helpers):
 
     def run(k):
         for _ in range(3):
-            got[k].append(window_mfcc(clips[k], cfg))
+            got[k].append(window_mfcc(clips[k], deltas=True))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynstress import pipeline, segmentation
-from dynstress.features import MfccConfig, mfcc_frames, pool_window, write_fseq
+from dynstress.features import delta_frames, mfcc_frames, pool_window, write_fseq
 from dynstress.labelling import LabellingConfig, relabel_sequence
 from dynstress.model import (
     ModelConfig,
@@ -161,16 +161,17 @@ def test_load_recording_decodes_each_wav_once(clip_dir, monkeypatch):
         return load_wav(*args, **kwargs)
 
     monkeypatch.setattr(segmentation, "load_wav", counting_load_wav)
-    (rd,) = load_recording(rec, clip_dir, "mfcc", LAB)
+    (rd,) = load_recording(rec, clip_dir, "mfcc+deltas", LAB)
     assert len(calls) == 1
     monkeypatch.undo()
-    # rows match the per-window MFCC of the same decoded clip
+    # rows match the per-window MFCC and deltas of the same decoded clip
     clip = load_clip(rec, clip_dir)
     windows = segment(clip)
-    assert rd.features.shape == (len(windows), MfccConfig().dim)
+    assert rd.features.shape == (len(windows), 80)
     for k, row in enumerate(rd.features):
-        window = clip.samples[80000 * k : 80000 * k + 160000]
-        assert np.array_equal(row, pool_window(mfcc_frames(window)))
+        frames = mfcc_frames(clip.samples[80000 * k : 80000 * k + 160000])
+        assert np.array_equal(row[:40], pool_window(frames))
+        assert np.array_equal(row[40:], pool_window(delta_frames(frames)))
 
 
 def test_file_features_pass_rows_through(clip_dir):
