@@ -9,12 +9,14 @@ classify the result into three independent VAD probabilities.
 from __future__ import annotations
 
 import functools
+import io
+import itertools
+import json
 import math
-import struct
-import zlib
-from dataclasses import dataclass
+import zipfile
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -392,94 +394,81 @@ def param_names(params) -> list[str]:
     return sorted(params)
 
 
-# --- checkpoints: "SPCK" header, tensor directory, f32 payload, CRC32 ---
+# --- checkpoints: an .npz of header.json and params.npy, both stored ---
 
-_CKPT_MAGIC = b"SPCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+# the JSON types a header may give each ModelConfig field (a float field takes an int)
+_MODEL_TYPES = {name: (int, float) if t is float else (t,)
+                for name, t in get_type_hints(ModelConfig).items()}
 
 
 def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
-    names = param_names(params)
-    arch = cfg.arch.encode()
-    head = bytearray()
-    head += _CKPT_MAGIC
-    head += struct.pack("<IB", _CKPT_VERSION, len(arch))
-    head += arch
-    head += struct.pack(
-        "<6I", cfg.feature_dim, cfg.hidden, cfg.layers, cfg.heads,
-        cfg.ffn, cfg.ctx_layers,
-    )
-    head += struct.pack("<I", len(names))
-    payload = bytearray()
-    for n in names:
-        data = params[n].data
+    """``header.json`` holds the version, ``asdict(cfg)`` and ``[[name, shape],
+    ...]`` in ``param_shapes`` order; ``params.npy`` holds those tensors
+    raveled into one float32 vector."""
+    shapes = param_shapes(cfg)
+    for name, shape in shapes.items():
+        data = params[name].data
+        if data.shape != shape:
+            raise DataError(f"tensor {name} has shape {data.shape}, not {shape}")
         if np.any(np.abs(data[np.isfinite(data)]) > np.finfo("<f4").max):
-            raise DataError(f"tensor {n} holds a finite value beyond the float32 range")
-        arr = data.astype("<f4")
-        nb = n.encode()
-        head += struct.pack("<H", len(nb)) + nb
-        head += struct.pack("<B", arr.ndim)
-        head += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        head += struct.pack("<Q", len(payload))
-        payload += arr.tobytes()
-    blob = bytes(head) + bytes(payload)
-    blob += struct.pack("<I", zlib.crc32(blob))
-    Path(path).write_bytes(blob)
+            raise DataError(f"tensor {name} holds a finite value beyond the float32 range")
+    tensors = [[name, list(shape)] for name, shape in shapes.items()]
+    header = {"version": _CKPT_VERSION, "model": asdict(cfg), "tensors": tensors}
+    flat = np.concatenate([params[name].data.ravel() for name in shapes]).astype("<f4")
+    with zipfile.ZipFile(path, "w") as z:
+        # a bare ZipInfo and ZipFile.open date members 1980-01-01: equal parameters, equal bytes
+        z.writestr(zipfile.ZipInfo("header.json"), json.dumps(header))
+        with z.open("params.npy", "w") as f:
+            np.lib.format.write_array(f, flat, version=(1, 0), allow_pickle=False)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Parameters and config of a checkpoint.  Every tensor the header's
-    config needs must be present with its shape; tensors it does not build
-    (such as the attention key biases of older checkpoints) are dropped."""
-    path = Path(path)
+    """Parameters and config of a :func:`save_checkpoint` file; each header
+    field is checked before numpy sees the parameters."""
     with open_input(path, "checkpoint") as f:
-        blob = f.read()
-    if len(blob) < 8 or blob[:4] != _CKPT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    body, crc = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != crc:
-        raise DataError(f"{path}: checkpoint CRC mismatch")
-    off = 4
-
-    def take(fmt: str) -> tuple:
-        nonlocal off
-        values = struct.unpack_from(fmt, body, off)
-        off += struct.calcsize(fmt)
-        return values
-
-    # struct.error: header cut short; ValueError: a field fails to decode or validate
+        blob = f.read()  # read whole: no member a corrupt zip declares can be larger
+    if blob[:4] == b"SPCK":
+        raise DataError(f"{path}: SPCK (version 1) checkpoints are retired; "
+                        "train again to write an .npz checkpoint")
     try:
-        version, arch_len = take("<IB")
+        z = zipfile.ZipFile(io.BytesIO(blob))
+        # stored members only: no decompressor runs on the file's bytes
+        if any(info.compress_type != zipfile.ZIP_STORED for info in z.infolist()):
+            raise DataError("a member is compressed")
+        header = json.loads(z.read("header.json"))
+        version = header.get("version") if isinstance(header, dict) else None
         if version != _CKPT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        arch = take(f"{arch_len}s")[0].decode()
-        dims = take("<6I")
-        cfg = ModelConfig(arch, *dims)
-        entries = {}
-        for _ in range(take("<I")[0]):
-            (nlen,) = take("<H")
-            name = take(f"{nlen}s")[0].decode()
-            (ndim,) = take("<B")
-            entries[name] = (take(f"<{ndim}I"), take("<Q")[0])
-        # every layer owns tensors: this bounds the shape table a corrupt
-        # layer count would build
-        if cfg.layers + cfg.ctx_layers > len(entries):
-            raise DataError(f"{cfg.layers} + {cfg.ctx_layers} layers but "
-                            f"{len(entries)} tensors")
-        params = {}
-        for name, want in param_shapes(cfg).items():
-            if name not in entries:
-                raise DataError(f"missing tensor {name}")
-            shape, start = entries[name]
-            if shape != want:
-                raise DataError(f"tensor {name} has shape {shape}, not {want}")
-            size = math.prod(shape)
-            if off + start + 4 * size > len(body):
-                raise DataError(f"tensor {name} lies past the end of the file")
-            arr = np.frombuffer(body, dtype="<f4", count=size, offset=off + start)
-            if not np.isfinite(arr).all():
-                raise DataError(f"tensor {name} holds NaN or inf")
-            params[name] = Tensor(arr.astype(np.float64).reshape(shape))
-        return params, cfg
-    except (struct.error, ValueError) as e:
+            raise DataError(f"unsupported checkpoint version {version!r}")
+        model, tensors = header.get("model"), header.get("tensors")
+        if not (isinstance(model, dict) and model.keys() == _MODEL_TYPES.keys()
+                and all(type(model[k]) in t for k, t in _MODEL_TYPES.items())
+                and isinstance(tensors, list)):
+            raise DataError("header holds no model config and tensor list")
+        cfg = ModelConfig(**model)
+        # every layer owns tensors: this bounds the shape table a bad layer count builds
+        if cfg.layers + cfg.ctx_layers > len(tensors):
+            raise DataError(f"{cfg.layers} + {cfg.ctx_layers} layers, {len(tensors)} tensors")
+        shapes = param_shapes(cfg)
+        for got, want in itertools.zip_longest(tensors, shapes.items()):
+            if want is None or got != [want[0], list(want[1])]:
+                raise DataError(f"header lists tensor {got!r} where the model has {want!r}")
+        size = sum(math.prod(shape) for shape in shapes.values())
+        raw = z.read("params.npy")
+        npy = io.BytesIO(raw)
+        np.lib.format.read_magic(npy)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(npy)
+        if shape != (size,) or dtype != np.dtype("<f4") or len(raw) != npy.tell() + 4 * size:
+            raise DataError(f"params.npy holds {dtype} {shape} in {len(raw) - npy.tell()} "
+                            f"bytes, not float32 ({size},) in {4 * size}")
+    except (zipfile.BadZipFile, KeyError, NotImplementedError, EOFError, ValueError,
+            RuntimeError) as e:  # DataError is a ValueError
         raise DataError(f"{path}: malformed checkpoint ({e})") from None
+    flat = np.frombuffer(raw, "<f4", offset=npy.tell())
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    params = {}
+    for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1])):
+        if not np.isfinite(part).all():
+            raise DataError(f"{path}: tensor {name} holds NaN or inf")
+        params[name] = Tensor(part.astype(np.float64).reshape(shape))
+    return params, cfg

@@ -3,14 +3,13 @@ import errno
 import json
 import shlex
 import struct
-import zlib
+import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dynstress import cli, segmentation, training
-from dynstress.autodiff import Tensor
 from dynstress.cli import main
 from dynstress.features import read_fseq, write_fseq
 from dynstress.labelling import LabellingConfig
@@ -178,29 +177,45 @@ def test_config_file_key_naming_no_option_exits_data(data_dir, capsys):
     assert run(argv) == 0
 
 
+def write_checkpoint(path, header, vector):
+    """A checkpoint zip of a `header.json` member (JSON text, or any object
+    to encode) and a `params.npy` member holding ``vector``."""
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("header.json", header if isinstance(header, str) else json.dumps(header))
+        with z.open("params.npy", "w") as f:
+            np.lib.format.write_array(f, vector)
+
+
 def write_checkpoints(d):
-    """A valid checkpoint plus four CRC-valid ones with a bad header, one cut
-    inside the model dimensions, one of version 2, one naming the
-    architecture 'gru' and one with zero speech layers, and
-    three whose tensors do not fit the header's model: one without `head.w`,
-    one with `head.w` of the wrong shape, one with a NaN `head.b`."""
+    """A valid checkpoint; one whose header text is cut inside the model
+    config, one of header version 3, one naming the architecture 'gru', one
+    with zero speech layers and a retired SPCK (version 1) file; and three
+    whose tensors do not fit the header's model: a vector cut short before
+    `head.w`, a tensor list giving `head.w` another shape, a NaN in `head.b`.
+    Each member's CRC is valid."""
     cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
-    params = init_params(cfg, np.random.default_rng(0))
-    save_checkpoint(d / "good.ckpt", params, cfg)
-    save_checkpoint(d / "no-head.ckpt",
-                    {n: p for n, p in params.items() if n != "head.w"}, cfg)
-    save_checkpoint(d / "bad-head.ckpt",
-                    {**params, "head.w": Tensor(params["head.w"].data.reshape(3, 16))}, cfg)
-    save_checkpoint(d / "nan-head.ckpt",
-                    {**params, "head.b": Tensor(np.full(3, np.nan))}, cfg)
-    body = (d / "good.ckpt").read_bytes()[:-4]
-    # magic (4), version (4), arch length (1), arch, six model dimensions
-    assert body[8:13] == b"\x04lstm"
-    zero_layers = body[:21] + struct.pack("<I", 0) + body[25:]  # the third dimension
-    for name, edited in (("cut", body[:23]), ("gru", body[:8] + b"\x03gru" + body[13:]),
-                         ("version-2", body[:4] + struct.pack("<I", 2) + body[8:]),
-                         ("zero-layers", zero_layers)):
-        (d / f"{name}.ckpt").write_bytes(edited + struct.pack("<I", zlib.crc32(edited)))
+    save_checkpoint(d / "good.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
+    with zipfile.ZipFile(d / "good.ckpt") as z:
+        header = json.loads(z.read("header.json"))
+    with np.load(d / "good.ckpt") as npz:
+        vector = npz["params"]
+    assert [name for name, _ in header["tensors"][-2:]] == ["head.w", "head.b"]
+
+    def edited(**model):
+        return {**header, "model": {**header["model"], **model}}
+
+    for name, head, vec in (
+        ("cut", json.dumps(header)[:40], vector),
+        ("version-3", {**header, "version": 3}, vector),
+        ("gru", edited(arch="gru"), vector),
+        ("zero-layers", edited(layers=0), vector),
+        ("no-head", header, vector[: -16 * 3 - 3]),
+        ("bad-head", {**header, "tensors": header["tensors"][:-2] + [["head.w", [3, 16]],
+                                                                    ["head.b", [3]]]}, vector),
+        ("nan-head", header, np.concatenate([vector[:-1], [np.nan]]).astype("<f4")),
+    ):
+        write_checkpoint(d / f"{name}.ckpt", head, vec)
+    (d / "spck.ckpt").write_bytes(b"SPCK" + struct.pack("<IB", 1, 4) + b"lstm" + bytes(28))
 
 
 INPUT_ERRORS = {
@@ -262,7 +277,8 @@ INPUT_ERRORS = {
     "manifest-span-not-an-object": ["label"],
     "unknown-feature-spec": ["extract", "--features", "bogus"],
     "fseq-cut-inside-header": ["extract", "--features", "file:emb"],
-    "checkpoint-version-2": ["eval", "--ckpt", "version-2.ckpt"],
+    "checkpoint-version-2": ["eval", "--ckpt", "spck.ckpt"],
+    "checkpoint-unknown-version": ["eval", "--ckpt", "version-3.ckpt"],
     "augment-record-with-two-spans": ["augment"],
     "config-names-a-config-file": ["label", "--config", "nested.cfg"],
     "manifest-is-a-directory": ["label"],
@@ -389,6 +405,14 @@ NAMED_IN_ERROR = {
     "manifest-missing": "absent.jsonl: No such file",
     "fseq-missing": "absent/a.fseq: No such file",
     "checkpoint-missing": "absent.ckpt: No such file",
+    "truncated-checkpoint-header": "cut.ckpt: malformed checkpoint (Expecting",
+    "unknown-checkpoint-arch": "gru.ckpt: malformed checkpoint (unknown architecture 'gru')",
+    "checkpoint-zero-layers": "malformed checkpoint (layers must be positive, got 0)",
+    "checkpoint-missing-tensor": "no-head.ckpt: malformed checkpoint (params.npy holds float32",
+    "checkpoint-tensor-wrong-shape": "header lists tensor ['head.w', [3, 16]]",
+    "checkpoint-tensor-nan": "nan-head.ckpt: tensor head.b holds NaN or inf",
+    "checkpoint-version-2": "spck.ckpt: SPCK (version 1) checkpoints are retired",
+    "checkpoint-unknown-version": "malformed checkpoint (unsupported checkpoint version 3)",
     "out-is-a-file": "out-is-a-file: File exists",
     "wav-sample-rate-8000": "sample rate",
     "extracted-fseq-name-too-long": f"{LONG_ID}.fseq: File name too long",
@@ -470,6 +494,25 @@ def test_a_write_error_naming_no_file_exits_data(data_dir, monkeypatch, capsys):
     assert run(["extract", "--manifest", data_dir / "manifest.jsonl",
                 "--out", data_dir / "run"]) == 2
     assert capsys.readouterr().err == "error: cannot write output: No space left on device\n"
+
+
+def test_a_corrupt_checkpoint_is_not_a_write_error(data_dir, capsys):
+    """Read from disk, a zip whose central directory offset is too large
+    makes zipfile raise OSError (EINVAL, a seek before the file's start),
+    and the CLI reports an OSError that reaches it as an output it cannot
+    write; such a checkpoint is a malformed input."""
+    write_checkpoints(data_dir)
+    blob = bytearray((data_dir / "good.ckpt").read_bytes())
+    end = blob.rindex(b"PK\x05\x06")  # the end-of-central-directory record
+    blob[end + 16 : end + 20] = struct.pack("<I", 2**31)
+    (data_dir / "bad.ckpt").write_bytes(bytes(blob))
+    with pytest.raises(OSError), zipfile.ZipFile(data_dir / "bad.ckpt") as z:
+        z.read("header.json")
+    assert run(["eval", "--manifest", data_dir / "manifest.jsonl", "--ckpt",
+                data_dir / "bad.ckpt", "--out", data_dir / "run"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ckpt: malformed checkpoint" in err and "cannot write" not in err, err
+    assert err.count("\n") == 1
 
 
 def test_extract_writes_fseq(data_dir):

@@ -1,5 +1,8 @@
+import json
 import math
+import time
 import warnings
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +21,7 @@ from dynstress.model import (
     load_checkpoint,
     lstm_states,
     param_names,
+    param_shapes,
     positional_encoding,
     save_checkpoint,
     speech_inputs,
@@ -414,18 +418,42 @@ def test_params_have_no_key_bias(cfg, count):
 # --- checkpoints ---
 
 def test_checkpoint_roundtrip(tmp_path):
+    """The config comes back whole, dropout included, and each parameter as
+    its float32 value."""
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg, seed=23)
         p = tmp_path / f"{cfg.arch}.ckpt"
         save_checkpoint(p, params, cfg)
         loaded, lcfg = load_checkpoint(p)
-        assert lcfg.arch == cfg.arch
-        assert lcfg.feature_dim == cfg.feature_dim
-        assert set(loaded) == set(params)
+        assert lcfg == cfg
+        assert list(loaded) == list(param_shapes(cfg))
         for n in params:
-            assert np.allclose(
-                loaded[n].data, params[n].data.astype(np.float32), atol=0
-            )
+            assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).astype(
+                np.float64).tobytes()
+
+
+def test_checkpoint_bytes_depend_on_the_parameters_only(tmp_path, monkeypatch):
+    """Two saves of one model, at different wall-clock times, write the same
+    bytes: no member carries the time of the save."""
+    cfg = tr_cfg()
+    params = make_params(cfg, seed=23)
+    save_checkpoint(tmp_path / "a.ckpt", params, cfg)
+    monkeypatch.setattr(time, "time", lambda: 2e9)  # 2033
+    save_checkpoint(tmp_path / "b.ckpt", params, cfg)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_numpy_alone_reads_a_checkpoints_parameters(tmp_path):
+    """A checkpoint is an .npz: np.load without pickles reads `params`, every
+    tensor raveled in param_shapes order into one float32 vector."""
+    for cfg in (lstm_cfg(), tr_cfg()):
+        params = make_params(cfg, seed=23)
+        save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        with np.load(tmp_path / "m.ckpt", allow_pickle=False) as npz:
+            flat = npz["params"]
+        assert flat.dtype == np.dtype("<f4")
+        want = np.concatenate([params[n].data.ravel() for n in param_shapes(cfg)])
+        assert flat.tobytes() == want.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -481,21 +509,40 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(tmp_path / "missing.ckpt")
 
 
-def test_checkpoint_with_key_biases_loads_and_predicts_the_same(tmp_path):
-    """Checkpoints saved while attention still had a key bias load with the
-    biases dropped, and the model's output never depended on them."""
+def test_save_checkpoint_writes_only_the_configs_tensors(tmp_path):
+    """Tensors the config does not build, such as the key biases attention
+    once had, are not written."""
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg, seed=26)
-        rng = np.random.default_rng(27)
         old = dict(params)
         for wk in [n for n in params if n.endswith(".wk")]:
-            old[wk[:-2] + "bk"] = Tensor(rng.normal(size=H))
+            old[wk[:-2] + "bk"] = Tensor(np.ones(H))
         save_checkpoint(tmp_path / "old.ckpt", old, cfg)
         save_checkpoint(tmp_path / "new.ckpt", params, cfg)
-        loaded, _ = load_checkpoint(tmp_path / "old.ckpt")
-        assert set(loaded) == set(params)
-        X = rng.normal(size=(2, 4, 6))
-        S = np.stack([context_array(context(4))] * 2)
-        want = forward_batch(X, S, load_checkpoint(tmp_path / "new.ckpt")[0], cfg)
-        assert forward_batch(X, S, loaded, cfg).data.tobytes() == want.data.tobytes()
+        assert (tmp_path / "old.ckpt").read_bytes() == (tmp_path / "new.ckpt").read_bytes()
 
+
+def test_save_checkpoint_rejects_a_tensor_of_another_shape(tmp_path):
+    cfg = lstm_cfg()
+    params = make_params(cfg)
+    params["head.w"] = Tensor(params["head.w"].data.T)
+    with pytest.raises(DataError, match=r"tensor head.w has shape \(3, 16\), not \(16, 3\)"):
+        save_checkpoint(tmp_path / "x.ckpt", params, cfg)
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_checkpoint_with_reordered_tensors_is_rejected(tmp_path):
+    """Two tensors swapped in the header's list keep its total size, so only
+    the item-by-item comparison with param_shapes can catch them."""
+    cfg = tr_cfg()
+    save_checkpoint(tmp_path / "x.ckpt", make_params(cfg), cfg)
+    with zipfile.ZipFile(tmp_path / "x.ckpt") as z:
+        header = json.loads(z.read("header.json"))
+        vector = z.read("params.npy")
+    tensors = header["tensors"]
+    tensors[0], tensors[1] = tensors[1], tensors[0]
+    with zipfile.ZipFile(tmp_path / "x.ckpt", "w") as z:
+        z.writestr("header.json", json.dumps(header))
+        z.writestr("params.npy", vector)
+    with pytest.raises(DataError, match="malformed checkpoint .header lists tensor .'proj.b'"):
+        load_checkpoint(tmp_path / "x.ckpt")

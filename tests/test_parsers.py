@@ -1,9 +1,10 @@
 """Property tests for the parsers of outside input: any byte string yields
 data or a DataError, never another exception."""
 
+import io
 import json
 import struct
-import zlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dynstress.features import read_fseq
-from dynstress.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from dynstress.model import (
+    ModelConfig,
+    init_params,
+    load_checkpoint,
+    param_shapes,
+    save_checkpoint,
+)
 from dynstress.segmentation import (
     AudioClip,
     ClipRecord,
@@ -111,32 +118,61 @@ def mutations(valid: bytes):
             | flips.map(flip))
 
 
-def with_crc(body: bytes) -> bytes:
-    return body + struct.pack("<I", zlib.crc32(body))
+CKPT_CFGS = [ModelConfig(arch, feature_dim=3, hidden=4, layers=1, heads=2, ffn=4, ctx_layers=1)
+             for arch in ("lstm", "transformer")]
 
 
 @pytest.fixture(scope="module")
 def valid_checkpoints(tmp_path_factory):
     d = tmp_path_factory.mktemp("ckpt")
     blobs = []
-    for arch in ("lstm", "transformer"):
-        cfg = ModelConfig(arch, feature_dim=3, hidden=4, layers=1, heads=2,
-                          ffn=4, ctx_layers=1)
-        save_checkpoint(d / arch, init_params(cfg, np.random.default_rng(0)), cfg)
-        blobs.append((d / arch).read_bytes())
+    for cfg in CKPT_CFGS:
+        save_checkpoint(d / cfg.arch, init_params(cfg, np.random.default_rng(0)), cfg)
+        blobs.append((d / cfg.arch).read_bytes())
     return blobs
+
+
+def write_checkpoint(path, header, vector: bytes):
+    """A checkpoint zip of any header and a `params.npy` member's bytes; each
+    member's CRC is valid."""
+    with zipfile.ZipFile(path, "w") as z:
+        z.writestr("header.json", json.dumps(header))
+        z.writestr("params.npy", vector)
+
+
+def checkpoint_members(blob: bytes):
+    with zipfile.ZipFile(io.BytesIO(blob)) as z:
+        return json.loads(z.read("header.json")), z.read("params.npy")
 
 
 @FAST
 @given(data=st.data())
 def test_load_checkpoint_yields_params_or_data_error(tmp_path, valid_checkpoints, data):
-    valid = data.draw(st.sampled_from(valid_checkpoints))
-    blob = data.draw(mutations(valid[:-4]).map(with_crc) | mutations(valid))
+    blob = data.draw(mutations(data.draw(st.sampled_from(valid_checkpoints))))
     out = parse_or_data_error(load_checkpoint, tmp_path / "c.ckpt", blob)
     if out is not None:
         params, cfg = out
         assert isinstance(cfg, ModelConfig) and params
         assert all(np.isfinite(p.data).all() for p in params.values())
+
+
+@FAST
+@given(data=st.data())
+def test_load_checkpoint_checks_every_header_field(tmp_path, valid_checkpoints, data):
+    """A well-formed zip whose header holds any JSON value in each model
+    field and in the tensor list loads as a valid model or fails with a
+    DataError."""
+    header, vector = checkpoint_members(data.draw(st.sampled_from(valid_checkpoints)))
+    header["model"] = data.draw(st.fixed_dictionaries(
+        {k: json_values | st.just(v) for k, v in header["model"].items()}))
+    header["tensors"] = data.draw(json_values | st.just(header["tensors"]))
+    write_checkpoint(tmp_path / "c.ckpt", header, vector)
+    try:
+        params, cfg = load_checkpoint(tmp_path / "c.ckpt")
+    except DataError as e:
+        assert "\n" not in str(e)
+    else:
+        assert cfg in CKPT_CFGS and list(params) == list(param_shapes(cfg))
 
 
 @pytest.fixture(scope="module")
@@ -155,16 +191,28 @@ def test_load_wav_yields_clip_or_data_error(tmp_path, valid_wav, data):
         assert isinstance(out, AudioClip) and out.samples.ndim == 1
 
 
-@pytest.mark.parametrize("field", ["layer-count", "tensor-offset"])
+@pytest.mark.parametrize("field", ["layer-count", "params-shape"])
 def test_load_checkpoint_rejects_huge_header_values(tmp_path, valid_checkpoints, field):
-    """A corrupt layer count must not build a huge shape table, nor a corrupt
-    tensor offset reach numpy."""
-    body = bytearray(valid_checkpoints[1][:-4])  # the transformer
+    """A corrupt layer count must not build a huge shape table, nor a
+    corrupt `params.npy` shape reach numpy's allocator."""
+    header, vector = checkpoint_members(valid_checkpoints[1])  # the transformer
     if field == "layer-count":
-        at, value = 9 + len("transformer") + 8, struct.pack("<I", 2**31)
+        header["model"]["layers"] = 2**31
     else:
-        at, value = body.index(b"attn.bq") + 7 + 1 + 4, struct.pack("<Q", 2**63)
-    body[at : at + len(value)] = value
-    (tmp_path / "c.ckpt").write_bytes(with_crc(bytes(body)))
+        f = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": "<f4", "fortran_order": False, "shape": (99999999999,)})
+        vector = f.getvalue() + vector[len(f.getvalue()):]
+    write_checkpoint(tmp_path / "c.ckpt", header, vector)
     with pytest.raises(DataError, match="malformed checkpoint"):
+        load_checkpoint(tmp_path / "c.ckpt")
+
+
+def test_load_checkpoint_rejects_a_compressed_member(tmp_path, valid_checkpoints):
+    """Members are stored: no decompressor runs on a checkpoint's bytes."""
+    header, vector = checkpoint_members(valid_checkpoints[0])
+    with zipfile.ZipFile(tmp_path / "c.ckpt", "w", zipfile.ZIP_DEFLATED) as z:
+        z.writestr("header.json", json.dumps(header))
+        z.writestr("params.npy", vector)
+    with pytest.raises(DataError, match="a member is compressed"):
         load_checkpoint(tmp_path / "c.ckpt")
