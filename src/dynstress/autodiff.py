@@ -8,21 +8,29 @@ multi-head scaled dot-product attention are one node each, and the model's
 heavier layers build their own single nodes with ``Tensor._make``.
 Gradients are exact; the test suite checks them against central finite
 differences.
+
+A tensor holds float32 when it is given float32 and float64 otherwise, and
+every node computes in its inputs' dtype, so a float32 model trains in
+float32 while float64 callers get float64 arithmetic throughout.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
 _BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
+_F32 = np.dtype(np.float32)
 
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        f32 = getattr(data, "dtype", None) is _F32
+        self.data = np.asarray(data, dtype=np.float32 if f32 else np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = parents
@@ -47,8 +55,10 @@ class Tensor:
     def _accum(self, g):
         # The first gradient is copied, never kept: ``g`` can be a view of
         # another tensor's ``.grad`` that a later ``+=`` must not write into.
+        # It takes this tensor's dtype: a float32 tensor below a float64
+        # scalar loss still gets float32 gradients.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -93,7 +103,10 @@ class Tensor:
     # -- activations --
 
     def sigmoid(self):
-        val = 1.0 / (1.0 + np.exp(-self.data))
+        # exp(-x) overflows to inf for x below about -88 (float32) or -709
+        # (float64); the sigmoid is then exactly 0, which is right
+        with np.errstate(over="ignore"):
+            val = 1.0 / (1.0 + np.exp(-self.data))
         def back(g):
             self._accum(g * val * (1.0 - val))
         return self._make(val, (self,), back)
@@ -169,7 +182,7 @@ def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     with one (rows of ``x``, len(index)) indicator product."""
     index = np.asarray(index)
     def back(g):
-        onehot = (np.arange(x.shape[0])[:, None] == index).astype(np.float64)
+        onehot = (np.arange(x.shape[0])[:, None] == index).astype(x.data.dtype)
         x._accum((onehot @ g.reshape(len(index), -1)).reshape(x.shape))
     return Tensor._make(x.data[index], (x,), back)
 
@@ -225,7 +238,7 @@ def attention(
     def merge(a):  # (B, heads, T, d) -> (B, T, H)
         return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], H)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = 1.0 / np.sqrt(d)
+    scale = 1.0 / math.sqrt(d)  # a Python float: an np.float64 widens float32 scores
     scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale
     if mask is not None:
         np.copyto(scores, -np.inf, where=~mask[:, None, None, :])

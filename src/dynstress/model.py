@@ -124,19 +124,23 @@ def lstm_states(acts: Tensor, u: Tensor) -> Tensor:
     H = u.shape[0]
     # A copy: each step adds its recurrent term and activates its slice in place.
     gates = np.array(acts.data)
-    hs = np.zeros((B, T + 1, H))  # hs[:, t] and cs[:, t] enter step t
-    cs = np.zeros((B, T + 1, H))
-    tanh_c = np.empty((B, T, H))
-    for t in range(T):
-        z = gates[:, t]
-        if t:  # the state entering step 0 is zero
-            z += hs[:, t] @ u.data
-        g = np.tanh(z[:, 2 * H : 3 * H])
-        z[:] = 1.0 / (1.0 + np.exp(-z))
-        z[:, 2 * H : 3 * H] = g
-        cs[:, t + 1] = z[:, H : 2 * H] * cs[:, t] + z[:, :H] * g
-        tanh_c[:, t] = np.tanh(cs[:, t + 1])
-        hs[:, t + 1] = z[:, 3 * H :] * tanh_c[:, t]
+    dtype = gates.dtype
+    hs = np.zeros((B, T + 1, H), dtype)  # hs[:, t] and cs[:, t] enter step t
+    cs = np.zeros((B, T + 1, H), dtype)
+    tanh_c = np.empty((B, T, H), dtype)
+    # exp(-z) = inf gives a gate's exact 0; the errstate costs about 1 us
+    # to enter, so it is entered once per call, not once per step
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            z = gates[:, t]
+            if t:  # the state entering step 0 is zero
+                z += hs[:, t] @ u.data
+            g = np.tanh(z[:, 2 * H : 3 * H])
+            z[:] = 1.0 / (1.0 + np.exp(-z))
+            z[:, 2 * H : 3 * H] = g
+            cs[:, t + 1] = z[:, H : 2 * H] * cs[:, t] + z[:, :H] * g
+            tanh_c[:, t] = np.tanh(cs[:, t + 1])
+            hs[:, t + 1] = z[:, 3 * H :] * tanh_c[:, t]
 
     def back(gh):
         i, f, g, o = (gates[..., k * H : (k + 1) * H] for k in range(4))
@@ -144,7 +148,7 @@ def lstm_states(acts: Tensor, u: Tensor) -> Tensor:
         slope[..., 2 * H : 3 * H] = 1.0 - g * g
         dc_dh = o * (1.0 - tanh_c * tanh_c)
         dz = np.empty_like(gates)  # d loss / d pre-activation, every step
-        dh = dc = np.zeros((B, H))
+        dh = dc = np.zeros((B, H), dtype)
         for t in reversed(range(T)):
             dh = gh[:, t] + dh
             dc = dc + dh * dc_dh[:, t]
@@ -207,7 +211,7 @@ def _self_attention(
 def _gelu(x: Tensor) -> Tensor:
     # tanh-form GELU as one node; smooth, so finite-difference checks stay
     # clean even with discrete 0/1 context inputs.
-    a, c = x.data, np.sqrt(2.0 / np.pi)
+    a, c = x.data, math.sqrt(2.0 / math.pi)  # a Python float keeps float32
     t = np.tanh(c * (a + 0.044715 * (a * a * a)))
     def back(gy):
         dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * (a * a))
@@ -243,7 +247,8 @@ def transformer_states(
     the last layer computes for that row alone.  A key ``mask`` (B, T) hides
     the rows where it is False from every layer's attention, so a sequence
     padded after its rows has the states of its unpadded run on them."""
-    h = h + Tensor(positional_encoding(h.shape[1], cfg.hidden))
+    pos = positional_encoding(h.shape[1], cfg.hidden).astype(h.data.dtype, copy=False)
+    h = h + Tensor(pos)
     for i in range(n_layers):
         h = transformer_layer(h, params, f"{prefix}{i}", cfg.heads,
                               rows if i == n_layers - 1 else None, mask)
@@ -259,7 +264,7 @@ def cross_attention_states(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def _dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    mask = (rng.random(t.shape) >= p) / (1.0 - p)
+    mask = (rng.random(t.shape) >= p).astype(t.data.dtype) / (1.0 - p)
     return t * Tensor(mask)
 
 
@@ -278,12 +283,13 @@ def make_context(previous_labels: Sequence[VadCode]) -> list[VadCode]:
 
 
 def _project(X: np.ndarray, params, name: str) -> Tensor:
-    """Input projection ``X @ w + b`` of raw (..., d) inputs."""
+    """Input projection ``X @ w + b`` of raw (..., d) inputs, cast to the
+    weights' dtype."""
     w = params[f"{name}.w"]
     if X.shape[-1] != w.shape[0]:
         raise DataError(f"{name}: input dim {X.shape[-1]} does not match "
                         f"weights {w.shape[0]}")
-    return linear(Tensor(X), w, params[f"{name}.b"])
+    return linear(Tensor(X.astype(w.data.dtype, copy=False)), w, params[f"{name}.b"])
 
 
 def speech_inputs(X: np.ndarray, params, cfg: ModelConfig) -> Tensor:

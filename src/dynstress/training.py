@@ -71,7 +71,7 @@ class LossReport:
 def _bce_terms(probs: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy as one node; probabilities clamped
     to [1e-7, 1 - 1e-7] before the logs, so the gradient is zero outside."""
-    t = np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=probs.data.dtype)
     p = np.clip(probs.data, _CLAMP, 1.0 - _CLAMP)
     def back(g):
         inside = (probs.data >= _CLAMP) & (probs.data <= 1.0 - _CLAMP)
@@ -278,6 +278,10 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(mcfg, _step_rng(tcfg.seed, 0))
+    # Training runs in float32: every tensor, gradient and Adam moment
+    # follows the parameters' dtype, and the checkpoint stores float32.
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
     opt = Adam(params, lr=tcfg.learning_rate)
     # Rollout and validation read the same buffers, which Adam updates in
     # place, through constant tensors, so their forwards record no tape.

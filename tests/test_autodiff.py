@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,30 @@ def test_masked_attention_equals_attention_over_the_kept_keys(heads):
                          (k.grad[b, keep], kb.grad[0]), (v.grad[b, keep], vb.grad[0])):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
         assert np.all(k.grad[b, ~keep] == 0.0) and np.all(v.grad[b, ~keep] == 0.0)
+
+
+@pytest.mark.parametrize("dtype, z", [(np.float32, 100.0), (np.float64, 1000.0)],
+                         ids=["float32", "float64"])
+def test_saturated_sigmoids_are_exact_and_raise_no_warning(dtype, z):
+    """exp(-z) overflows to inf for z = -100 in float32 and -1000 in float64;
+    the sigmoid is then exactly 0, its gradient is finite, and numpy's
+    overflow warning is not raised, in ``Tensor.sigmoid`` and in the LSTM's
+    gates alike."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = Tensor(np.array([-z, z], dtype), requires_grad=True)
+        s = x.sigmoid()
+        s.sum().backward()
+        assert s.data.dtype == dtype and s.data.tolist() == [0.0, 1.0]
+        assert np.all(np.isfinite(x.grad))
+        # gates (i, f, g, o) of one unit: the first sequence opens i and o and
+        # keeps c = 1; the second closes i and o, so c and h are exactly 0
+        acts = Tensor(np.array([[[z, -z, z, z]] * 2, [[-z, -z, z, -z]] * 2], dtype),
+                      requires_grad=True)
+        u = Tensor(np.ones((1, 4), dtype), requires_grad=True)
+        h = lstm_states(acts, u)
+        h.sum().backward()
+        assert h.data.dtype == dtype
+        assert h.data[0].ravel().tolist() == [np.tanh(dtype(1.0))] * 2
+        assert h.data[1].ravel().tolist() == [0.0, 0.0]
+        assert np.all(np.isfinite(acts.grad)) and np.all(np.isfinite(u.grad))
