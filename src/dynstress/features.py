@@ -4,7 +4,6 @@ precomputed self-supervised embeddings (d=1024)."""
 from __future__ import annotations
 
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import ClassVar
@@ -19,6 +18,7 @@ from .segmentation import (
     WINDOW_SAMPLES,
     DataError,
     open_input,
+    read_f32_npy,
     window_count,
 )
 
@@ -234,38 +234,22 @@ def window_mfcc(samples: np.ndarray, deltas: bool = False) -> np.ndarray:
     return out
 
 
-# --- FSEQ feature files: magic "FSEQ", version, rows, cols, f32 LE payload ---
-
-_FSEQ_MAGIC = b"FSEQ"
-_FSEQ_VERSION = 1
-
+# --- feature files: 2-D little-endian float32 .npy arrays, one row per window ---
 
 def write_fseq(path: str | Path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float32)
+    matrix = np.ascontiguousarray(matrix, "<f4")
     if matrix.ndim != 2:
         raise DataError("feature matrix must be 2-D")
     with open(path, "wb") as f:
-        f.write(_FSEQ_MAGIC)
-        f.write(struct.pack("<III", _FSEQ_VERSION, matrix.shape[0], matrix.shape[1]))
-        f.write(matrix.astype("<f4").tobytes())
+        np.lib.format.write_array(f, matrix, version=(1, 0), allow_pickle=False)
 
 
 def read_fseq(path: str | Path) -> np.ndarray:
-    """A feature matrix of any width, one row per window; values must be finite."""
-    path = Path(path)
+    """A feature matrix of any width: finite, read-only float32, one row per window."""
     with open_input(path, "feature file") as f:
-        blob = f.read()
-    if blob[:4] != _FSEQ_MAGIC:
-        raise DataError(f"{path}: bad magic, not an FSEQ file")
-    if len(blob) < 16:
-        raise DataError(f"{path}: truncated header")
-    version, rows, cols = struct.unpack("<III", blob[4:16])
-    if version != _FSEQ_VERSION:
-        raise DataError(f"{path}: unsupported FSEQ version {version}")
-    expected = 16 + 4 * rows * cols
-    if len(blob) != expected:
-        raise DataError(f"{path}: payload is {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f4", offset=16).reshape(rows, cols)
+        data = read_f32_npy(f.read(), str(path))
+    if data.ndim != 2:
+        raise DataError(f"{path}: holds a {data.ndim}-D array, not a 2-D matrix")
     if not np.isfinite(data).all():
         raise DataError(f"{path}: non-finite values in embeddings")
-    return data.astype(np.float64)
+    return data

@@ -21,7 +21,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .autodiff import Tensor, attention, concat, linear, pick_rows, take_rows
-from .segmentation import DataError, open_input
+from .segmentation import DataError, open_input, read_f32_npy
 from .vad import ALL_CODES, DEFAULT_CODE, VadCode
 
 
@@ -39,12 +39,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ("lstm", "transformer"):
             raise DataError(f"unknown architecture {self.arch!r}")
-        # every encoder has a layer: the speech encoder's last one computes
-        # the only state the head reads
+        # layers, ctx_layers, heads and ffn shape only the transformer: each
+        # LSTM encoder is one lstm_states layer.  All must be positive; the
+        # transformer's last speech layer computes the only state the head reads
         for name in ("feature_dim", "hidden", "ffn", "layers", "ctx_layers", "heads"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
-        # only self-attention splits into heads; the LSTM has none
         if self.arch == "transformer" and self.hidden % self.heads != 0:
             raise DataError("hidden size must be divisible by the head count")
         if not 0.0 <= self.dropout < 1.0:
@@ -459,19 +459,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
         for got, want in itertools.zip_longest(tensors, shapes.items()):
             if want is None or got != [want[0], list(want[1])]:
                 raise DataError(f"header lists tensor {got!r} where the model has {want!r}")
-        size = sum(math.prod(shape) for shape in shapes.values())
-        raw = z.read("params.npy")
-        npy = io.BytesIO(raw)
-        np.lib.format.read_magic(npy)
-        shape, _, dtype = np.lib.format.read_array_header_1_0(npy)
-        if shape != (size,) or dtype != np.dtype("<f4") or len(raw) != npy.tell() + 4 * size:
-            raise DataError(f"params.npy holds {dtype} {shape} in {len(raw) - npy.tell()} "
-                            f"bytes, not float32 ({size},) in {4 * size}")
+        ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+        flat = read_f32_npy(z.read("params.npy"), "params.npy")
+        if flat.shape != (ends[-1],):
+            raise DataError(f"params.npy holds float32 {flat.shape}, not ({ends[-1]},)")
     except (zipfile.BadZipFile, KeyError, NotImplementedError, EOFError, ValueError,
             RuntimeError) as e:  # DataError is a ValueError
         raise DataError(f"{path}: malformed checkpoint ({e})") from None
-    flat = np.frombuffer(raw, "<f4", offset=npy.tell())
-    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
     params = {}
     for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1])):
         if not np.isfinite(part).all():

@@ -7,8 +7,10 @@ synthesise temporal emotion progressions.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import tokenize
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +38,25 @@ def open_input(path: str | Path, what: str) -> BinaryIO:
         return open(path, "rb")
     except (OSError, ValueError) as e:  # ValueError: a NUL or lone surrogate in it
         raise DataError(f"cannot read {what} {path}: {getattr(e, 'strerror', e)}") from None
+
+
+def read_f32_npy(raw: bytes, what: str) -> np.ndarray:
+    """The read-only float32 array of ``.npy`` bytes, in its declared shape;
+    the header is checked against the byte count before the payload is read."""
+    f = io.BytesIO(raw)
+    try:
+        np.lib.format.read_magic(f)
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+        payload = len(raw) - f.tell()
+        if fortran_order or dtype != np.dtype("<f4") or payload != 4 * math.prod(shape):
+            raise ValueError(f"{'Fortran-order ' * fortran_order}{dtype} {shape} in {payload} "
+                             f"bytes; C-order <f4 takes {4 * math.prod(shape)}")
+        # a negative or boolean dimension, or one too large for numpy, fails here
+        return np.frombuffer(raw, "<f4", count=payload // 4, offset=f.tell()).reshape(shape)
+    # numpy parses the header with ast and tokenize, which raise more than ValueError
+    except (ValueError, TypeError, SyntaxError, MemoryError, tokenize.TokenError) as e:
+        reason = str(e).partition("\n")[0]
+        raise DataError(f"{what}: not a float32 .npy array ({reason})") from None
 
 
 def read_text(path: str | Path, what: str) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import io
 import json
 import shlex
 import struct
@@ -277,6 +278,9 @@ INPUT_ERRORS = {
     "manifest-span-not-an-object": ["label"],
     "unknown-feature-spec": ["extract", "--features", "bogus"],
     "fseq-cut-inside-header": ["extract", "--features", "file:emb"],
+    "fseq-retired-format": ["extract", "--features", "file:emb"],
+    "fseq-float64": ["extract", "--features", "file:emb"],
+    "fseq-fortran-order": ["extract", "--features", "file:emb"],
     "checkpoint-version-2": ["eval", "--ckpt", "spck.ckpt"],
     "checkpoint-unknown-version": ["eval", "--ckpt", "version-3.ckpt"],
     "augment-record-with-two-spans": ["augment"],
@@ -309,6 +313,14 @@ INPUT_ERRORS = {
     "ablation-is-a-directory": ["ablate", "--ckpt", "good.ckpt", "--n-values", "0..0"],
     "extracted-fseq-name-too-long": ["extract"],
 }
+
+
+def npy_bytes(array) -> bytes:
+    """``np.save`` of ``array``, as a user's exporter writes a feature file."""
+    f = io.BytesIO()
+    np.save(f, array)
+    return f.getvalue()
+
 
 # augment joins clips of one split only, the fixture's a and b differ in split,
 # and a joined clip takes one emotion per record: a and b of one span in one split
@@ -384,7 +396,12 @@ BROKEN_FILES = {
         "a", [], extra={"spans": {"start_s": 0, "end_s": 30, "label": "fear"}}).encode()),
     "manifest-span-not-an-object": ("manifest.jsonl", lambda d: manifest_line(
         "a", [], extra={"spans": [3]}).encode()),
-    "fseq-cut-inside-header": ("emb/a.fseq", lambda d: b"FSEQ" + bytes(8)),
+    "fseq-cut-inside-header": ("emb/a.fseq", lambda d: (d / "emb/a.fseq").read_bytes()[:40]),
+    # the hand-rolled layout that `.npy` feature files replaced: magic, version, rows, cols
+    "fseq-retired-format": ("emb/a.fseq", lambda d: b"FSEQ" + struct.pack("<III", 1, 5, 8)
+                            + bytes(160)),
+    "fseq-float64": ("emb/a.fseq", lambda d: npy_bytes(np.zeros((5, 8)))),
+    "fseq-fortran-order": ("emb/a.fseq", lambda d: npy_bytes(np.zeros((8, 5), "<f4").T)),
     # b.wav's record takes its id from its file name, which a.wav's record uses
     "manifest-repeats-utterance-id": ("manifest.jsonl", lambda d: "\n".join([
         manifest_line("a", [(0, 30, "fear")], split="test", extra={"utterance_id": "b"}),
@@ -404,6 +421,14 @@ NAMED_IN_ERROR = {
     "missing-config": "absent.cfg: No such file",
     "manifest-missing": "absent.jsonl: No such file",
     "fseq-missing": "absent/a.fseq: No such file",
+    "fseq-cut-inside-header": "emb/a.fseq: not a float32 .npy array "
+                              "(EOF: reading array header",
+    "fseq-retired-format": "emb/a.fseq: not a float32 .npy array (the magic string is not correct; "
+                           "expected b'\\x93NUMPY', got b'FSEQ\\x01\\x00')",
+    "fseq-float64": "emb/a.fseq: not a float32 .npy array (float64 (5, 8) in 320 bytes; "
+                    "C-order <f4 takes 160)",
+    "fseq-fortran-order": "emb/a.fseq: not a float32 .npy array (Fortran-order float32 (5, 8) "
+                          "in 160 bytes; C-order <f4 takes 160)",
     "checkpoint-missing": "absent.ckpt: No such file",
     "truncated-checkpoint-header": "cut.ckpt: malformed checkpoint (Expecting",
     "unknown-checkpoint-arch": "gru.ckpt: malformed checkpoint (unknown architecture 'gru')",

@@ -343,7 +343,44 @@ def test_fseq_roundtrip(tmp_path):
     write_fseq(p, mat)
     back = read_fseq(p)
     assert back.shape == (5, 1024)
-    assert np.allclose(back, mat)
+    assert np.array_equal(back, mat)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_np_load_reads_a_written_feature_file_bit_for_bit(tmp_path, order):
+    """A feature file is a plain `.npy` array, whatever the matrix's dtype
+    and memory order: np.load and read_fseq read the same float32 rows."""
+    mat = np.asarray(np.random.default_rng(4).normal(size=(6, 3)), order=order)
+    p = tmp_path / "x.fseq"
+    write_fseq(p, mat)
+    back = np.load(p)
+    assert back.dtype == np.dtype("<f4")
+    assert back.tobytes() == mat.astype("<f4").tobytes()
+    assert read_fseq(p).tobytes() == back.tobytes()
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 3), ">f4"), np.zeros((2, 3), "<i4"),
+                                   np.zeros((3, 2), "<f4").T],
+                         ids=["big-endian", "int32", "fortran-order"])
+def test_read_fseq_rejects_24_bytes_that_are_not_c_order_f4(tmp_path, array):
+    with open(tmp_path / "x.fseq", "wb") as f:
+        np.save(f, array)
+    with pytest.raises(DataError, match=r"not a float32 \.npy array \(.*\(2, 3\) in 24 bytes"):
+        read_fseq(tmp_path / "x.fseq")
+
+
+def test_read_fseq_reads_np_save_rows_as_read_only_float32(tmp_path):
+    """README's exporter line: np.save of a float32 matrix to an open file (a
+    path would gain a `.npy` suffix)."""
+    emb = np.random.default_rng(5).normal(size=(4, 1024)).astype("<f4")
+    p = tmp_path / "u1.fseq"
+    with open(p, "wb") as f:
+        np.save(f, emb)
+    out = read_fseq(p)
+    assert out.dtype == np.float32 and np.array_equal(out, emb)
+    assert not out.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        out[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1-D", "3-D"])

@@ -3,7 +3,7 @@ data or a DataError, never another exception."""
 
 import io
 import json
-import struct
+import math
 import zipfile
 
 import numpy as np
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dynstress.features import read_fseq
+from dynstress.features import read_fseq, write_fseq
 from dynstress.model import (
     ModelConfig,
     init_params,
@@ -74,21 +74,6 @@ def test_read_manifest_yields_records_or_data_error(tmp_path, blob):
         assert all(isinstance(getattr(r, key), str) for r in out
                    for key in ("audio_path", "speaker_id", "utterance_id",
                                "text_id", "split"))
-
-
-fseq_bytes = st.binary(max_size=64) | st.builds(
-    lambda head, payload: b"FSEQ" + struct.pack("<III", *head) + payload,
-    st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 2**32 - 1)),
-    st.binary(max_size=64),
-)
-
-
-@FAST
-@given(blob=fseq_bytes)
-def test_read_fseq_yields_matrix_or_data_error(tmp_path, blob):
-    out = parse_or_data_error(read_fseq, tmp_path / "x.fseq", blob)
-    if out is not None:
-        assert out.ndim == 2 and out.dtype == np.float64
 
 
 @pytest.mark.parametrize("read", [read_manifest, load_wav, read_fseq, load_checkpoint])
@@ -175,6 +160,75 @@ def test_load_checkpoint_checks_every_header_field(tmp_path, valid_checkpoints, 
         assert cfg in CKPT_CFGS and list(params) == list(param_shapes(cfg))
 
 
+def npy_header(shape, descr="<f4", fortran_order=False) -> bytes:
+    f = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        f, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return f.getvalue()
+
+
+@st.composite
+def npy_files(draw):
+    """A version 1.0 `.npy` header of a drawn shape, dtype and order, and a
+    payload cut short of, equal to or beyond the size that header declares."""
+    shape = tuple(draw(st.lists(st.integers(0, 4) | st.sampled_from([2**31, 2**40]),
+                                max_size=3)))
+    descr = draw(st.sampled_from(["<f4", ">f4", "<f8", "|u1"]))
+    size = min(np.dtype(descr).itemsize * math.prod(shape), 256)
+    n = max(0, size + draw(st.integers(-8, 8)))
+    return npy_header(shape, descr, draw(st.booleans())) + draw(st.binary(min_size=n, max_size=n))
+
+
+@pytest.fixture(scope="module")
+def valid_fseq(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fseq") / "v.fseq"
+    write_fseq(path, np.random.default_rng(0).normal(size=(3, 4)))
+    return path.read_bytes()
+
+
+@FAST
+@given(data=st.data())
+def test_read_fseq_yields_matrix_or_data_error(tmp_path, valid_fseq, data):
+    blob = data.draw(npy_files() | mutations(valid_fseq))
+    out = parse_or_data_error(read_fseq, tmp_path / "x.fseq", blob)
+    if out is not None:
+        assert out.ndim == 2 and out.dtype == np.float32
+
+
+# Headers on which numpy's own parser raises more than a ValueError (the ast
+# module's TypeError, MemoryError and IndentationError, tokenize's TokenError)
+# or a three-line message (a header too long), and shapes numpy accepts that
+# no array has; each with as many payload bytes as its shape would take.
+BAD_NPY_HEADERS = {
+    "unhashable-key": ("{{}}", 0),
+    "nested-too-deep": ("-" * 9000 + "1", 0),
+    "bad-indentation": ("  1\n 2", 0),
+    "ends-inside-a-string": ("'''", 0),
+    "too-long": (" " * 10001, 0),
+    "negative-dimensions": ("{'descr': '<f4', 'fortran_order': False, 'shape': (-2, -3), }", 24),
+    "boolean-dimension": ("{'descr': '<f4', 'fortran_order': False, 'shape': (True, 2), }", 8),
+    "empty-but-too-large": (
+        "{'descr': '<f4', 'fortran_order': False, 'shape': (0, %d, 4), }" % 2**62, 0),
+}
+
+
+@pytest.mark.parametrize("reader", ["fseq", "checkpoint"])
+@pytest.mark.parametrize("header", BAD_NPY_HEADERS)
+def test_a_malformed_npy_header_is_one_data_error(tmp_path, valid_checkpoints, reader, header):
+    text, payload = BAD_NPY_HEADERS[header]
+    text = text.encode("latin1")
+    npy = b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + bytes(payload)
+    if reader == "fseq":
+        (tmp_path / "x.fseq").write_bytes(npy)
+        read, path = read_fseq, tmp_path / "x.fseq"
+    else:
+        write_checkpoint(tmp_path / "c.ckpt", checkpoint_members(valid_checkpoints[0])[0], npy)
+        read, path = load_checkpoint, tmp_path / "c.ckpt"
+    with pytest.raises(DataError) as e:
+        read(path)
+    assert "\n" not in str(e.value)
+
+
 @pytest.fixture(scope="module")
 def valid_wav(tmp_path_factory):
     path = tmp_path_factory.mktemp("wav") / "v.wav"
@@ -191,18 +245,21 @@ def test_load_wav_yields_clip_or_data_error(tmp_path, valid_wav, data):
         assert isinstance(out, AudioClip) and out.samples.ndim == 1
 
 
-@pytest.mark.parametrize("field", ["layer-count", "params-shape"])
+@pytest.mark.parametrize("field", ["layer-count", "params-shape", "fseq-shape"])
 def test_load_checkpoint_rejects_huge_header_values(tmp_path, valid_checkpoints, field):
     """A corrupt layer count must not build a huge shape table, nor a
-    corrupt `params.npy` shape reach numpy's allocator."""
+    corrupt `params.npy` or feature-file shape reach numpy's allocator."""
+    if field == "fseq-shape":
+        (tmp_path / "x.fseq").write_bytes(npy_header((2**40, 1024)) + bytes(4096))
+        with pytest.raises(DataError, match=r"float32 \(1099511627776, 1024\) in 4096 bytes"):
+            read_fseq(tmp_path / "x.fseq")
+        return
     header, vector = checkpoint_members(valid_checkpoints[1])  # the transformer
     if field == "layer-count":
         header["model"]["layers"] = 2**31
     else:
-        f = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            f, {"descr": "<f4", "fortran_order": False, "shape": (99999999999,)})
-        vector = f.getvalue() + vector[len(f.getvalue()):]
+        head = npy_header((99999999999,))
+        vector = head + vector[len(head):]
     write_checkpoint(tmp_path / "c.ckpt", header, vector)
     with pytest.raises(DataError, match="malformed checkpoint"):
         load_checkpoint(tmp_path / "c.ckpt")
