@@ -430,8 +430,8 @@ def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
-    """Parameters and config of a :func:`save_checkpoint` file; each header
-    field is checked before numpy sees the parameters."""
+    """A :func:`save_checkpoint` file's tensors, as read-only float32 views of
+    ``params.npy``, and its config; each header field is checked first."""
     with open_input(path, "checkpoint") as f:
         blob = f.read()  # read whole: no member a corrupt zip declares can be larger
     if blob[:4] == b"SPCK":
@@ -452,8 +452,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
                 and isinstance(tensors, list)):
             raise DataError("header holds no model config and tensor list")
         cfg = ModelConfig(**model)
-        # every layer owns tensors: this bounds the shape table a bad layer count builds
-        if cfg.layers + cfg.ctx_layers > len(tensors):
+        # each transformer layer owns tensors, which bounds the table a bad count builds
+        if cfg.arch == "transformer" and cfg.layers + cfg.ctx_layers > len(tensors):
             raise DataError(f"{cfg.layers} + {cfg.ctx_layers} layers, {len(tensors)} tensors")
         shapes = param_shapes(cfg)
         for got, want in itertools.zip_longest(tensors, shapes.items()):
@@ -470,5 +470,5 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
     for (name, shape), part in zip(shapes.items(), np.split(flat, ends[:-1])):
         if not np.isfinite(part).all():
             raise DataError(f"{path}: tensor {name} holds NaN or inf")
-        params[name] = Tensor(part.astype(np.float64).reshape(shape))
+        params[name] = Tensor(part.reshape(shape))
     return params, cfg

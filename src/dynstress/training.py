@@ -278,8 +278,8 @@ def train(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(mcfg, _step_rng(tcfg.seed, 0))
-    # Training runs in float32: every tensor, gradient and Adam moment
-    # follows the parameters' dtype, and the checkpoint stores float32.
+    # The one place the model's precision is set: every tensor, gradient and
+    # Adam moment follows these float32 parameters, as inference on their checkpoint does.
     for p in params.values():
         p.data = p.data.astype(np.float32)
     opt = Adam(params, lr=tcfg.learning_rate)

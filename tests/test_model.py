@@ -419,7 +419,7 @@ def test_params_have_no_key_bias(cfg, count):
 
 def test_checkpoint_roundtrip(tmp_path):
     """The config comes back whole, dropout included, and each parameter as
-    its float32 value."""
+    a read-only float32 tensor holding its float32 value."""
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg, seed=23)
         p = tmp_path / f"{cfg.arch}.ckpt"
@@ -428,8 +428,22 @@ def test_checkpoint_roundtrip(tmp_path):
         assert lcfg == cfg
         assert list(loaded) == list(param_shapes(cfg))
         for n in params:
-            assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).astype(
-                np.float64).tobytes()
+            assert loaded[n].data.dtype == np.float32, n
+            assert not loaded[n].data.flags.writeable, n
+            assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).tobytes()
+
+
+def test_an_lstm_checkpoint_with_more_layers_than_tensors_loads(tmp_path):
+    """The LSTM ignores `layers` and `ctx_layers`, so a count beyond its 13
+    tensors is no sign of a corrupt header: what was saved loads back."""
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=4, heads=2, layers=20)
+    params = make_params(cfg, seed=27)
+    assert len(params) < cfg.layers + cfg.ctx_layers
+    save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    loaded, lcfg = load_checkpoint(tmp_path / "m.ckpt")
+    assert lcfg == cfg
+    for n in params:
+        assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).tobytes()
 
 
 def test_checkpoint_bytes_depend_on_the_parameters_only(tmp_path, monkeypatch):

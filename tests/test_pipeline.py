@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dynstress import pipeline, segmentation
+from dynstress.autodiff import Tensor
 from dynstress.features import delta_frames, mfcc_frames, pool_window, write_fseq
 from dynstress.labelling import LabellingConfig, relabel_sequence
 from dynstress.model import (
@@ -12,9 +13,11 @@ from dynstress.model import (
     context_states,
     forward_batch,
     init_params,
+    load_checkpoint,
     lstm_states,
     make_context,
     param_names,
+    save_checkpoint,
     speech_inputs,
     speech_states,
     transformer_states,
@@ -260,14 +263,47 @@ def ragged_cases(arch, seed):
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
-def test_predict_recording_equals_per_window_forward(arch):
-    seen = set()
+def test_predict_recording_equals_per_window_forward(arch, tmp_path):
+    """Identical codes for float64 parameters and features, and for the
+    float32 parameters a checkpoint loads with float32 features, as
+    ``eval`` and ``ablate`` run them on feature files."""
+    seen = {"float64": set(), "float32": set()}
     for seed in range(3):
+        loaded = None
         for feats, n, params, cfg in ragged_cases(arch, seed):
-            got = predict_recording(feats, n, params, cfg)
-            assert got == plain_predict(feats, n, params, cfg), (seed, n, len(feats))
-            seen.update(got)
-    assert len(seen) > 1  # the decisions vary, so equal codes say something
+            if loaded is None:  # every case of a seed shares its parameters
+                save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+                loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+            for X, p in ((feats, params), (feats.astype(np.float32), loaded)):
+                got = predict_recording(X, n, p, cfg)
+                assert got == plain_predict(X, n, p, cfg), (seed, n, len(X), X.dtype)
+                seen[X.dtype.name].update(got)
+    # the decisions vary, so equal codes say something
+    assert all(len(codes) > 1 for codes in seen.values())
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_inference_on_a_loaded_checkpoint_records_no_float64_tensor(arch, tmp_path,
+                                                                   monkeypatch):
+    """A loaded checkpoint infers in float32 from float64 features (as MFCC
+    gives) and from float32 ones (as a feature file gives): no float64
+    tensor of more than one element is made."""
+    rng = np.random.default_rng(5)
+    cfg = ModelConfig(arch, feature_dim=16, hidden=8, heads=2, ffn=16)
+    save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, rng), cfg)
+    params, _ = load_checkpoint(tmp_path / "m.ckpt")
+    made = []
+    init = Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.data)
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    feats = rng.normal(size=(12, 16))
+    for X in (feats, feats.astype(np.float32)):
+        predict_recording(X, 3, params, cfg)
+    assert sum(a.dtype == np.float32 and a.size > 1 for a in made) > 20
+    assert [a.shape for a in made if a.dtype != np.float32 and a.size > 1] == []
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
