@@ -177,7 +177,8 @@ def cmd_label(args, out):
 def cmd_extract(args, out):
     for rec in read_manifest(args.manifest):
         clip = load_clip(rec, _base_dir(args))
-        mat = pipeline.clip_feature_matrix(clip, segment(clip), args.features)
+        mat = pipeline.clip_feature_matrix(clip.utterance_id, segment(clip), args.features,
+                                           clip.samples)
         write_fseq(out / f"{rec.utterance_id}.fseq", mat)
     return 0
 

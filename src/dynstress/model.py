@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -338,6 +339,23 @@ def readout(q: Tensor, hc: Tensor, k: Tensor, v: Tensor, params, cfg) -> Tensor:
     return linear(last, params["head.w"], params["head.b"]).sigmoid()
 
 
+def readout_array(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, last: np.ndarray, params, cfg,
+) -> np.ndarray:
+    """Probabilities (3,) of one projected query ``q`` (H,) over one context's
+    keys and values ``k``, ``v`` (L, H) and its last state ``last`` (H,), which
+    only the LSTM head reads: :func:`readout` on plain arrays, without a tape.
+    The caller enters ``np.errstate(over="ignore")``: a logit below about -88
+    (float32) overflows the sigmoid's exp to inf, and its probability is then
+    exactly 0, as :meth:`Tensor.sigmoid` gives."""
+    s = (k @ q) * (1.0 / math.sqrt(q.shape[0]))  # a Python float keeps float32
+    e = np.exp(s - s.max())
+    x = q + (e / e.sum()) @ v
+    if cfg.arch == "lstm":
+        x = np.concatenate((x, last))
+    return 1.0 / (1.0 + np.exp(-(x @ params["head.w"].data + params["head.b"].data)))
+
+
 def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``S`` in order of first appearance, and the
     position of each row of ``S`` among them."""
@@ -429,6 +447,22 @@ def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
             np.lib.format.write_array(f, flat, version=(1, 0), allow_pickle=False)
 
 
+def _stored_member(z: zipfile.ZipFile, fp: io.BytesIO, blob: bytes, name: str) -> memoryview:
+    """The bytes of the stored member ``name`` of the archive ``z`` read from
+    ``fp``, which holds ``blob``: a view of ``blob``, with the local header
+    and CRC-32 checks of ``ZipFile.read`` but without its copy."""
+    info = z.getinfo(name)
+    with z.open(info):  # checks the local header and leaves fp at the member's data
+        start = fp.tell()
+    data = memoryview(blob)[start : start + info.file_size]
+    if len(data) != info.file_size or info.compress_size != info.file_size:
+        raise EOFError(f"{name}: {len(data)} bytes stored, {info.compress_size} "
+                       f"declared stored, {info.file_size} declared")
+    if zlib.crc32(data) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
+    return data
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
     """A :func:`save_checkpoint` file's tensors, as read-only float32 views of
     ``params.npy``, and its config; each header field is checked first."""
@@ -438,7 +472,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
         raise DataError(f"{path}: SPCK (version 1) checkpoints are retired; "
                         "train again to write an .npz checkpoint")
     try:
-        z = zipfile.ZipFile(io.BytesIO(blob))
+        fp = io.BytesIO(blob)
+        z = zipfile.ZipFile(fp)
         # stored members only: no decompressor runs on the file's bytes
         if any(info.compress_type != zipfile.ZIP_STORED for info in z.infolist()):
             raise DataError("a member is compressed")
@@ -460,7 +495,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
             if want is None or got != [want[0], list(want[1])]:
                 raise DataError(f"header lists tensor {got!r} where the model has {want!r}")
         ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
-        flat = read_f32_npy(z.read("params.npy"), "params.npy")
+        flat = read_f32_npy(_stored_member(z, fp, blob, "params.npy"), "params.npy")
         if flat.shape != (ends[-1],):
             raise DataError(f"params.npy holds float32 {flat.shape}, not ({ends[-1]},)")
     except (zipfile.BadZipFile, KeyError, NotImplementedError, EOFError, ValueError,

@@ -17,15 +17,16 @@ from .autodiff import Tensor, linear
 from .features import read_fseq, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
 from .model import (ModelConfig, context_array, context_memory, context_states, decode,
-                    make_context, readout, speech_inputs, speech_states)
+                    make_context, readout_array, speech_inputs, speech_states)
 from .segmentation import (
-    AudioClip,
     ClipRecord,
     DataError,
     SegmentWindow,
     align_labels,
     load_clip,
     segment,
+    segment_length,
+    wav_length,
 )
 from .training import TrainSample
 from .vad import VadCode
@@ -59,24 +60,26 @@ def _labelled_runs(labels: list[VadCode | None]) -> list[tuple[int, int]]:
 
 
 def clip_feature_matrix(
-    clip: AudioClip, windows: Sequence[SegmentWindow], feature_spec: str,
+    utterance_id: str, windows: Sequence[SegmentWindow], feature_spec: str,
+    samples: np.ndarray | None,
 ) -> np.ndarray:
-    """Features for every window of one decoded clip, by ``feature_spec``:
-    from-scratch MFCC (`mfcc`, d = 40), the same with pooled deltas appended
-    (`mfcc+deltas`, d = 80), or rows of the precomputed embedding file
-    `<dir>/<utterance_id>.fseq` (`file:<dir>`)."""
+    """Features for every window of one clip, by ``feature_spec``:
+    from-scratch MFCC of its decoded ``samples`` (`mfcc`, d = 40), the same
+    with pooled deltas appended (`mfcc+deltas`, d = 80), or rows of the
+    precomputed embedding file `<dir>/<utterance_id>.fseq` (`file:<dir>`),
+    which reads no samples."""
     if feature_spec in ("mfcc", "mfcc+deltas"):
-        mat = window_mfcc(clip.samples, feature_spec == "mfcc+deltas")
+        mat = window_mfcc(samples, feature_spec == "mfcc+deltas")
         source = "MFCC"
     elif feature_spec.startswith("file:"):
-        mat = read_fseq(Path(feature_spec[5:]) / f"{clip.utterance_id}.fseq")
+        mat = read_fseq(Path(feature_spec[5:]) / f"{utterance_id}.fseq")
         source = "embedding file"
     else:
         raise DataError(f"unknown feature spec {feature_spec!r}: "
                         "use mfcc, mfcc+deltas or file:<dir>")
     if mat.shape[0] != len(windows):
         raise DataError(
-            f"{clip.utterance_id}: {source} has {mat.shape[0]} rows, "
+            f"{utterance_id}: {source} has {mat.shape[0]} rows, "
             f"clip has {len(windows)} windows"
         )
     return mat
@@ -88,13 +91,22 @@ def load_recording(
 ) -> list[RecordingData]:
     """One RecordingData per maximal labelled run of a clip's windows.
 
-    ``feature_spec=None`` skips feature extraction (labelling-only use)."""
-    clip = load_clip(rec, base_dir)
-    windows = segment(clip)
+    ``feature_spec=None`` skips feature extraction (labelling-only use).
+    Under `file:<dir>` only the clip's length is needed, so its WAV is
+    checked but not decoded."""
+    if feature_spec is not None and feature_spec.startswith("file:"):
+        # an absolute audio_path ignores base_dir, as in load_clip
+        n_samples = wav_length(Path(base_dir) / rec.audio_path)
+        utterance_id, samples = rec.utterance_id, None
+        windows = segment_length(n_samples, utterance_id)
+    else:
+        clip = load_clip(rec, base_dir)
+        utterance_id, samples = clip.utterance_id, clip.samples
+        windows = segment(clip)
     if feature_spec is None:
         feats = np.zeros((len(windows), 0))
     else:
-        feats = clip_feature_matrix(clip, windows, feature_spec)
+        feats = clip_feature_matrix(utterance_id, windows, feature_spec, samples)
     labels = align_labels(windows, rec.spans)
     refs = align_labels(windows, rec.stress_spans)
     out = []
@@ -170,18 +182,25 @@ def predict_recording(
     no ground-truth stress labels are available.  Speech does not depend on
     the predictions, so it is encoded up front, and every window's query is
     projected in one matrix product.  Each distinct context is encoded once
-    per call, with its keys and values, under the codes it holds, so a step
-    runs only the cross-attention and the head.
+    per call, under the codes it holds, into a memory of plain arrays: its
+    keys, its values and its last state.  A step then reads its window out
+    with a few array operations, :func:`readout_array`, and builds no tape.
     """
     last = last_speech_states(features, history, params, cfg)
     queries = linear(Tensor(last), params["attn.wq"], params["attn.bq"]).data
-    memo: dict[tuple[VadCode, ...], tuple[Tensor, Tensor, Tensor]] = {}
+    memo: dict[tuple[VadCode, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     preds: list[VadCode] = []
-    for t in range(features.shape[0]):
-        key = tuple(preds[max(0, t - history) : t])
-        if key not in memo:
-            ctx = context_array(make_context(key))
-            memo[key] = context_memory(context_states(ctx[None], params, cfg), params)
-        q = Tensor(queries[t][None, None])
-        preds.append(decode(readout(q, *memo[key], params, cfg).data[0]))
+    caller = np.geterr()
+    # readout_array's sigmoid may overflow to its exact 0; the errstate costs
+    # about 1 us to enter, so it is entered once per call, not once per window
+    with np.errstate(over="ignore"):
+        for t in range(features.shape[0]):
+            key = tuple(preds[max(0, t - history) : t])
+            if key not in memo:
+                with np.errstate(**caller):  # the encoder's overflows still count
+                    ctx = context_array(make_context(key))
+                    hc, k, v = context_memory(context_states(ctx[None], params, cfg),
+                                              params)
+                memo[key] = k.data[0], v.data[0], hc.data[0, -1]
+            preds.append(decode(readout_array(queries[t], *memo[key], params, cfg)))
     return preds

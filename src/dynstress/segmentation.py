@@ -40,10 +40,11 @@ def open_input(path: str | Path, what: str) -> BinaryIO:
         raise DataError(f"cannot read {what} {path}: {getattr(e, 'strerror', e)}") from None
 
 
-def read_f32_npy(raw: bytes, what: str) -> np.ndarray:
-    """The read-only float32 array of ``.npy`` bytes, in its declared shape;
-    the header is checked against the byte count before the payload is read."""
-    f = io.BytesIO(raw)
+def read_f32_npy(raw: bytes | memoryview, what: str) -> np.ndarray:
+    """The read-only float32 array of ``.npy`` bytes, in its declared shape, a
+    view of ``raw``; the header is checked against the byte count before the
+    payload is read."""
+    f = io.BytesIO(raw[: 10 + 0xFFFF])  # a version 1.0 header fits: the payload is not copied
     try:
         np.lib.format.read_magic(f)
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
@@ -120,10 +121,15 @@ def window_count(n_samples: int) -> int:
 def segment(clip: AudioClip) -> list[SegmentWindow]:
     """Cut a clip into overlapping windows; trailing audio shorter than a
     full window is dropped."""
-    count = window_count(len(clip.samples))
+    return segment_length(len(clip.samples), clip.utterance_id)
+
+
+def segment_length(n_samples: int, clip_id: str) -> list[SegmentWindow]:
+    """The windows of :func:`segment` for a clip of ``n_samples`` samples."""
+    count = window_count(n_samples)
     if count == 0:
         raise DataError(
-            f"clip {clip.utterance_id!r} is {clip.duration:.2f}s, "
+            f"clip {clip_id!r} is {n_samples / REQUIRED_SAMPLE_RATE:.2f}s, "
             f"shorter than one {WINDOW_S:.0f}s window"
         )
     return [
@@ -131,7 +137,7 @@ def segment(clip: AudioClip) -> list[SegmentWindow]:
             index=k,
             start=k * HOP_S,
             end=k * HOP_S + WINDOW_S,
-            clip_id=clip.utterance_id,
+            clip_id=clip_id,
         )
         for k in range(count)
     ]
@@ -212,16 +218,18 @@ def concat_augment(
 
 # --- WAV I/O (RIFF, 16-bit signed PCM, mono, 16 kHz) ---
 
-def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
-             text_id: str = "") -> AudioClip:
-    path = Path(path)
+def _read_pcm(path: Path) -> bytes:
+    """The 16-bit samples' bytes of a mono 16 kHz PCM WAV file whose data
+    chunk holds as many bytes as its header says."""
     try:
         with open_input(path, "WAV file") as f, wave.open(f, "rb") as wf:
             if wf.getsampwidth() != 2:
                 raise DataError(f"{path}: expected 16-bit PCM")
             if wf.getnchannels() != 1:
                 raise DataError(f"{path}: expected mono audio")
-            rate = wf.getframerate()  # AudioClip accepts 16 kHz only
+            if wf.getframerate() != REQUIRED_SAMPLE_RATE:
+                raise DataError(f"{path}: sample rate must be {REQUIRED_SAMPLE_RATE} Hz, "
+                                f"got {wf.getframerate()}")
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
     # wave.Error: also any format but PCM; EOFError: the file ends inside a
@@ -233,9 +241,22 @@ def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
         raise DataError(
             f"{path}: data chunk holds {len(raw)} bytes, header says {2 * n_frames}"
         )
-    pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+    return raw
+
+
+def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
+             text_id: str = "") -> AudioClip:
+    path = Path(path)
+    pcm = np.frombuffer(_read_pcm(path), dtype="<i2").astype(np.float64)
     pcm *= 1.0 / 32768.0  # in place, and exact: the divisor is a power of two
-    return AudioClip(pcm, rate, speaker_id, utterance_id or path.stem, text_id)
+    return AudioClip(pcm, REQUIRED_SAMPLE_RATE, speaker_id, utterance_id or path.stem,
+                     text_id)
+
+
+def wav_length(path: str | Path) -> int:
+    """The sample count of the WAV file that :func:`load_wav` would decode,
+    under the same checks, without decoding its samples."""
+    return len(_read_pcm(Path(path))) // 2
 
 
 def write_wav(path: str | Path, samples: np.ndarray) -> None:

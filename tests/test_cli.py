@@ -259,6 +259,8 @@ INPUT_ERRORS = {
     "wav-cut-inside-header": ["label"],
     "wav-odd-data-bytes": ["label"],
     "wav-cut-inside-data": ["label"],
+    # feature files need only a clip's window count, but its WAV is checked as fully
+    "wav-cut-inside-data-under-file-features": ["train", "--features", "file:emb"],
     "span-bound-is-a-string": ["label"],
     "span-bound-is-a-boolean": ["label"],
     "manifest-repeats-utterance-id": ["eval", "--ckpt", "good.ckpt"],
@@ -294,6 +296,7 @@ INPUT_ERRORS = {
     "checkpoint-missing": ["eval", "--ckpt", "absent.ckpt"],
     "out-is-a-file": ["label"],
     "wav-sample-rate-8000": ["label"],
+    "wav-sample-rate-8000-under-file-features": ["train", "--features", "file:emb"],
     "utterance-id-holds-a-nul": ["extract"],
     "config-out-holds-a-nul": ["label", "--config", "nul-out.cfg"],
     # every output the CLI writes, with a directory in its place
@@ -362,6 +365,9 @@ BROKEN_FILES = {
     # the fmt chunk's sample rate and byte rate
     "wav-sample-rate-8000": ("a.wav", lambda d: (d / "a.wav").read_bytes().replace(
         struct.pack("<II", SR, 2 * SR), struct.pack("<II", 8000, 16000), 1)),
+    "wav-sample-rate-8000-under-file-features": ("a.wav", lambda d: (
+        d / "a.wav").read_bytes().replace(
+        struct.pack("<II", SR, 2 * SR), struct.pack("<II", 8000, 16000), 1)),
     # `deltas = true` became `features = mfcc+deltas`
     "config-sets-deltas": ("deltas.cfg", lambda d: b"deltas = yes\n"),
     "config-value-not-a-choice": ("bogus-level.cfg", lambda d: b"level = bogus\n"),
@@ -385,6 +391,8 @@ BROKEN_FILES = {
     "wav-cut-inside-header": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:30]),
     "wav-odd-data-bytes": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:-1]),
     "wav-cut-inside-data": ("a.wav", lambda d: (d / "a.wav").read_bytes()[:-2000]),
+    "wav-cut-inside-data-under-file-features": (
+        "a.wav", lambda d: (d / "a.wav").read_bytes()[:-2000]),
     "span-bound-is-a-string": ("manifest.jsonl", lambda d: manifest_line(
         "a", [("0", 30, "fear")]).encode()),
     "span-bound-is-a-boolean": ("manifest.jsonl", lambda d: manifest_line(
@@ -440,6 +448,9 @@ NAMED_IN_ERROR = {
     "checkpoint-unknown-version": "malformed checkpoint (unsupported checkpoint version 3)",
     "out-is-a-file": "out-is-a-file: File exists",
     "wav-sample-rate-8000": "sample rate",
+    "wav-sample-rate-8000-under-file-features": "a.wav: sample rate must be 16000 Hz, got 8000",
+    "wav-cut-inside-data-under-file-features": "a.wav: data chunk holds 958000 bytes, "
+                                               "header says 960000",
     "extracted-fseq-name-too-long": f"{LONG_ID}.fseq: File name too long",
     "utterance-id-holds-a-nul": "utterance_id 'a\\x00b' is not a plain file name",
     "config-out-holds-a-nul": "run directory 'a\\x00b' holds a NUL byte",

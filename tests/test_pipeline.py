@@ -1,22 +1,27 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynstress import pipeline, segmentation
-from dynstress.autodiff import Tensor
+from dynstress.autodiff import Tensor, linear
 from dynstress.features import delta_frames, mfcc_frames, pool_window, write_fseq
 from dynstress.labelling import LabellingConfig, relabel_sequence
 from dynstress.model import (
     ModelConfig,
     context_array,
+    context_memory,
     context_states,
+    decode,
     forward_batch,
     init_params,
     load_checkpoint,
     lstm_states,
     make_context,
     param_names,
+    readout,
+    readout_array,
     save_checkpoint,
     speech_inputs,
     speech_states,
@@ -36,7 +41,7 @@ from dynstress.segmentation import (
     segment,
     write_wav,
 )
-from dynstress.vad import VadCode, is_stress
+from dynstress.vad import ALL_CODES, VadCode, is_stress
 
 SR = 16000
 FEAR = VadCode(0, 1, 0)
@@ -191,6 +196,28 @@ def test_file_features_pass_rows_through(clip_dir):
         load_recording(rec, clip_dir, f"file:{emb}", LAB)
 
 
+def test_file_features_decode_no_wav(clip_dir, monkeypatch):
+    """Under file: features a clip's WAV gives only its window count, read
+    from its header with load_wav's checks: its samples are not decoded."""
+    emb = clip_dir / "emb"
+    emb.mkdir()
+    write_fseq(emb / "full.fseq", np.zeros((5, 7)))
+    rec = record("full", [LabelSpan(0, 12, FEAR), LabelSpan(18, 30, HAPPY)],
+                 [LabelSpan(0, 30, SAD)])
+    decoded = load_recording(rec, clip_dir, None, LAB)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("a WAV was decoded")
+    monkeypatch.setattr(segmentation, "load_wav", no_decode)
+    got = load_recording(rec, clip_dir, f"file:{emb}", LAB)
+    assert [replace(rd, features=None) for rd in got] == \
+        [replace(rd, features=None) for rd in decoded]
+    wav = (clip_dir / "full.wav").read_bytes()
+    (clip_dir / "full.wav").write_bytes(wav[:-2000])
+    with pytest.raises(DataError, match="full.wav: data chunk holds"):
+        load_recording(rec, clip_dir, f"file:{emb}", LAB)
+
+
 def test_build_samples_skips_short_runs(clip_dir):
     rec = record("full", [LabelSpan(0, 12, FEAR), LabelSpan(18, 30, HAPPY)])
     rds = load_recording(rec, clip_dir, None, LAB)
@@ -299,11 +326,72 @@ def test_inference_on_a_loaded_checkpoint_records_no_float64_tensor(arch, tmp_pa
         init(self, *args, **kwargs)
         made.append(self.data)
     monkeypatch.setattr(Tensor, "__init__", recording)
+    # the step loop builds no tensor: the probabilities it decodes are watched too
+    probs = []
+
+    def watching(p):
+        probs.append(p.dtype)
+        return decode(p)
+    monkeypatch.setattr(pipeline, "decode", watching)
     feats = rng.normal(size=(12, 16))
     for X in (feats, feats.astype(np.float32)):
         predict_recording(X, 3, params, cfg)
     assert sum(a.dtype == np.float32 and a.size > 1 for a in made) > 20
     assert [a.shape for a in made if a.dtype != np.float32 and a.size > 1] == []
+    assert probs == [np.float32] * 24
+
+
+def readouts(feats, n, params, cfg, rng):
+    """(readout_array, readout) probabilities of every window's query over the
+    memory of a random context of min(t, n) codes."""
+    queries = linear(Tensor(last_speech_states(feats, n, params, cfg)),
+                     params["attn.wq"], params["attn.bq"]).data
+    for t, q in enumerate(queries):
+        codes = [ALL_CODES[i] for i in rng.integers(0, 8, size=min(t, n))]
+        S = context_array(make_context(codes))[None]
+        hc, k, v = context_memory(context_states(S, params, cfg), params)
+        want = readout(Tensor(q[None, None]), hc, k, v, params, cfg).data[0]
+        with np.errstate(over="ignore"):
+            got = readout_array(q, k.data[0], v.data[0], hc.data[0, -1], params, cfg)
+        yield got, want
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_readout_array_equals_readout(arch, tmp_path):
+    """The step loop's array readout against the taped one on the same
+    context memory: to 1e-12 relative in float64, and in float32 to 4e-7
+    absolute, a few units in the last place of a probability near 1."""
+    rng = np.random.default_rng(0)
+    loaded = None
+    for feats, n, params, cfg in ragged_cases(arch, 6):
+        if loaded is None:
+            save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+            loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for got, want in readouts(feats, n, params, cfg, rng):
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for got, want in readouts(feats.astype(np.float32), n, loaded, cfg, rng):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=0, atol=4e-7)
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_a_vanishing_probability_decodes_without_a_warning(arch, tmp_path):
+    """A head logit below -1000 overflows the sigmoid's exp in float64 and in
+    float32: the probability is exactly 0, no RuntimeWarning is raised, and
+    the codes are those of the per-window forward."""
+    feats, n, params, cfg = list(ragged_cases(arch, 7))[-1]
+    params = dict(params, **{"head.b": Tensor(np.array([-1e4, 0.0, 0.0]))})
+    save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    for X, p in ((feats, params), (feats.astype(np.float32), loaded)):
+        probs = [got for got, _ in readouts(X, n, p, cfg, np.random.default_rng(1))]
+        assert all(row[0] == 0.0 for row in probs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = predict_recording(X, n, p, cfg)
+        assert got == plain_predict(X, n, p, cfg)
+        assert {c.valence for c in got} == {0} and len(set(got)) > 1
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
