@@ -15,9 +15,9 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
@@ -31,19 +31,23 @@ class ModelConfig:
     arch: str  # "lstm" | "transformer"
     feature_dim: int
     hidden: int = 128
-    layers: int = 2
-    heads: int = 4
-    ffn: int = 256
-    ctx_layers: int = 1
+    layers: int | None = None
+    heads: int | None = None
+    ffn: int | None = None
     dropout: float = 0.3
 
     def __post_init__(self):
         if self.arch not in ("lstm", "transformer"):
             raise DataError(f"unknown architecture {self.arch!r}")
-        # layers, ctx_layers, heads and ffn shape only the transformer: each
-        # LSTM encoder is one lstm_states layer.  All must be positive; the
-        # transformer's last speech layer computes the only state the head reads
-        for name in ("feature_dim", "hidden", "ffn", "layers", "ctx_layers", "heads"):
+        # only the transformer has ffn, layers and heads: each LSTM encoder is one layer
+        own = ("ffn", "layers", "heads") if self.arch == "transformer" else ()
+        for name, default in (("ffn", 256), ("layers", 2), ("heads", 4)):
+            if name not in own and getattr(self, name) is not None:
+                raise DataError(f"{name} shapes only the transformer")
+            if name in own and getattr(self, name) is None:
+                object.__setattr__(self, name, default)  # the dataclass is frozen
+        # the transformer's last speech layer computes the only state the head reads
+        for name in ("feature_dim", "hidden", *own):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if self.arch == "transformer" and self.hidden % self.heads != 0:
@@ -83,7 +87,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     else:
         for prefix, proj, in_dim, n_layers in (
             ("enc", "proj", cfg.feature_dim, cfg.layers),
-            ("ctx", "ctxproj", 3, cfg.ctx_layers),
+            ("ctx", "ctxproj", 3, 1),  # one context layer
         ):
             shapes[f"{proj}.w"] = (in_dim, h)
             shapes[f"{proj}.b"] = (h,)
@@ -321,7 +325,7 @@ def context_states(S: np.ndarray, params, cfg: ModelConfig) -> Tensor:
     if cfg.arch == "lstm":
         return lstm_states(_project(S, params, "ctx_lstm"), params["ctx_lstm.u"])
     return transformer_states(
-        _project(S, params, "ctxproj"), params, cfg, "ctx", cfg.ctx_layers)
+        _project(S, params, "ctxproj"), params, cfg, "ctx", 1)
 
 
 def context_memory(hc: Tensor, params) -> tuple[Tensor, Tensor, Tensor]:
@@ -420,16 +424,18 @@ def param_names(params) -> list[str]:
 
 # --- checkpoints: an .npz of header.json and params.npy, both stored ---
 
-_CKPT_VERSION = 2
-# the JSON types a header may give each ModelConfig field (a float field takes an int)
-_MODEL_TYPES = {name: (int, float) if t is float else (t,)
-                for name, t in get_type_hints(ModelConfig).items()}
+_CKPT_VERSION = 3
+# each architecture's fields, with the JSON types a header may give them (a float takes an int)
+_LSTM_FIELDS = {"arch": (str,), "feature_dim": (int,), "hidden": (int,),
+                "dropout": (int, float)}
+_HEADER_FIELDS = {"lstm": _LSTM_FIELDS, "transformer": {
+    **_LSTM_FIELDS, "layers": (int,), "heads": (int,), "ffn": (int,)}}
 
 
 def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
-    """``header.json`` holds the version, ``asdict(cfg)`` and ``[[name, shape],
-    ...]`` in ``param_shapes`` order; ``params.npy`` holds those tensors
-    raveled into one float32 vector."""
+    """``header.json`` holds the version, the fields of ``cfg``'s architecture
+    and ``[[name, shape], ...]`` in ``param_shapes`` order; ``params.npy``
+    holds those tensors raveled into one float32 vector."""
     shapes = param_shapes(cfg)
     for name, shape in shapes.items():
         data = params[name].data
@@ -438,7 +444,8 @@ def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
         if np.any(np.abs(data[np.isfinite(data)]) > np.finfo("<f4").max):
             raise DataError(f"tensor {name} holds a finite value beyond the float32 range")
     tensors = [[name, list(shape)] for name, shape in shapes.items()]
-    header = {"version": _CKPT_VERSION, "model": asdict(cfg), "tensors": tensors}
+    model = {name: getattr(cfg, name) for name in _HEADER_FIELDS[cfg.arch]}
+    header = {"version": _CKPT_VERSION, "model": model, "tensors": tensors}
     flat = np.concatenate([params[name].data.ravel() for name in shapes]).astype("<f4")
     with zipfile.ZipFile(path, "w") as z:
         # a bare ZipInfo and ZipFile.open date members 1980-01-01: equal parameters, equal bytes
@@ -482,14 +489,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
         if version != _CKPT_VERSION:
             raise DataError(f"unsupported checkpoint version {version!r}")
         model, tensors = header.get("model"), header.get("tensors")
-        if not (isinstance(model, dict) and model.keys() == _MODEL_TYPES.keys()
-                and all(type(model[k]) in t for k, t in _MODEL_TYPES.items())
-                and isinstance(tensors, list)):
+        if not (isinstance(model, dict) and isinstance(tensors, list)):
             raise DataError("header holds no model config and tensor list")
+        types = _HEADER_FIELDS.get(arch) if isinstance(arch := model.get("arch"), str) else None
+        if types is None:  # any JSON value, a list or dict (unhashable) included
+            raise DataError(f"unknown architecture {arch!r}")
+        if model.keys() != types.keys() or any(type(model[k]) not in types[k] for k in model):
+            raise DataError(f"{arch} model fields are {', '.join(types)}, got {json.dumps(model)}")
         cfg = ModelConfig(**model)
         # each transformer layer owns tensors, which bounds the table a bad count builds
-        if cfg.arch == "transformer" and cfg.layers + cfg.ctx_layers > len(tensors):
-            raise DataError(f"{cfg.layers} + {cfg.ctx_layers} layers, {len(tensors)} tensors")
+        if cfg.arch == "transformer" and cfg.layers >= len(tensors):
+            raise DataError(f"{cfg.layers} speech layers, {len(tensors)} tensors")
         shapes = param_shapes(cfg)
         for got, want in itertools.zip_longest(tensors, shapes.items()):
             if want is None or got != [want[0], list(want[1])]:

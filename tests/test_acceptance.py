@@ -112,11 +112,11 @@ def test_criterion_3_gradient_fidelity(arch):
     to max relative error < 1e-4 on reduced models, under a minute."""
     start = time.monotonic()
     if arch == "lstm":
-        cfg = ModelConfig("lstm", feature_dim=8, hidden=8, heads=2, ffn=16,
+        cfg = ModelConfig("lstm", feature_dim=8, hidden=8,
                           dropout=0.0)
     else:
         cfg = ModelConfig("transformer", feature_dim=8, hidden=8, heads=2,
-                          ffn=16, layers=1, ctx_layers=1, dropout=0.0)
+                          ffn=16, layers=1, dropout=0.0)
     rng = np.random.default_rng(11)
     params = init_params(cfg, rng)
     T = 4  # history n=3 plus the current window
@@ -248,7 +248,7 @@ def test_criterion_8_loss_spot_values():
     rep = bce_loss((0.5, 0.5, 0.5), VadCode(0, 1, 0))
     assert abs(rep.total - math.log(2.0)) < 1e-12
 
-    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(8))
     for n in param_names(params):
         params[n].data[:] = 0.0
@@ -305,7 +305,7 @@ def test_criterion_10_training_determinism(tmp_path):
             context=ctx,
             target=VadCode(*(int(b) for b in rng.integers(0, 2, 3))),
         ))
-    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, heads=2, dropout=0.3)
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, dropout=0.3)
     tcfg = TrainConfig(epochs=2, iterations_per_epoch=10, batch_size=4, seed=4)
     train(samples, samples[:8], tcfg, cfg, tmp_path / "a")
     train(samples, samples[:8], tcfg, cfg, tmp_path / "b")

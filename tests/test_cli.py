@@ -189,12 +189,13 @@ def write_checkpoint(path, header, vector):
 
 def write_checkpoints(d):
     """A valid checkpoint; one whose header text is cut inside the model
-    config, one of header version 3, one naming the architecture 'gru', one
-    with zero speech layers and a retired SPCK (version 1) file; and three
+    config, one of the retired header version 2, one naming the architecture
+    'gru', a transformer header with zero speech layers, an LSTM header with
+    the transformer's `ffn` and a retired SPCK (version 1) file; and three
     whose tensors do not fit the header's model: a vector cut short before
     `head.w`, a tensor list giving `head.w` another shape, a NaN in `head.b`.
     Each member's CRC is valid."""
-    cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
+    cfg = ModelConfig("lstm", feature_dim=40, hidden=8)
     save_checkpoint(d / "good.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
     with zipfile.ZipFile(d / "good.ckpt") as z:
         header = json.loads(z.read("header.json"))
@@ -207,9 +208,10 @@ def write_checkpoints(d):
 
     for name, head, vec in (
         ("cut", json.dumps(header)[:40], vector),
-        ("version-3", {**header, "version": 3}, vector),
+        ("version-2", {**header, "version": 2}, vector),
         ("gru", edited(arch="gru"), vector),
-        ("zero-layers", edited(layers=0), vector),
+        ("zero-layers", edited(arch="transformer", layers=0, heads=2, ffn=16), vector),
+        ("lstm-with-ffn", edited(ffn=16), vector),
         ("no-head", header, vector[: -16 * 3 - 3]),
         ("bad-head", {**header, "tensors": header["tensors"][:-2] + [["head.w", [3, 16]],
                                                                     ["head.b", [3]]]}, vector),
@@ -241,6 +243,7 @@ INPUT_ERRORS = {
     "truncated-checkpoint-header": ["eval", "--ckpt", "cut.ckpt"],
     "unknown-checkpoint-arch": ["eval", "--ckpt", "gru.ckpt"],
     "checkpoint-zero-layers": ["eval", "--ckpt", "zero-layers.ckpt"],
+    "checkpoint-lstm-with-ffn": ["eval", "--ckpt", "lstm-with-ffn.ckpt"],
     "checkpoint-missing-tensor": ["eval", "--ckpt", "no-head.ckpt"],
     "checkpoint-tensor-wrong-shape": ["ablate", "--ckpt", "bad-head.ckpt"],
     "checkpoint-tensor-nan": ["eval", "--ckpt", "nan-head.ckpt"],
@@ -284,7 +287,7 @@ INPUT_ERRORS = {
     "fseq-float64": ["extract", "--features", "file:emb"],
     "fseq-fortran-order": ["extract", "--features", "file:emb"],
     "checkpoint-version-2": ["eval", "--ckpt", "spck.ckpt"],
-    "checkpoint-unknown-version": ["eval", "--ckpt", "version-3.ckpt"],
+    "checkpoint-unknown-version": ["eval", "--ckpt", "version-2.ckpt"],
     "augment-record-with-two-spans": ["augment"],
     "config-names-a-config-file": ["label", "--config", "nested.cfg"],
     "manifest-is-a-directory": ["label"],
@@ -441,11 +444,13 @@ NAMED_IN_ERROR = {
     "truncated-checkpoint-header": "cut.ckpt: malformed checkpoint (Expecting",
     "unknown-checkpoint-arch": "gru.ckpt: malformed checkpoint (unknown architecture 'gru')",
     "checkpoint-zero-layers": "malformed checkpoint (layers must be positive, got 0)",
+    "checkpoint-lstm-with-ffn": "lstm-with-ffn.ckpt: malformed checkpoint (lstm model fields "
+                                "are arch, feature_dim, hidden, dropout, got {",
     "checkpoint-missing-tensor": "no-head.ckpt: malformed checkpoint (params.npy holds float32",
     "checkpoint-tensor-wrong-shape": "header lists tensor ['head.w', [3, 16]]",
     "checkpoint-tensor-nan": "nan-head.ckpt: tensor head.b holds NaN or inf",
     "checkpoint-version-2": "spck.ckpt: SPCK (version 1) checkpoints are retired",
-    "checkpoint-unknown-version": "malformed checkpoint (unsupported checkpoint version 3)",
+    "checkpoint-unknown-version": "malformed checkpoint (unsupported checkpoint version 2)",
     "out-is-a-file": "out-is-a-file: File exists",
     "wav-sample-rate-8000": "sample rate",
     "wav-sample-rate-8000-under-file-features": "a.wav: sample rate must be 16000 Hz, got 8000",
@@ -880,7 +885,7 @@ def test_an_80_wide_model_scores_on_feature_files(data_dir):
     emb = data_dir / "emb"
     emb.mkdir()
     write_fseq(emb / "b.fseq", np.random.default_rng(7).normal(size=(5, 80)))
-    cfg = ModelConfig("lstm", feature_dim=80, hidden=8, heads=2)
+    cfg = ModelConfig("lstm", feature_dim=80, hidden=8)
     save_checkpoint(data_dir / "w80.ckpt", init_params(cfg, np.random.default_rng(0)), cfg)
     out = data_dir / "abl"
     assert run(["ablate", "--manifest", data_dir / "manifest.jsonl", "--out", out,
@@ -896,7 +901,7 @@ def test_eval_equals_its_ablate_cell(data_dir):
     holds `--features` values only, `mfcc+deltas` for the 80-wide model
     that `--features mfcc` scores on deltas."""
     write_checkpoints(data_dir)
-    cfg = ModelConfig("lstm", feature_dim=80, hidden=8, heads=2)
+    cfg = ModelConfig("lstm", feature_dim=80, hidden=8)
     save_checkpoint(data_dir / "w80.ckpt", init_params(cfg, np.random.default_rng(1)), cfg)
     manifest = data_dir / "manifest.jsonl"
     assert run(["ablate", "--manifest", manifest, "--out", data_dir / "abl",
@@ -991,7 +996,7 @@ def test_sequence_level_votes_once_per_recording(tmp_path):
     (tmp_path / "m.jsonl").write_text(manifest_line(
         "c", [(0, 25, "anger"), (35, 60, "anger")], split="test",
         extra={"stress_label": True}) + "\n")
-    cfg = ModelConfig("lstm", feature_dim=40, hidden=8, heads=2)
+    cfg = ModelConfig("lstm", feature_dim=40, hidden=8)
     params = init_params(cfg, np.random.default_rng(0))
     for p in params.values():
         p.data[:] = 0.0  # every probability is 0.5: never stress

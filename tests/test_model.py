@@ -35,13 +35,12 @@ H = 8
 
 
 def lstm_cfg(**kw):
-    return ModelConfig("lstm", feature_dim=6, hidden=H, heads=2, ffn=16,
-                       dropout=0.0, **kw)
+    return ModelConfig("lstm", feature_dim=6, hidden=H, dropout=0.0, **kw)
 
 
 def tr_cfg(**kw):
     return ModelConfig("transformer", feature_dim=6, hidden=H, heads=2,
-                       ffn=16, layers=2, ctx_layers=1, dropout=0.0, **kw)
+                       ffn=16, layers=2, dropout=0.0, **kw)
 
 
 def make_params(cfg, seed=0):
@@ -361,7 +360,7 @@ def test_forward_context_must_start_with_default():
 def test_dropout_draws_one_speech_mask_row_then_the_context_masks():
     # Only the last speech state is read, so only it gets a mask; the
     # speech mask is drawn before the context mask.
-    cfg = ModelConfig("lstm", feature_dim=6, hidden=H, heads=2, dropout=0.3)
+    cfg = ModelConfig("lstm", feature_dim=6, hidden=H, dropout=0.3)
     params = make_params(cfg)
     X = np.random.default_rng(10).normal(size=(2, 4, 6))
     S = np.stack([context_array(context(4))] * 2)
@@ -390,9 +389,11 @@ def test_forward_golden_regression():
 
 
 @pytest.mark.parametrize("setting", [
-    {"arch": "gru"}, {"arch": "transformer", "hidden": 6}, {"heads": 0}, {"dropout": 1.0},
-    {"dropout": -0.1}, {"hidden": 0}, {"hidden": -4}, {"feature_dim": 0},
-    {"ffn": 0},
+    {"arch": "gru"}, {"arch": "transformer", "hidden": 6}, {"arch": "transformer", "heads": 0},
+    {"dropout": 1.0}, {"dropout": -0.1}, {"hidden": 0}, {"hidden": -4}, {"feature_dim": 0},
+    {"arch": "transformer", "ffn": 0},
+    # an LSTM holds no transformer field, not even a valid one
+    {"layers": 2}, {"heads": 2}, {"ffn": 2},
 ])
 def test_model_config_rejects_bad_settings(setting):
     with pytest.raises(DataError):
@@ -400,10 +401,12 @@ def test_model_config_rejects_bad_settings(setting):
 
 
 @pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("field", ["layers", "ctx_layers"])
+@pytest.mark.parametrize("field", ["layers"])
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
 def test_model_config_rejects_non_positive_layer_counts(arch, field, value):
-    with pytest.raises(DataError, match=f"^{field} must be positive"):
+    # an LSTM takes no layer count at all; a transformer's must be positive
+    reason = {"lstm": "shapes only the transformer", "transformer": "must be positive"}[arch]
+    with pytest.raises(DataError, match=f"^{field} {reason}"):
         ModelConfig(arch, feature_dim=4, **{field: value})
 
 
@@ -431,19 +434,6 @@ def test_checkpoint_roundtrip(tmp_path):
             assert loaded[n].data.dtype == np.float32, n
             assert not loaded[n].data.flags.writeable, n
             assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).tobytes()
-
-
-def test_an_lstm_checkpoint_with_more_layers_than_tensors_loads(tmp_path):
-    """The LSTM ignores `layers` and `ctx_layers`, so a count beyond its 13
-    tensors is no sign of a corrupt header: what was saved loads back."""
-    cfg = ModelConfig("lstm", feature_dim=4, hidden=4, heads=2, layers=20)
-    params = make_params(cfg, seed=27)
-    assert len(params) < cfg.layers + cfg.ctx_layers
-    save_checkpoint(tmp_path / "m.ckpt", params, cfg)
-    loaded, lcfg = load_checkpoint(tmp_path / "m.ckpt")
-    assert lcfg == cfg
-    for n in params:
-        assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).tobytes()
 
 
 def test_checkpoint_bytes_depend_on_the_parameters_only(tmp_path, monkeypatch):

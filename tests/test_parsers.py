@@ -5,6 +5,7 @@ import io
 import json
 import math
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -103,8 +104,11 @@ def mutations(valid: bytes):
             | flips.map(flip))
 
 
-CKPT_CFGS = [ModelConfig(arch, feature_dim=3, hidden=4, layers=1, heads=2, ffn=4, ctx_layers=1)
-             for arch in ("lstm", "transformer")]
+CKPT_CFGS = [ModelConfig("lstm", feature_dim=3, hidden=4),
+             ModelConfig("transformer", feature_dim=3, hidden=4, layers=1, heads=2, ffn=4)]
+# the fields a checkpoint header gives each architecture
+LSTM_FIELDS = {"arch", "feature_dim", "hidden", "dropout"}
+ARCH_FIELDS = {"lstm": LSTM_FIELDS, "transformer": LSTM_FIELDS | {"layers", "heads", "ffn"}}
 
 
 @pytest.fixture(scope="module")
@@ -144,20 +148,52 @@ def test_load_checkpoint_yields_params_or_data_error(tmp_path, valid_checkpoints
 @FAST
 @given(data=st.data())
 def test_load_checkpoint_checks_every_header_field(tmp_path, valid_checkpoints, data):
-    """A well-formed zip whose header holds any JSON value in each model
-    field and in the tensor list loads as a valid model or fails with a
-    DataError."""
+    """A well-formed zip whose header's model drops fields, adds the other
+    architecture's or gives one any JSON value, and whose tensor list may be
+    any JSON value, loads only if its model lists exactly its architecture's
+    fields.  It then loads as the config those fields state, with the tensors
+    that config builds holding the written vector; any other header is a
+    one-line DataError."""
     header, vector = checkpoint_members(data.draw(st.sampled_from(valid_checkpoints)))
-    header["model"] = data.draw(st.fixed_dictionaries(
-        {k: json_values | st.just(v) for k, v in header["model"].items()}))
-    header["tensors"] = data.draw(json_values | st.just(header["tensors"]))
+    model = header["model"]
+    written = {**asdict(CKPT_CFGS[1]), **model}  # a value for every field
+    values = st.sampled_from(["lstm", "transformer"]) | st.integers(0, 4) | st.floats(0, 1)
+    # fields dropped, added or given another value, and the tensor list replaced
+    edits = st.lists(st.sampled_from([*written, "tensors"]), min_size=1, max_size=2,
+                     unique=True)
+    for k in data.draw(st.just([]) | edits):
+        if k == "tensors":
+            header["tensors"] = data.draw(json_values)
+        elif k in model and data.draw(st.booleans()):
+            del model[k]
+        else:
+            model[k] = data.draw(st.just(written[k]) | values | json_values)
     write_checkpoint(tmp_path / "c.ckpt", header, vector)
     try:
         params, cfg = load_checkpoint(tmp_path / "c.ckpt")
     except DataError as e:
         assert "\n" not in str(e)
     else:
-        assert cfg in CKPT_CFGS and list(params) == list(param_shapes(cfg))
+        assert header["model"].keys() == ARCH_FIELDS[header["model"]["arch"]]
+        assert cfg == ModelConfig(**header["model"])
+        assert list(params) == list(param_shapes(cfg))
+        flat = np.concatenate([p.data.ravel() for p in params.values()])
+        assert flat.dtype == np.float32
+        assert flat.tobytes() == np.lib.format.read_array(io.BytesIO(vector)).tobytes()
+
+
+@pytest.mark.parametrize("field", ["layers", "heads", "ffn"])
+def test_an_lstm_header_with_a_transformer_field_is_one_data_error(
+        tmp_path, valid_checkpoints, field):
+    """The LSTM's tensors do not depend on `ffn`, `layers` or `heads`, so
+    only its field list tells a header that holds one from a valid one."""
+    header, vector = checkpoint_members(valid_checkpoints[0])
+    header["model"][field] = 1
+    write_checkpoint(tmp_path / "c.ckpt", header, vector)
+    with pytest.raises(DataError, match="lstm model fields are arch, feature_dim, hidden, "
+                                        "dropout, got") as e:
+        load_checkpoint(tmp_path / "c.ckpt")
+    assert "\n" not in str(e.value)
 
 
 def npy_header(shape, descr="<f4", fortran_order=False) -> bytes:

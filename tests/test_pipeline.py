@@ -51,6 +51,12 @@ SAD = VadCode(0, 0, 0)
 LAB = LabellingConfig(n=2, lam=0.8, tau=0.5)
 
 
+def small_cfg(arch, **kw):
+    """A hidden-8 model; the transformer's with 2 heads and a 16-wide ffn."""
+    own = {"heads": 2, "ffn": 16} if arch == "transformer" else {}
+    return ModelConfig(arch, hidden=8, **own, **kw)
+
+
 def write_clip(tmp_path, name, duration_s, seed=0):
     rng = np.random.default_rng(seed)
     write_wav(tmp_path / f"{name}.wav", 0.1 * rng.normal(size=duration_s * SR))
@@ -226,7 +232,7 @@ def test_build_samples_skips_short_runs(clip_dir):
 
 
 def test_predict_recording_zero_params():
-    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(0))
     for n in param_names(params):
         params[n].data[:] = 0.0
@@ -237,7 +243,7 @@ def test_predict_recording_zero_params():
 
 
 def test_predict_recording_matches_manual_rollout():
-    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(7))
     feats = np.random.default_rng(8).normal(size=(5, 4))
     history = 2
@@ -255,7 +261,7 @@ def test_predict_recording_matches_manual_rollout():
 def test_predict_recording_uses_own_predictions():
     # with nonzero params the context matters: feeding different histories
     # must be observable, so check causality instead of exact equality
-    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(9))
     rng = np.random.default_rng(10)
     feats = rng.normal(size=(6, 4))
@@ -281,7 +287,7 @@ def ragged_cases(arch, seed):
     """(features, history, params, cfg) for n = 0..5 and recordings of one
     window, of at most n windows and of many more than n windows."""
     rng = np.random.default_rng(seed)
-    cfg = ModelConfig(arch, feature_dim=16, hidden=8, heads=2, ffn=16, dropout=0.0)
+    cfg = small_cfg(arch, feature_dim=16, dropout=0.0)
     params = init_params(cfg, rng)
     for n in range(6):
         for N in (1, int(rng.integers(1, n + 1)) if n else 1,
@@ -316,7 +322,7 @@ def test_inference_on_a_loaded_checkpoint_records_no_float64_tensor(arch, tmp_pa
     gives) and from float32 ones (as a feature file gives): no float64
     tensor of more than one element is made."""
     rng = np.random.default_rng(5)
-    cfg = ModelConfig(arch, feature_dim=16, hidden=8, heads=2, ffn=16)
+    cfg = small_cfg(arch, feature_dim=16)
     save_checkpoint(tmp_path / "m.ckpt", init_params(cfg, rng), cfg)
     params, _ = load_checkpoint(tmp_path / "m.ckpt")
     made = []
@@ -421,7 +427,7 @@ def test_speech_is_encoded_once_per_recording(monkeypatch):
     monkeypatch.setattr(pipeline, "speech_states", counting)
     feats = np.random.default_rng(1).normal(size=(9, 4))
     for arch in ("lstm", "transformer"):
-        cfg = ModelConfig(arch, feature_dim=4, hidden=8, heads=2, ffn=16, dropout=0.0)
+        cfg = small_cfg(arch, feature_dim=4, dropout=0.0)
         params = init_params(cfg, np.random.default_rng(0))
         for N, n, window in ((9, 3, 4), (9, 0, 1), (3, 3, 3), (2, 3, 2), (1, 3, 1)):
             projected.clear()
@@ -456,7 +462,7 @@ def test_speech_states_are_the_last_row_of_the_full_encoder(arch):
     """The speech encoder computes only the state the head reads: the LSTM
     slices its recurrence, and the transformer's last layer (of two) runs on
     the last row alone."""
-    cfg = ModelConfig(arch, feature_dim=4, hidden=8, heads=2, ffn=16, dropout=0.3)
+    cfg = small_cfg(arch, feature_dim=4, dropout=0.3)
     params = init_params(cfg, np.random.default_rng(2))
     P = speech_inputs(np.random.default_rng(3).normal(size=(2, 4, 4)), params, cfg)
     if arch == "lstm":
@@ -469,7 +475,7 @@ def test_speech_states_are_the_last_row_of_the_full_encoder(arch):
 
 
 def test_predict_recording_rejects_negative_history():
-    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=4, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(0))
     with pytest.raises(DataError, match="history"):
         predict_recording(np.zeros((3, 4)), -1, params, cfg)

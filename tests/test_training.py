@@ -43,12 +43,12 @@ from dynstress.training import (
 from dynstress.vad import DEFAULT_CODE, VadCode
 
 
-def reduced_cfg(arch):
+def reduced_cfg(arch, layers=1):
+    """A small model; ``layers`` counts the transformer's speech layers."""
     if arch == "lstm":
-        return ModelConfig("lstm", feature_dim=8, hidden=8, heads=2, ffn=16,
-                           dropout=0.0)
+        return ModelConfig("lstm", feature_dim=8, hidden=8, dropout=0.0)
     return ModelConfig("transformer", feature_dim=8, hidden=8, heads=2,
-                       ffn=16, layers=1, ctx_layers=1, dropout=0.0)
+                       ffn=16, layers=layers, dropout=0.0)
 
 
 def random_batch(rng, B=2, T=3, d=8):
@@ -195,7 +195,7 @@ def test_forward_and_gradient_equal_the_plain_path(arch, monkeypatch):
     """Encoding each distinct context once and only the last speech row
     changes no probability and no gradient beyond rounding, dropout on."""
     # two speech layers: the last-row layer reads a full one's output
-    cfg = replace(reduced_cfg(arch), dropout=0.3, layers=2)
+    cfg = replace(reduced_cfg(arch, layers=2), dropout=0.3)
     rng = np.random.default_rng(31)
     params = init_params(cfg, rng)
     X, S, targets = repeated_context_batch(rng)
@@ -348,7 +348,7 @@ def test_float32_gradient_matches_float64(arch):
     1e-5 of the float64 gradient's norm (1.8e-6 was the largest over 20
     seeds), with the same dropout masks."""
     rng = np.random.default_rng(43)
-    cfg = replace(reduced_cfg(arch), dropout=0.3, layers=2)
+    cfg = replace(reduced_cfg(arch, layers=2), dropout=0.3)
     p32 = float32_params(cfg, rng)
     p64 = float64_copy(p32)
     X, S, targets = repeated_context_batch(rng)
@@ -448,7 +448,7 @@ def test_rollout_contexts_substitute_binarised_predictions():
 def test_single_batch_overfit(tmp_path):
     rng = np.random.default_rng(7)
     samples = make_samples(rng, 16)
-    cfg = ModelConfig("lstm", feature_dim=8, hidden=16, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=16, dropout=0.0)
     tcfg = TrainConfig(epochs=1, iterations_per_epoch=200, batch_size=16,
                        seed=1, patience=10, learning_rate=0.01)
     # train on the fixed 16 samples, validating on the same set
@@ -459,7 +459,7 @@ def test_single_batch_overfit(tmp_path):
 def test_overfit_loss_decreases_over_intervals(tmp_path):
     rng = np.random.default_rng(8)
     samples = make_samples(rng, 16)
-    cfg = ModelConfig("lstm", feature_dim=8, hidden=16, heads=2, dropout=0.0)
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=16, dropout=0.0)
     # log every 20 steps by running 20-step epochs
     tcfg = TrainConfig(epochs=6, iterations_per_epoch=20, batch_size=16,
                        seed=2, patience=20, learning_rate=0.01)
@@ -473,7 +473,7 @@ def test_train_determinism(tmp_path):
     rng = np.random.default_rng(9)
     samples = make_samples(rng, 24)
     val = make_samples(rng, 8)
-    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, heads=2, dropout=0.3)
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, dropout=0.3)
     tcfg = TrainConfig(epochs=2, iterations_per_epoch=10, batch_size=4, seed=3)
     train(samples, val, tcfg, cfg, tmp_path / "a")
     train(samples, val, tcfg, cfg, tmp_path / "b")
@@ -644,11 +644,12 @@ def test_best_checkpoint_holds_the_trained_parameters_bit_for_bit(arch, tmp_path
 
 
 def test_an_lstm_takes_a_hidden_size_its_head_count_does_not_divide(tmp_path):
-    """Only the transformer's self-attention splits into heads: an LSTM of
-    hidden size 6 with the default 4 heads builds, trains a step, and its
-    checkpoint loads back as the same model."""
+    """Only the transformer's self-attention splits into heads: an LSTM
+    holds no head count, so hidden size 6, which the transformer's default 4
+    heads do not divide, builds, trains a step, and its checkpoint loads back
+    as the same model."""
     cfg = ModelConfig("lstm", feature_dim=8, hidden=6)
-    assert cfg.hidden % cfg.heads != 0
+    assert cfg.heads is None and cfg.hidden % ModelConfig("transformer", 8).heads != 0
     samples = make_samples(np.random.default_rng(15), 8)
     tcfg = TrainConfig(epochs=1, iterations_per_epoch=1, batch_size=4, seed=7)
     result = train(samples, samples, tcfg, cfg, tmp_path)
@@ -721,7 +722,7 @@ def test_train_runs_one_validation_forward_per_epoch(tmp_path, monkeypatch, arch
 
 
 def test_train_rejects_empty(tmp_path):
-    cfg = ModelConfig("lstm", feature_dim=8, hidden=8, heads=2)
+    cfg = ModelConfig("lstm", feature_dim=8, hidden=8)
     with pytest.raises(ValueError):
         train([], [], TrainConfig(), cfg, tmp_path)
 
