@@ -301,8 +301,8 @@ def cmd_sweep(args, out):
     n_values = _parse_list(args.n, int)
     lambdas = _parse_list(args.lam, float)
     sequences = []
-    # Reference labels come from each record's stress_spans; the dummy
-    # labelling config below only drives windowing, not the sweep itself.
+    # load_recording relabels each run with this placeholder config, but sweep
+    # reads only the emotion codes and the stress_spans references
     lab = LabellingConfig(n=0, lam=1.0, tau=0.5)
     for rec in records:
         if not rec.stress_spans:

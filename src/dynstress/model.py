@@ -273,18 +273,11 @@ def _dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return t * Tensor(mask)
 
 
-def context_array(codes: Sequence[VadCode]) -> np.ndarray:
-    """Context sequence as floats; first entry must be the default code."""
-    if not codes:
-        raise DataError("context sequence must be non-empty")
-    if codes[0] != DEFAULT_CODE:
-        raise DataError("context sequence must start with the default code")
-    return np.array([c.as_tuple() for c in codes], dtype=np.float64)
-
-
-def make_context(previous_labels: Sequence[VadCode]) -> list[VadCode]:
-    """Default code followed by the preceding stress labels."""
-    return [DEFAULT_CODE, *previous_labels]
+def context_array(previous_labels: Sequence[VadCode]) -> np.ndarray:
+    """Context rows as floats: the default code, then the preceding stress
+    labels."""
+    return np.array([c.as_tuple() for c in (DEFAULT_CODE, *previous_labels)],
+                    dtype=np.float64)
 
 
 def _project(X: np.ndarray, params, name: str) -> Tensor:
@@ -416,10 +409,6 @@ def decode(probs: np.ndarray) -> VadCode:
     """Binary code of one (3,) probability row, one of the 8 ``ALL_CODES``."""
     v, a, d = binarise(probs).tolist()
     return ALL_CODES[4 * v + 2 * a + d]
-
-
-def param_names(params) -> list[str]:
-    return sorted(params)
 
 
 # --- checkpoints: an .npz of header.json and params.npy, both stored ---

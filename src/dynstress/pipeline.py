@@ -17,7 +17,7 @@ from .autodiff import Tensor, linear
 from .features import read_fseq, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
 from .model import (ModelConfig, context_array, context_memory, context_states, decode,
-                    make_context, readout_array, speech_inputs, speech_states)
+                    readout_array, speech_inputs, speech_states)
 from .segmentation import (
     ClipRecord,
     DataError,
@@ -144,7 +144,7 @@ def build_samples(
         for t in range(history, len(rd.stress_codes)):
             samples.append(TrainSample(
                 features=rd.features[t - history : t + 1],
-                context=context_array(make_context(rd.stress_codes[t - history : t])),
+                context=context_array(rd.stress_codes[t - history : t]),
                 target=rd.stress_codes[t],
                 prev_indices=tuple(
                     first + j if j >= history else -1 for j in range(t - history, t)
@@ -198,7 +198,7 @@ def predict_recording(
             key = tuple(preds[max(0, t - history) : t])
             if key not in memo:
                 with np.errstate(**caller):  # the encoder's overflows still count
-                    ctx = context_array(make_context(key))
+                    ctx = context_array(key)
                     hc, k, v = context_memory(context_states(ctx[None], params, cfg),
                                               params)
                 memo[key] = k.data[0], v.data[0], hc.data[0, -1]

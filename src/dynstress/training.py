@@ -17,7 +17,6 @@ from .model import (
     decode,
     forward_batch,
     init_params,
-    param_names,
     save_checkpoint,
 )
 from .segmentation import DataError
@@ -57,17 +56,6 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
-@dataclass(frozen=True)
-class LossReport:
-    valence: float
-    arousal: float
-    dominance: float
-
-    @property
-    def total(self) -> float:
-        return (self.valence + self.arousal + self.dominance) / 3.0
-
-
 def _bce_terms(probs: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy as one node; probabilities clamped
     to [1e-7, 1 - 1e-7] before the logs, so the gradient is zero outside."""
@@ -78,12 +66,6 @@ def _bce_terms(probs: Tensor, targets) -> Tensor:
         probs._accum(g * ((1.0 - t) / (1.0 - p) - t / p) * inside)
     return Tensor._make(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)),
                         (probs,), back)
-
-
-def bce_loss(probs: Sequence[float], target: VadCode) -> LossReport:
-    """Per-dimension binary cross-entropy of one prediction."""
-    terms = _bce_terms(Tensor(probs), target.as_tuple()).data
-    return LossReport(*(float(x) for x in terms))
 
 
 def batch_loss_graph(probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -128,7 +110,7 @@ def numerical_gradient(loss_fn, params, h: float = 1e-3) -> dict[str, np.ndarray
     evaluations, intended for reduced-size models only.
     """
     grads = {}
-    for name in param_names(params):
+    for name in sorted(params):
         data = params[name].data
         g = np.zeros_like(data)
         flat = data.ravel()
@@ -146,19 +128,9 @@ def numerical_gradient(loss_fn, params, h: float = 1e-3) -> dict[str, np.ndarray
 
 
 def _teacher_forced(p: float, rng: np.random.Generator) -> bool:
-    """The teacher-forcing draw: True (ground truth) with probability p."""
+    """The teacher-forcing draw ``train`` makes for each batch row: True
+    (ground truth) with probability p."""
     return rng.random() < p
-
-
-def sample_context(
-    ground_truth: Sequence[VadCode], model_rollout: Sequence[VadCode],
-    p: float, rng: np.random.Generator,
-) -> Sequence[VadCode]:
-    """One Bernoulli draw per sequence: ground truth with probability p,
-    otherwise the model's own past predictions."""
-    if len(ground_truth) != len(model_rollout):
-        raise ValueError("context sequences must have equal length")
-    return ground_truth if _teacher_forced(p, rng) else model_rollout
 
 
 class Adam:

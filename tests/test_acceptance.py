@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from dynstress.autodiff import Tensor
 from dynstress.evaluation import labelling_sweep, majority_vote, score_sequence_level
 from dynstress.features import MfccConfig, dct_basis, mfcc_frames
 from dynstress.labelling import LabellingConfig, relabel_sequence
@@ -22,19 +23,16 @@ from dynstress.model import (
     forward_batch,
     init_params,
     load_checkpoint,
-    make_context,
-    param_names,
 )
 from dynstress.segmentation import AudioClip, segment
 from dynstress.training import (
     TrainConfig,
     TrainSample,
+    _teacher_forced,
     batch_loss_graph,
-    bce_loss,
     evaluate_accuracy,
     gradient,
     numerical_gradient,
-    sample_context,
     train,
 )
 from dynstress.vad import (
@@ -133,7 +131,7 @@ def test_criterion_3_gradient_fidelity(arch):
 
     num = numerical_gradient(loss_fn, params, h=1e-3)
     worst = 0.0
-    for n in param_names(params):
+    for n in sorted(params):
         rel = np.abs(grads[n] - num[n]) / np.maximum(
             np.abs(grads[n]) + np.abs(num[n]), 1e-8
         )
@@ -160,7 +158,7 @@ def _lagged_corpus(rng, mu_fear, mu_happy, n_seq, seq_len, history):
             for t in range(seq_len)
         ]
         for t in range(max(history, 2), seq_len):
-            ctx = context_array(make_context(stress[t - history : t]))
+            ctx = context_array(stress[t - history : t])
             samples.append(TrainSample(
                 features=feats[t - history : t + 1],
                 context=ctx,
@@ -234,23 +232,22 @@ def test_criterion_7_teacher_forcing_rate():
     """Ground-truth context usage over 1e4 seeded draws lies in [0.78, 0.82]
     for p = 0.8."""
     rng = np.random.default_rng(7)
-    gt = [VadCode(0, 1, 0)]
-    ro = [VadCode(1, 1, 1)]
-    hits = sum(
-        sample_context(gt, ro, 0.8, rng) is gt for _ in range(10_000)
-    )
+    # the draw train makes for each batch row; True keeps the ground truth
+    hits = sum(_teacher_forced(0.8, rng) for _ in range(10_000))
     assert 0.78 <= hits / 10_000 <= 0.82
 
 
 def test_criterion_8_loss_spot_values():
     """BCE at (0.5, 0.5, 0.5) equals ln 2 within 1e-12; at zero logits the
     final-bias gradient is mean(0.5 - target) / 3."""
-    rep = bce_loss((0.5, 0.5, 0.5), VadCode(0, 1, 0))
-    assert abs(rep.total - math.log(2.0)) < 1e-12
+    # the mean batch loss that gradient differentiates
+    loss = batch_loss_graph(Tensor(np.array([[0.5, 0.5, 0.5]])),
+                            np.array([VadCode(0, 1, 0).as_tuple()], dtype=float))
+    assert abs(float(loss.data) - math.log(2.0)) < 1e-12
 
     cfg = ModelConfig("lstm", feature_dim=8, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(8))
-    for n in param_names(params):
+    for n in sorted(params):
         params[n].data[:] = 0.0
     rng = np.random.default_rng(9)
     X = rng.normal(size=(4, 3, 8))

@@ -20,7 +20,6 @@ from dynstress.model import (
     layer_norm,
     load_checkpoint,
     lstm_states,
-    param_names,
     param_shapes,
     positional_encoding,
     save_checkpoint,
@@ -29,7 +28,7 @@ from dynstress.model import (
     transformer_states,
 )
 from dynstress.segmentation import DataError
-from dynstress.vad import DEFAULT_CODE, VadCode, is_stress
+from dynstress.vad import ALL_CODES, DEFAULT_CODE, VadCode, is_stress
 
 H = 8
 
@@ -48,10 +47,11 @@ def make_params(cfg, seed=0):
 
 
 def context(n):
+    """A (n, 3) context array: the default code, then n - 1 random codes."""
     rng = np.random.default_rng(42)
-    return [DEFAULT_CODE] + [
+    return context_array([
         VadCode(*(int(b) for b in rng.integers(0, 2, 3))) for _ in range(n - 1)
-    ]
+    ])
 
 
 def sigmoid(x):
@@ -304,10 +304,10 @@ def test_positional_encoding_is_computed_once_read_only_and_exact():
 def test_forward_zero_params_gives_half_probs():
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg)
-        for n in param_names(params):
+        for n in sorted(params):
             params[n].data[:] = 0.0
         X = np.random.default_rng(10).normal(size=(1, 3, 6))
-        S = context_array(context(3))[None]
+        S = context(3)[None]
         probs = forward_batch(X, S, params, cfg).data[0]
         assert probs.tolist() == [0.5, 0.5, 0.5]
         # strict > 0.5 threshold: all-zero code, not stress
@@ -319,7 +319,7 @@ def test_forward_threshold_contract():
     for cfg in (lstm_cfg(), tr_cfg()):
         params = make_params(cfg, seed=19)
         X = np.random.default_rng(11).normal(size=(1, 4, 6))
-        S = context_array(context(4))[None]
+        S = context(4)[None]
         probs = forward_batch(X, S, params, cfg).data[0]
         assert all(0.0 < p < 1.0 for p in probs)
         assert decode(probs) == VadCode(*(int(p > 0.5) for p in probs))
@@ -336,13 +336,13 @@ def test_decode_is_the_strict_threshold_code_for_every_pattern():
 def test_forward_length_mismatch():
     cfg = lstm_cfg()
     params = make_params(cfg)
-    S = context_array(context(2))[None]
+    S = context(2)[None]
     with pytest.raises(DataError):
         forward_batch(np.zeros((1, 3, 6)), S, params, cfg)
 
 
 @pytest.mark.parametrize("X, S, message", [
-    (np.zeros((3, 6)), context_array(context(3)), r"expects \(B, T, d\)"),
+    (np.zeros((3, 6)), context(3), r"expects \(B, T, d\)"),
     (np.zeros((1, 0, 6)), np.zeros((1, 0, 3)), "empty sequences"),
 ], ids=["2-D", "T=0"])
 def test_forward_rejects_unbatched_and_empty_sequences(X, S, message):
@@ -351,10 +351,16 @@ def test_forward_rejects_unbatched_and_empty_sequences(X, S, message):
         forward_batch(X, S, make_params(cfg), cfg)
 
 
-def test_forward_context_must_start_with_default():
-    bad = [VadCode(1, 1, 1)] + context(3)[1:]
-    with pytest.raises(DataError):
-        context_array(bad)
+@pytest.mark.parametrize("length", range(6))
+def test_context_array_is_the_default_code_then_the_previous_labels(length):
+    """``context_array(previous)`` gives the rows of ``[DEFAULT_CODE,
+    *previous]`` as float64, whatever codes precede the window."""
+    rng = np.random.default_rng(length)
+    previous = [ALL_CODES[i] for i in rng.integers(0, len(ALL_CODES), length)]
+    got = context_array(previous)
+    want = [[c.valence, c.arousal, c.dominance] for c in [DEFAULT_CODE, *previous]]
+    assert got.dtype == np.float64 and got.shape == (length + 1, 3)
+    assert got.tolist() == want
 
 
 def test_dropout_draws_one_speech_mask_row_then_the_context_masks():
@@ -363,7 +369,7 @@ def test_dropout_draws_one_speech_mask_row_then_the_context_masks():
     cfg = ModelConfig("lstm", feature_dim=6, hidden=H, dropout=0.3)
     params = make_params(cfg)
     X = np.random.default_rng(10).normal(size=(2, 4, 6))
-    S = np.stack([context_array(context(4))] * 2)
+    S = np.stack([context(4)] * 2)
     rng, ref = np.random.default_rng(3), np.random.default_rng(3)
     forward_batch(X, S, params, cfg, rng=rng)
     ref.random((2, 1, H))
@@ -383,7 +389,7 @@ def test_forward_golden_regression():
     for arch, cfg in (("lstm", lstm_cfg()), ("transformer", tr_cfg())):
         params = make_params(cfg, seed=21)
         X = np.random.default_rng(12).normal(size=(1, 3, 6))
-        S = context_array(context(3))[None]
+        S = context(3)[None]
         probs = forward_batch(X, S, params, cfg).data[0]
         assert np.allclose(probs, GOLDEN[arch], atol=1e-12), (arch, probs)
 
@@ -413,7 +419,7 @@ def test_model_config_rejects_non_positive_layer_counts(arch, field, value):
 @pytest.mark.parametrize("cfg, count", [(lstm_cfg(), 13), (tr_cfg(), 60)],
                          ids=["lstm", "transformer"])
 def test_params_have_no_key_bias(cfg, count):
-    names = param_names(make_params(cfg))
+    names = sorted(make_params(cfg))
     assert len(names) == count
     assert not [n for n in names if n.endswith(".bk")]
 
@@ -495,7 +501,7 @@ def test_forward_on_loaded_checkpoint_records_no_tape(tmp_path):
         params, lcfg = load_checkpoint(tmp_path / "m.ckpt")
         assert not any(p.requires_grad for p in params.values())
         rng = np.random.default_rng(25)
-        S = context_array(context(3))[None]
+        S = context(3)[None]
         probs = forward_batch(rng.normal(size=(1, 3, 6)), S, params, lcfg)
         assert not probs.requires_grad
         assert probs._parents == () and probs._backward is None

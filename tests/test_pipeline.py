@@ -18,8 +18,6 @@ from dynstress.model import (
     init_params,
     load_checkpoint,
     lstm_states,
-    make_context,
-    param_names,
     readout,
     readout_array,
     save_checkpoint,
@@ -234,7 +232,7 @@ def test_build_samples_skips_short_runs(clip_dir):
 def test_predict_recording_zero_params():
     cfg = ModelConfig("lstm", feature_dim=4, hidden=8, dropout=0.0)
     params = init_params(cfg, np.random.default_rng(0))
-    for n in param_names(params):
+    for n in sorted(params):
         params[n].data[:] = 0.0
     feats = np.random.default_rng(1).normal(size=(4, 4))
     preds = predict_recording(feats, history=2, params=params, cfg=cfg)
@@ -252,7 +250,7 @@ def test_predict_recording_matches_manual_rollout():
     for t in range(5):
         lo = max(0, t - history)
         X = feats[lo : t + 1][None]
-        S = context_array(make_context(manual[lo:t]))[None]
+        S = context_array(manual[lo:t])[None]
         probs = forward_batch(X, S, params, cfg).data[0]
         manual.append(VadCode(*(int(p > 0.5) for p in probs)))
     assert got == manual
@@ -277,7 +275,7 @@ def plain_predict(feats, history, params, cfg):
     preds = []
     for t in range(feats.shape[0]):
         lo = max(0, t - history)
-        S = context_array(make_context(preds[lo:t]))[None]
+        S = context_array(preds[lo:t])[None]
         probs = forward_batch(feats[lo : t + 1][None], S, params, cfg).data[0]
         preds.append(VadCode(*(int(p > 0.5) for p in probs)))
     return preds
@@ -354,7 +352,7 @@ def readouts(feats, n, params, cfg, rng):
                      params["attn.wq"], params["attn.bq"]).data
     for t, q in enumerate(queries):
         codes = [ALL_CODES[i] for i in rng.integers(0, 8, size=min(t, n))]
-        S = context_array(make_context(codes))[None]
+        S = context_array(codes)[None]
         hc, k, v = context_memory(context_states(S, params, cfg), params)
         want = readout(Tensor(q[None, None]), hc, k, v, params, cfg).data[0]
         with np.errstate(over="ignore"):

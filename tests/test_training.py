@@ -17,7 +17,6 @@ from dynstress.model import (
     init_params,
     load_checkpoint,
     lstm_states,
-    param_names,
     readout,
     save_checkpoint,
     speech_inputs,
@@ -30,14 +29,14 @@ from dynstress.training import (
     TrainConfig,
     TrainSample,
     TrainingDiverged,
-    bce_loss,
     batch_loss_graph,
     evaluate_accuracy,
     evaluate_loss,
     gradient,
     numerical_gradient,
-    sample_context,
+    _bce_terms,
     _rollout_contexts,
+    _teacher_forced,
     train,
 )
 from dynstress.vad import DEFAULT_CODE, VadCode
@@ -67,28 +66,35 @@ def repeated_context_batch(rng, B=12, T=4, distinct=4):
     return X, S, targets
 
 
+def bce(probs, targets):
+    """``batch_loss_graph`` of (B, 3) probabilities and 0/1 targets."""
+    return float(batch_loss_graph(Tensor(np.array(probs, dtype=np.float64)),
+                                  np.array(targets, dtype=np.float64)).data)
+
+
 def test_bce_half_probs():
-    rep = bce_loss((0.5, 0.5, 0.5), VadCode(0, 1, 0))
-    assert rep.total == pytest.approx(math.log(2), abs=1e-12)
+    assert bce([[0.5, 0.5, 0.5]], [[0, 1, 0]]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bce_perfect_probs_near_zero():
-    rep = bce_loss((1.0, 0.0, 1.0), VadCode(1, 0, 1))
-    assert 0 < rep.total < 1e-6
+    assert 0 < bce([[1.0, 0.0, 1.0]], [[1, 0, 1]]) < 1e-6
 
 
 def test_bce_spot_value():
-    rep = bce_loss((0.9, 0.8, 0.1), VadCode(1, 1, 0))
+    terms = _bce_terms(Tensor(np.array([[0.9, 0.8, 0.1]])), [[1, 1, 0]]).data[0]
+    np.testing.assert_allclose(terms, -np.log([0.9, 0.8, 0.9]), rtol=0, atol=1e-10)
     expect = (-math.log(0.9) - math.log(0.8) - math.log(0.9)) / 3
-    assert rep.total == pytest.approx(expect, abs=1e-10)
-    assert rep.valence == pytest.approx(-math.log(0.9), abs=1e-10)
+    assert bce([[0.9, 0.8, 0.1]], [[1, 1, 0]]) == pytest.approx(expect, abs=1e-10)
 
 
 def test_bce_total_is_mean_of_components():
-    rep = bce_loss((0.3, 0.6, 0.9), VadCode(1, 0, 1))
-    assert rep.total == pytest.approx(
-        (rep.valence + rep.arousal + rep.dominance) / 3
-    )
+    """The batch loss is the mean of the per-dimension terms over rows and
+    dimensions alike."""
+    probs = np.array([[0.3, 0.6, 0.9], [0.2, 0.7, 0.4]])
+    targets = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.float64)
+    terms = _bce_terms(Tensor(probs), targets).data
+    assert terms.shape == (2, 3)
+    assert bce(probs, targets) == pytest.approx(terms.mean(), abs=1e-15)
 
 
 @pytest.mark.parametrize("arch, dropout, repeated", [
@@ -120,7 +126,7 @@ def test_gradient_matches_finite_differences(arch, dropout, repeated):
     if dropout:  # an rng switches dropout on
         assert loss_fn(masks()) != loss_fn()
     num = numerical_gradient(lambda: loss_fn(masks()), params, h=1e-3)
-    for n in param_names(params):
+    for n in sorted(params):
         a, b = grads[n], num[n]
         rel = np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-8)
         assert rel.max() < 1e-4, (n, rel.max())
@@ -132,7 +138,7 @@ def test_zero_logit_bias_gradient_identity():
     cfg = reduced_cfg("lstm")
     rng = np.random.default_rng(2)
     params = init_params(cfg, rng)
-    for n in param_names(params):
+    for n in sorted(params):
         params[n].data[:] = 0.0
     X, S, targets = random_batch(rng, B=4)
     _, grads = gradient(params, X, S, targets, cfg)
@@ -210,7 +216,7 @@ def test_forward_and_gradient_equal_the_plain_path(arch, monkeypatch):
     monkeypatch.setattr(training, "forward_batch", plain_forward)
     want_loss, want = gradient(params, X, S, targets, cfg, rng=masks())
     assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-    for n in param_names(params):
+    for n in sorted(params):
         assert np.any(want[n] != 0.0), n
         assert within(grads[n], want[n]), n
 
@@ -356,7 +362,7 @@ def test_float32_gradient_matches_float64(arch):
     loss32, g32 = gradient(p32, X, S, targets, cfg, rng=np.random.default_rng(5))
     loss64, g64 = gradient(p64, X, S, targets, cfg, rng=np.random.default_rng(5))
     assert loss32 == pytest.approx(loss64, rel=1e-6, abs=0)
-    for n in param_names(p64):
+    for n in sorted(p64):
         assert g32[n].dtype == np.float32 and g64[n].dtype == np.float64, n
         assert np.any(g64[n] != 0.0), n
         assert np.linalg.norm(g32[n] - g64[n]) <= 1e-5 * np.linalg.norm(g64[n]), n
@@ -383,22 +389,16 @@ def test_float32_adam_matches_float64():
         assert within(opt32.v[n], opt64.v[n], 1e-6), n
 
 
-def test_sample_context_extremes():
+def test_teacher_forced_extremes():
+    """p = 1 always keeps the ground truth and p = 0 always rolls out."""
     rng = np.random.default_rng(5)
-    gt = [VadCode(0, 0, 0), VadCode(0, 1, 0)]
-    ro = [VadCode(0, 0, 0), VadCode(1, 1, 1)]
-    assert sample_context(gt, ro, 1.0, rng) is gt
-    assert sample_context(gt, ro, 0.0, rng) is ro
-    with pytest.raises(ValueError):
-        sample_context(gt, ro[:1], 0.5, rng)
+    assert all(_teacher_forced(1.0, rng) for _ in range(1000))
+    assert not any(_teacher_forced(0.0, rng) for _ in range(1000))
 
 
-def test_sample_context_frequency():
+def test_teacher_forced_frequency():
     rng = np.random.default_rng(6)
-    gt, ro = [VadCode(0, 1, 0)], [VadCode(1, 1, 1)]
-    hits = sum(
-        sample_context(gt, ro, 0.8, rng) is gt for _ in range(10_000)
-    )
+    hits = sum(_teacher_forced(0.8, rng) for _ in range(10_000))
     assert 0.78 <= hits / 10_000 <= 0.82
 
 
@@ -485,7 +485,7 @@ def test_train_determinism(tmp_path):
 
 @pytest.mark.parametrize("p, rollout_steps", [(1.0, 0), (0.0, 6)])
 def test_train_teacher_forcing_extremes(p, rollout_steps, tmp_path, monkeypatch):
-    """The loop draws teacher forcing as sample_context does: p = 1 never
+    """The loop draws ``_teacher_forced`` for each batch row: p = 1 never
     rolls out, p = 0 rolls out at every one of the 2 x 3 steps."""
     rng = np.random.default_rng(10)
     samples = make_samples(rng, 8)
