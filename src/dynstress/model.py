@@ -15,6 +15,7 @@ import json
 import math
 import zipfile
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -327,6 +328,38 @@ def context_memory(hc: Tensor, params) -> tuple[Tensor, Tensor, Tensor]:
     return hc, linear(hc, wk), linear(hc, wv, bv)
 
 
+class LoadedParams(Mapping):
+    """A loaded checkpoint's tensors, read-only like their arrays, and the
+    context memory that :func:`context_memo` keeps for them."""
+
+    __slots__ = ("_tensors", "_memos")
+
+    def __init__(self, tensors: dict[str, Tensor]):
+        self._tensors, self._memos = tensors, {}
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._tensors[name]
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+
+def context_memo(
+    params, cfg: ModelConfig,
+) -> dict[tuple[VadCode, ...], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The memory in which sequential inference keeps each context's keys,
+    values and last state under its codes.  A :func:`load_checkpoint`
+    result keeps one per ``cfg`` for every call on it, freed with it: its
+    tensors and their arrays cannot change.  Any other ``params`` (training
+    updates its arrays in place) gets a new one."""
+    if isinstance(params, LoadedParams):
+        return params._memos.setdefault(cfg, {})
+    return {}
+
+
 def readout(q: Tensor, hc: Tensor, k: Tensor, v: Tensor, params, cfg) -> Tensor:
     """Probabilities (B, 3) of projected queries ``q`` (B, 1, H) over context
     states ``hc`` and their keys and values: cross-attention and head."""
@@ -459,9 +492,10 @@ def _stored_member(z: zipfile.ZipFile, fp: io.BytesIO, blob: bytes, name: str) -
     return data
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
+def load_checkpoint(path: str | Path) -> tuple[LoadedParams, ModelConfig]:
     """A :func:`save_checkpoint` file's tensors, as read-only float32 views of
-    ``params.npy``, and its config; each header field is checked first."""
+    ``params.npy`` in a read-only mapping that also holds their context
+    memory, and its config; each header field is checked first."""
     with open_input(path, "checkpoint") as f:
         blob = f.read()  # read whole: no member a corrupt zip declares can be larger
     if blob[:4] == b"SPCK":
@@ -505,4 +539,4 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], ModelConfig]:
         if not np.isfinite(part).all():
             raise DataError(f"{path}: tensor {name} holds NaN or inf")
         params[name] = Tensor(part.reshape(shape))
-    return params, cfg
+    return LoadedParams(params), cfg

@@ -16,8 +16,8 @@ import numpy as np
 from .autodiff import Tensor, linear
 from .features import read_fseq, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
-from .model import (ModelConfig, context_array, context_memory, context_states, decode,
-                    readout_array, speech_inputs, speech_states)
+from .model import (ModelConfig, context_array, context_memo, context_memory, context_states,
+                    decode, readout_array, speech_inputs, speech_states)
 from .segmentation import (
     ClipRecord,
     DataError,
@@ -181,14 +181,17 @@ def predict_recording(
     code stands in before any prediction exists), mirroring deployment where
     no ground-truth stress labels are available.  Speech does not depend on
     the predictions, so it is encoded up front, and every window's query is
-    projected in one matrix product.  Each distinct context is encoded once
-    per call, under the codes it holds, into a memory of plain arrays: its
-    keys, its values and its last state.  A step then reads its window out
-    with a few array operations, :func:`readout_array`, and builds no tape.
+    projected in one matrix product.  Each distinct context is encoded once,
+    under the codes it holds, into a memory of plain arrays: its keys, its
+    values and its last state.  The memory is :func:`context_memo`'s, so a
+    loaded checkpoint encodes a context once for every recording and history
+    it is run on, and any other ``params`` once per call.  A step then reads
+    its window out with a few array operations, :func:`readout_array`, and
+    builds no tape.
     """
     last = last_speech_states(features, history, params, cfg)
     queries = linear(Tensor(last), params["attn.wq"], params["attn.bq"]).data
-    memo: dict[tuple[VadCode, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    memo = context_memo(params, cfg)
     preds: list[VadCode] = []
     caller = np.geterr()
     # readout_array's sigmoid may overflow to its exact 0; the errstate costs

@@ -88,7 +88,8 @@ def hamming_distance(a: VadCode, b: VadCode) -> int:
 
 def is_stress(c: VadCode) -> bool:
     """True iff the code matches the stress encoding exactly."""
-    return c == STRESS_CODE
+    # STRESS_CODE field by field: a few times faster than the dataclass's __eq__
+    return c.valence == 0 and c.arousal == 1 and c.dominance == 0
 
 
 def parse_label(text: str) -> VadCode:

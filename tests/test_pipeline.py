@@ -435,8 +435,15 @@ def test_speech_is_encoded_once_per_recording(monkeypatch):
             assert batches == [(N, window)], (arch, N, n)
 
 
+def contexts(codes, n):
+    """The distinct contexts, as tuples of codes, that self-fed ``codes`` met."""
+    return {tuple(codes[max(0, t - n) : t]) for t in range(len(codes))}
+
+
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
-def test_context_encoder_runs_once_per_distinct_context(arch, monkeypatch):
+def test_context_encoder_runs_once_per_distinct_context(arch, monkeypatch, tmp_path):
+    """Once per call for an ``init_params`` dict; for a loaded checkpoint,
+    once across every recording and n it is run on."""
     calls = []
 
     def counting(S, *args):
@@ -447,12 +454,57 @@ def test_context_encoder_runs_once_per_distinct_context(arch, monkeypatch):
     repeated = False
     for feats, n, params, cfg in ragged_cases(arch, 4):
         calls.clear()
-        codes = predict_recording(feats, n, params, cfg)
-        distinct = {tuple(codes[max(0, t - n) : t]) for t in range(len(codes))}
+        distinct = contexts(predict_recording(feats, n, params, cfg), n)
         assert len(calls) == len(distinct), (n, len(feats))
         assert all(shape[0] == 1 for shape in calls)
-        repeated |= len(distinct) < len(codes)
+        repeated |= len(distinct) < len(feats)
     assert repeated  # some context recurs, so the count says something
+    save_checkpoint(tmp_path / "m.ckpt", params, cfg)  # every case's parameters
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    calls.clear()
+    seen, per_call = set(), 0
+    for feats, n, _, cfg in ragged_cases(arch, 4):
+        distinct = contexts(predict_recording(feats.astype(np.float32), n, loaded, cfg), n)
+        seen |= distinct
+        per_call += len(distinct)
+        assert len(calls) == len(seen), (n, len(feats))
+    assert len(seen) < per_call  # calls meet each other's contexts
+
+
+def test_a_loaded_checkpoint_keeps_one_memory_per_config(tmp_path):
+    """The transformer's head count shapes no tensor, so one checkpoint runs
+    under configs that differ in it alone; the codes under each, in turn,
+    are those of the per-window forward under it."""
+    differ = False
+    for seed in (10, 15):
+        loaded = None
+        for feats, n, params, cfg in ragged_cases("transformer", seed):
+            if loaded is None:  # every case of a seed shares its parameters
+                save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+                loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+            X, got = feats.astype(np.float32), {}
+            for heads in (2, 4, 8):
+                c = replace(cfg, heads=heads)
+                got[heads] = predict_recording(X, n, loaded, c)
+                assert got[heads] == plain_predict(X, n, loaded, c), (seed, n, len(X), heads)
+            differ |= len({tuple(codes) for codes in got.values()}) > 1
+    assert differ  # the configs decide differently, so equal codes say something
+
+
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_a_loaded_checkpoint_is_read_only(arch, tmp_path):
+    """Its tensors cannot be replaced or removed, their arrays cannot be
+    written, and a plain dict copy infers the same codes."""
+    feats, n, params, cfg = list(ragged_cases(arch, 9))[-1]
+    save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+    with pytest.raises(TypeError):
+        loaded["head.b"] = params["head.b"]
+    with pytest.raises(TypeError):
+        del loaded["head.b"]
+    assert not any(t.data.flags.writeable for t in loaded.values())
+    X = feats.astype(np.float32)
+    assert predict_recording(X, n, dict(loaded), cfg) == predict_recording(X, n, loaded, cfg)
 
 
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])

@@ -28,8 +28,8 @@ def test_stress_code():
     assert is_stress(STRESS_CODE)
     # Fear and stress share an encoding by construction.
     assert is_stress(encode_emotion(Emotion.FEAR))
-    assert not is_stress(VadCode(0, 1, 1))
-    assert not is_stress(VadCode(0, 0, 0))
+    for c in ALL_CODES:
+        assert is_stress(c) is (c == STRESS_CODE), c
 
 
 def test_code_validation():
