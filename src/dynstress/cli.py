@@ -17,13 +17,14 @@ from .features import MfccConfig, write_fseq
 from .labelling import LabellingConfig
 from .model import ModelConfig, load_checkpoint
 from .segmentation import (
+    HOP_S,
+    WINDOW_S,
     DataError,
     align_labels,
     concat_augment,
     load_clip,
     read_manifest,
     read_text,
-    segment,
     write_wav,
 )
 from .training import TrainConfig, TrainingDiverged, train
@@ -115,11 +116,11 @@ def _base_dir(args) -> Path:
 def cmd_segment(args, out):
     with open(out / "windows.jsonl", "w") as f:
         for rec in read_manifest(args.manifest):
-            windows = segment(load_clip(rec, _base_dir(args)))
-            for w, label in zip(windows, align_labels(windows, rec.spans)):
+            windows = range(len(pipeline.clip_features(rec, _base_dir(args), None)))
+            for k, label in zip(windows, align_labels(windows, rec.spans)):
                 f.write(json.dumps({
-                    "clip_id": w.clip_id, "index": w.index,
-                    "start_s": w.start, "end_s": w.end,
+                    "clip_id": rec.utterance_id, "index": k,
+                    "start_s": k * HOP_S, "end_s": k * HOP_S + WINDOW_S,
                     "label": label.to_text() if label else None,
                 }) + "\n")
     return 0
@@ -135,23 +136,19 @@ def cmd_augment(args, out):
         for (speaker, text, split), recs in groups.items():
             if len(recs) < 2:
                 continue
-            for r in recs:  # a joined clip takes one emotion per record
-                if len(r.spans) != 1:
-                    raise DataError(f"{r.utterance_id}: augment needs one labelled "
-                                    f"span per record, got {len(r.spans)}")
-            clips = [load_clip(r, _base_dir(args)) for r in recs]
-            emotions = [r.spans[0].code for r in recs]
-            joined, final, spans = concat_augment(clips, emotions, args.gap_s)
-            wav_path = out / f"{joined.utterance_id}.wav"
-            write_wav(wav_path, joined.samples)
+            samples, spans = concat_augment(
+                recs, (load_clip(r, _base_dir(args)) for r in recs), args.gap_s)
+            utterance_id = "+".join(r.utterance_id for r in recs)
+            wav_path = out / f"{utterance_id}.wav"
+            write_wav(wav_path, samples)
             f.write(json.dumps({
                 "audio_path": wav_path.name,
                 "speaker_id": speaker,
-                "utterance_id": joined.utterance_id,
+                "utterance_id": utterance_id,
                 "text_id": text,
                 "spans": [{"start_s": s.start, "end_s": s.end,
                            "label": s.code.to_text()} for s in spans],
-                "final_label": final.to_text(),
+                "final_label": spans[-1].code.to_text(),
                 "split": split,
             }) + "\n")
     return 0
@@ -176,10 +173,8 @@ def cmd_label(args, out):
 
 def cmd_extract(args, out):
     for rec in read_manifest(args.manifest):
-        clip = load_clip(rec, _base_dir(args))
-        mat = pipeline.clip_feature_matrix(clip.utterance_id, segment(clip), args.features,
-                                           clip.samples)
-        write_fseq(out / f"{rec.utterance_id}.fseq", mat)
+        write_fseq(out / f"{rec.utterance_id}.fseq",
+                   pipeline.clip_features(rec, _base_dir(args), args.features))
     return 0
 
 

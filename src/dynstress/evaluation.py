@@ -4,6 +4,7 @@ the labelling sweep grid and ablation grids."""
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,17 +39,9 @@ class EvalReport:
     def from_pairs(cls, predictions: Sequence[bool], truths: Sequence[bool]):
         if len(predictions) != len(truths):
             raise ValueError("predictions and truths differ in length")
-        tp = fp = tn = fn = 0
-        for p, t in zip(predictions, truths):
-            if p and t:
-                tp += 1
-            elif p and not t:
-                fp += 1
-            elif not p and t:
-                fn += 1
-            else:
-                tn += 1
-        return cls(tp, fp, tn, fn)
+        cells = Counter(zip(map(bool, predictions), map(bool, truths)))
+        return cls(cells[True, True], cells[True, False], cells[False, False],
+                   cells[False, True])
 
 
 def majority_vote(window_stress: Sequence[bool]) -> bool:

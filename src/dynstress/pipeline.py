@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -18,16 +17,7 @@ from .features import read_fseq, window_mfcc
 from .labelling import LabellingConfig, relabel_sequence
 from .model import (ModelConfig, context_array, context_memo, context_memory, context_states,
                     decode, readout_array, speech_inputs, speech_states)
-from .segmentation import (
-    ClipRecord,
-    DataError,
-    SegmentWindow,
-    align_labels,
-    load_clip,
-    segment,
-    segment_length,
-    wav_length,
-)
+from .segmentation import ClipRecord, DataError, align_labels, load_clip, segment, wav_length
 from .training import TrainSample
 from .vad import VadCode
 
@@ -59,29 +49,30 @@ def _labelled_runs(labels: list[VadCode | None]) -> list[tuple[int, int]]:
     return runs
 
 
-def clip_feature_matrix(
-    utterance_id: str, windows: Sequence[SegmentWindow], feature_spec: str,
-    samples: np.ndarray | None,
+def clip_features(
+    rec: ClipRecord, base_dir: str | Path, feature_spec: str | None,
 ) -> np.ndarray:
-    """Features for every window of one clip, by ``feature_spec``:
-    from-scratch MFCC of its decoded ``samples`` (`mfcc`, d = 40), the same
-    with pooled deltas appended (`mfcc+deltas`, d = 80), or rows of the
-    precomputed embedding file `<dir>/<utterance_id>.fseq` (`file:<dir>`),
-    which reads no samples."""
+    """One feature row per window of a clip, by ``feature_spec``: MFCC of its
+    samples (`mfcc`, d = 40), the same with pooled deltas appended
+    (`mfcc+deltas`, d = 80), the rows of the precomputed embedding file
+    `<dir>/<utterance_id>.fseq` (`file:<dir>`), or none (None, d = 0).  Only
+    MFCC decodes the clip's WAV; every other spec reads just its sample
+    count, under the same checks."""
     if feature_spec in ("mfcc", "mfcc+deltas"):
-        mat = window_mfcc(samples, feature_spec == "mfcc+deltas")
-        source = "MFCC"
-    elif feature_spec.startswith("file:"):
-        mat = read_fseq(Path(feature_spec[5:]) / f"{utterance_id}.fseq")
-        source = "embedding file"
-    else:
+        samples = load_clip(rec, base_dir)
+        segment(len(samples), rec.utterance_id)  # a short clip is a DataError
+        return window_mfcc(samples, feature_spec == "mfcc+deltas")
+    # an absolute audio_path ignores base_dir, as in load_clip
+    windows = segment(wav_length(Path(base_dir) / rec.audio_path), rec.utterance_id)
+    if feature_spec is None:
+        return np.zeros((len(windows), 0))
+    if not feature_spec.startswith("file:"):
         raise DataError(f"unknown feature spec {feature_spec!r}: "
                         "use mfcc, mfcc+deltas or file:<dir>")
+    mat = read_fseq(Path(feature_spec[5:]) / f"{rec.utterance_id}.fseq")
     if mat.shape[0] != len(windows):
-        raise DataError(
-            f"{utterance_id}: {source} has {mat.shape[0]} rows, "
-            f"clip has {len(windows)} windows"
-        )
+        raise DataError(f"{rec.utterance_id}: embedding file has {mat.shape[0]} rows, "
+                        f"clip has {len(windows)} windows")
     return mat
 
 
@@ -89,24 +80,11 @@ def load_recording(
     rec: ClipRecord, base_dir: str | Path, feature_spec: str | None,
     lab_cfg: LabellingConfig,
 ) -> list[RecordingData]:
-    """One RecordingData per maximal labelled run of a clip's windows.
-
-    ``feature_spec=None`` skips feature extraction (labelling-only use).
-    Under `file:<dir>` only the clip's length is needed, so its WAV is
-    checked but not decoded."""
-    if feature_spec is not None and feature_spec.startswith("file:"):
-        # an absolute audio_path ignores base_dir, as in load_clip
-        n_samples = wav_length(Path(base_dir) / rec.audio_path)
-        utterance_id, samples = rec.utterance_id, None
-        windows = segment_length(n_samples, utterance_id)
-    else:
-        clip = load_clip(rec, base_dir)
-        utterance_id, samples = clip.utterance_id, clip.samples
-        windows = segment(clip)
-    if feature_spec is None:
-        feats = np.zeros((len(windows), 0))
-    else:
-        feats = clip_feature_matrix(utterance_id, windows, feature_spec, samples)
+    """One RecordingData per maximal labelled run of a clip's windows, with
+    the features of :func:`clip_features`; ``feature_spec=None`` skips them
+    (labelling-only use)."""
+    feats = clip_features(rec, base_dir, feature_spec)
+    windows = range(len(feats))
     labels = align_labels(windows, rec.spans)
     refs = align_labels(windows, rec.stress_spans)
     out = []

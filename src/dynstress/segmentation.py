@@ -14,7 +14,7 @@ import tokenize
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -69,35 +69,6 @@ def read_text(path: str | Path, what: str) -> str:
             raise DataError(f"{path}: {what} is not UTF-8 (byte {e.start})") from None
 
 
-@dataclass
-class AudioClip:
-    samples: np.ndarray  # float amplitudes in [-1, 1]
-    sample_rate: int
-    speaker_id: str
-    utterance_id: str
-    text_id: str = ""
-
-    def __post_init__(self):
-        if self.sample_rate != REQUIRED_SAMPLE_RATE:
-            raise DataError(
-                f"clip {self.utterance_id!r}: sample rate must be "
-                f"{REQUIRED_SAMPLE_RATE} Hz, got {self.sample_rate}"
-            )
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
-@dataclass
-class SegmentWindow:
-    index: int
-    start: float
-    end: float
-    clip_id: str
-
-
 @dataclass(frozen=True)
 class LabelSpan:
     start: float
@@ -118,35 +89,23 @@ def window_count(n_samples: int) -> int:
     return max(0, (n_samples - WINDOW_SAMPLES) // HOP_SAMPLES + 1)
 
 
-def segment(clip: AudioClip) -> list[SegmentWindow]:
-    """Cut a clip into overlapping windows; trailing audio shorter than a
-    full window is dropped."""
-    return segment_length(len(clip.samples), clip.utterance_id)
-
-
-def segment_length(n_samples: int, clip_id: str) -> list[SegmentWindow]:
-    """The windows of :func:`segment` for a clip of ``n_samples`` samples."""
+def segment(n_samples: int, clip_id: str = "") -> range:
+    """The indices of the windows of a clip of ``n_samples`` samples: window
+    k spans [k * HOP_S, k * HOP_S + WINDOW_S) seconds, and trailing audio
+    shorter than a hop is dropped."""
     count = window_count(n_samples)
     if count == 0:
         raise DataError(
             f"clip {clip_id!r} is {n_samples / REQUIRED_SAMPLE_RATE:.2f}s, "
             f"shorter than one {WINDOW_S:.0f}s window"
         )
-    return [
-        SegmentWindow(
-            index=k,
-            start=k * HOP_S,
-            end=k * HOP_S + WINDOW_S,
-            clip_id=clip_id,
-        )
-        for k in range(count)
-    ]
+    return range(count)
 
 
 def align_labels(
-    windows: Sequence[SegmentWindow], spans: Sequence[LabelSpan]
+    windows: Sequence[int], spans: Sequence[LabelSpan]
 ) -> list[VadCode | None]:
-    """The label of the span containing each window's midpoint.
+    """The label of the span containing the midpoint of each window index.
 
     Spans are half-open [start, end); a window whose midpoint no span covers
     gets None.  Overlapping spans are rejected.
@@ -156,8 +115,8 @@ def align_labels(
         if b.start < a.end:
             raise DataError(f"overlapping label spans: {a} / {b}")
     labels = []
-    for w in windows:
-        mid = (w.start + w.end) / 2.0
+    for k in windows:
+        mid = k * HOP_S + WINDOW_S / 2.0
         label = None
         for s in spans:
             if s.start <= mid < s.end:
@@ -168,30 +127,29 @@ def align_labels(
 
 
 def concat_augment(
-    clips: Sequence[AudioClip],
-    emotions: Sequence[VadCode],
-    gap_s: float = 0.0,
-) -> tuple[AudioClip, VadCode, list[LabelSpan]]:
-    """Concatenate same-speaker, same-sentence clips spoken in different
-    emotional states.
+    records: Sequence[ClipRecord], clips: Iterable[np.ndarray], gap_s: float = 0.0,
+) -> tuple[np.ndarray, list[LabelSpan]]:
+    """Join the samples ``clips`` of ``records``: same-speaker,
+    same-sentence clips, each spoken in the one emotional state of its one
+    labelled span.
 
-    Returns the joined clip, the label of the final emotional state, and the
-    per-span emotion labels so overlapping windows can straddle transitions.
-    Joins are raw abutment, optionally separated by ``gap_s`` of silence.
+    Returns the joined samples and one span per record, so overlapping
+    windows can straddle transitions; the last span's code is the final
+    state.  Joins are raw abutment, optionally separated by ``gap_s`` of
+    silence.  Every rule is checked before the first clip is drawn, so a
+    generator that decodes them decodes none for a rejected group.
     """
-    if len(clips) < 2:
+    if len(records) < 2:
         raise DataError("concat_augment needs at least two clips")
-    if len(emotions) != len(clips):
-        raise DataError("need one emotion code per clip")
-    speaker = clips[0].speaker_id
-    text = clips[0].text_id
-    for c in clips[1:]:
-        if c.speaker_id != speaker:
-            raise DataError(
-                f"speaker mismatch: {c.speaker_id!r} vs {speaker!r}"
-            )
-        if c.text_id != text:
-            raise DataError(f"text mismatch: {c.text_id!r} vs {text!r}")
+    speaker, text = records[0].speaker_id, records[0].text_id
+    for r in records:
+        if r.speaker_id != speaker:
+            raise DataError(f"speaker mismatch: {r.speaker_id!r} vs {speaker!r}")
+        if r.text_id != text:
+            raise DataError(f"text mismatch: {r.text_id!r} vs {text!r}")
+        if len(r.spans) != 1:
+            raise DataError(f"{r.utterance_id}: augment needs one labelled "
+                            f"span per record, got {len(r.spans)}")
     # NaN fails too; a 16-bit WAV's 32-bit data size holds under 2**31 samples
     if not 0.0 <= gap_s * REQUIRED_SAMPLE_RATE < 2**31:
         raise DataError(f"gap_s must be a non-negative number of seconds "
@@ -199,21 +157,15 @@ def concat_augment(
     gap = np.zeros(int(round(gap_s * REQUIRED_SAMPLE_RATE)))
     pieces, spans = [], []
     cursor = 0.0
-    for i, (c, e) in enumerate(zip(clips, emotions)):
-        if i > 0 and len(gap):
+    for r, samples in zip(records, clips, strict=True):
+        if pieces and len(gap):
             pieces.append(gap)
             cursor += len(gap) / REQUIRED_SAMPLE_RATE
-        pieces.append(c.samples)
-        spans.append(LabelSpan(cursor, cursor + c.duration, e))
-        cursor += c.duration
-    joined = AudioClip(
-        samples=np.concatenate(pieces),
-        sample_rate=REQUIRED_SAMPLE_RATE,
-        speaker_id=speaker,
-        utterance_id="+".join(c.utterance_id for c in clips),
-        text_id=text,
-    )
-    return joined, emotions[-1], spans
+        pieces.append(samples)
+        duration = len(samples) / REQUIRED_SAMPLE_RATE
+        spans.append(LabelSpan(cursor, cursor + duration, r.spans[0].code))
+        cursor += duration
+    return np.concatenate(pieces), spans
 
 
 # --- WAV I/O (RIFF, 16-bit signed PCM, mono, 16 kHz) ---
@@ -244,13 +196,11 @@ def _read_pcm(path: Path) -> bytes:
     return raw
 
 
-def load_wav(path: str | Path, speaker_id: str = "", utterance_id: str = "",
-             text_id: str = "") -> AudioClip:
-    path = Path(path)
-    pcm = np.frombuffer(_read_pcm(path), dtype="<i2").astype(np.float64)
+def load_wav(path: str | Path) -> np.ndarray:
+    """The float64 samples, in [-1, 1), of a 16-bit mono 16 kHz PCM WAV file."""
+    pcm = np.frombuffer(_read_pcm(Path(path)), dtype="<i2").astype(np.float64)
     pcm *= 1.0 / 32768.0  # in place, and exact: the divisor is a power of two
-    return AudioClip(pcm, REQUIRED_SAMPLE_RATE, speaker_id, utterance_id or path.stem,
-                     text_id)
+    return pcm
 
 
 def wav_length(path: str | Path) -> int:
@@ -357,6 +307,6 @@ def read_manifest(path: str | Path) -> list[ClipRecord]:
     return records
 
 
-def load_clip(rec: ClipRecord, base_dir: str | Path = ".") -> AudioClip:
-    p = Path(base_dir) / rec.audio_path  # an absolute audio_path ignores base_dir
-    return load_wav(p, rec.speaker_id, rec.utterance_id, rec.text_id)
+def load_clip(rec: ClipRecord, base_dir: str | Path = ".") -> np.ndarray:
+    """The samples of ``rec``'s WAV file; an absolute audio_path ignores base_dir."""
+    return load_wav(Path(base_dir) / rec.audio_path)

@@ -94,6 +94,9 @@ def test_segment_writes_windows(data_dir):
                 "--out", out]) == 0
     rows = [json.loads(l) for l in (out / "windows.jsonl").read_text().splitlines()]
     assert len(rows) == 10  # two 30 s clips, 5 windows each
+    # window k of each clip spans [5k, 5k + 10) s
+    assert [(r["clip_id"], r["index"], r["start_s"], r["end_s"]) for r in rows] == [
+        (clip, k, 5.0 * k, 5.0 * k + 10) for clip in ("a", "b") for k in range(5)]
     assert {r["label"] for r in rows} == {"0,1,0", "1,1,1", "0,1,1"}
     assert (out / "resolved_config.json").exists()
 
@@ -810,6 +813,29 @@ def test_eval_and_ablate_decode_only_their_split(cmd, data_dir, decoded):
                 "--out", data_dir / cmd, "--ckpt", data_dir / "good.ckpt",
                 "--split", "test"]) == 0
     assert decoded == ["b.wav"]
+
+
+@pytest.mark.parametrize("cmd, flags, want", [
+    ("segment", [], []),
+    ("label", [], []),
+    ("sweep", [], []),
+    ("extract", ["--features", "file:emb"], []),
+    ("extract", ["--features", "mfcc"], ["a.wav", "b.wav"]),
+    ("extract", ["--features", "mfcc+deltas"], ["a.wav", "b.wav"]),
+    ("augment", ["--manifest", "same-split.jsonl"], ["a.wav", "b.wav"]),
+], ids=["segment", "label", "sweep", "extract-file", "extract-mfcc", "extract-mfcc+deltas",
+        "augment"])
+def test_only_mfcc_and_augment_decode_audio(cmd, flags, want, data_dir, decoded,
+                                            monkeypatch):
+    """Window counts come from the WAV header: a command decodes a clip only
+    for its MFCC or to join it, and then once."""
+    (data_dir / "emb").mkdir()
+    for name in ("a", "b"):  # a 30 s clip has 5 windows
+        write_fseq(data_dir / "emb" / f"{name}.fseq", np.zeros((5, 3)))
+    (data_dir / "same-split.jsonl").write_text(SAME_SPLIT)
+    monkeypatch.chdir(data_dir)
+    assert run([cmd, "--manifest", "manifest.jsonl", "--out", "run", *flags]) == 0
+    assert decoded == want
 
 
 def write_split_manifest(d, splits, labelled=True):

@@ -21,7 +21,6 @@ from dynstress.model import (
     save_checkpoint,
 )
 from dynstress.segmentation import (
-    AudioClip,
     ClipRecord,
     DataError,
     load_wav,
@@ -278,7 +277,7 @@ def test_load_wav_yields_clip_or_data_error(tmp_path, valid_wav, data):
     blob = data.draw(mutations(valid_wav))
     out = parse_or_data_error(load_wav, tmp_path / "w.wav", blob)
     if out is not None:
-        assert isinstance(out, AudioClip) and out.samples.ndim == 1
+        assert out.dtype == np.float64 and out.ndim == 1
 
 
 @pytest.mark.parametrize("field", ["layer-count", "params-shape", "fseq-shape"])

@@ -4,8 +4,9 @@ import wave
 import numpy as np
 import pytest
 
+from dynstress.cli import main
 from dynstress.segmentation import (
-    AudioClip,
+    ClipRecord,
     DataError,
     LabelSpan,
     align_labels,
@@ -13,6 +14,7 @@ from dynstress.segmentation import (
     load_wav,
     read_manifest,
     segment,
+    wav_length,
     write_wav,
 )
 from dynstress.vad import VadCode
@@ -23,117 +25,150 @@ HAPPY = VadCode(1, 1, 1)
 DISGUST = VadCode(0, 1, 1)
 
 
-def make_clip(duration_s, speaker="spk1", utt="utt1", text="t1"):
-    n = int(round(duration_s * SR))
-    return AudioClip(np.zeros(n), SR, speaker, utt, text)
+def n_samples(duration_s):
+    return int(round(duration_s * SR))
+
+
+def make_clip(duration_s, emotion=HAPPY, speaker="spk1", utt="utt1", text="t1"):
+    """A silent clip's record, with one span over all of it, and its samples."""
+    rec = ClipRecord(f"{utt}.wav", speaker, utt, text, [LabelSpan(0, duration_s, emotion)],
+                     "train")
+    return rec, np.zeros(n_samples(duration_s))
+
+
+def join(clips, gap_s=0.0):
+    records, samples = zip(*clips)
+    return concat_augment(records, samples, gap_s)
 
 
 def test_window_counts():
-    assert len(segment(make_clip(10))) == 1
-    assert len(segment(make_clip(25))) == 4
-    assert [w.start for w in segment(make_clip(25))] == [0, 5, 10, 15]
+    assert segment(n_samples(10)) == range(1)
+    assert segment(n_samples(25)) == range(4)
     # 45-minute session length
-    assert len(segment(make_clip(2700))) == 539
+    assert len(segment(n_samples(2700))) == 539
 
 
 def test_short_clip_rejected():
-    with pytest.raises(DataError):
-        segment(make_clip(9.5))
-
-
-def test_window_geometry():
-    for w in segment(make_clip(60)):
-        assert w.end - w.start == 10.0
-        assert w.start == 5.0 * w.index
+    with pytest.raises(DataError, match=r"clip 'u' is 9\.50s, shorter than one 10s window"):
+        segment(n_samples(9.5), "u")
 
 
 def test_window_count_formula_property():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        dur = float(rng.uniform(10.0, 3 * 3600.0))
-        clip = make_clip(dur)
-        expect = int((clip.duration - 10.0) // 5.0) + 1
-        assert len(segment(clip)) == expect
+        n = n_samples(float(rng.uniform(10.0, 3 * 3600.0)))
+        expect = int((n / SR - 10.0) // 5.0) + 1
+        assert len(segment(n)) == expect
 
 
-def test_sample_coverage():
-    clip = make_clip(35)
-    windows = segment(clip)
-    cover = np.zeros(len(clip.samples), dtype=int)
-    for w in windows:
-        cover[int(w.start * SR) : int(w.end * SR)] += 1
-    # every retained sample covered; interior samples by exactly two windows
-    assert cover[: int(windows[-1].end * SR)].min() >= 1
-    interior = cover[5 * SR : int((windows[-1].end - 5) * SR)]
-    assert np.all(interior == 2)
+def test_window_geometry():
+    """Window k is [5k, 5k + 10) s: a span of the 0.1 s about its midpoint
+    labels it alone."""
+    windows = segment(n_samples(60))
+    assert windows == range(11)
+    for k in windows:
+        labels = align_labels(windows, [LabelSpan(5 * k + 4.95, 5 * k + 5.05, FEAR)])
+        assert labels == [FEAR if j == k else None for j in windows]
 
 
-def test_wrong_rate_rejected():
-    with pytest.raises(DataError):
-        AudioClip(np.zeros(80000), 8000, "s", "u")
+def test_sample_coverage(tmp_path):
+    """The bounds `segment` writes cover every retained sample of a 35 s
+    clip, and its interior samples by exactly two windows."""
+    n = n_samples(35)
+    write_wav(tmp_path / "u.wav", np.zeros(n))
+    (tmp_path / "m.jsonl").write_text(json.dumps({
+        "audio_path": "u.wav", "speaker_id": "s", "utterance_id": "u",
+        "text_id": "t", "spans": [], "split": "train"}) + "\n")
+    assert main(["segment", "--manifest", str(tmp_path / "m.jsonl"),
+                 "--out", str(tmp_path / "seg")]) == 0
+    rows = (tmp_path / "seg" / "windows.jsonl").read_text().splitlines()
+    bounds = [(int(r["start_s"] * SR), int(r["end_s"] * SR)) for r in map(json.loads, rows)]
+    assert len(bounds) == len(segment(n)) == 6
+    cover = np.zeros(n, dtype=int)
+    for lo, hi in bounds:
+        cover[lo:hi] += 1
+    end = bounds[-1][1]
+    assert cover[:end].min() >= 1
+    assert np.all(cover[5 * SR : end - 5 * SR] == 2)
 
 
 def test_align_labels_midpoint_rule():
-    clip = make_clip(50)
-    windows = segment(clip)
+    windows = segment(n_samples(50))
     spans = [LabelSpan(0, 30, FEAR)]
     labels = align_labels(windows, spans)
     # midpoints 5,10,...; window [40,50) midpoint 45 uncovered
     assert labels == [FEAR] * 5 + [None] * (len(windows) - 5)
 
     spans = [LabelSpan(0, 10, HAPPY), LabelSpan(10, 20, FEAR)]
-    labels = align_labels(segment(make_clip(15)), spans)
+    labels = align_labels(segment(n_samples(15)), spans)
     # window [5,15) midpoint 10 falls in the second half-open span
     assert labels[1] == FEAR
 
 
 def test_align_rejects_overlap():
     with pytest.raises(DataError):
-        align_labels(segment(make_clip(20)), [
+        align_labels(segment(n_samples(20)), [
             LabelSpan(0, 12, FEAR), LabelSpan(10, 20, HAPPY),
         ])
 
 
 def test_concat_augment():
-    a = make_clip(5, utt="a-happy")
-    b = make_clip(5, utt="a-disgust")
-    joined, final, spans = concat_augment([a, b], [HAPPY, DISGUST])
-    assert final == DISGUST
-    assert len(joined.samples) == len(a.samples) + len(b.samples)
+    a = make_clip(5, HAPPY, utt="a-happy")
+    b = make_clip(5, DISGUST, utt="a-disgust")
+    joined, spans = join([a, b])
+    assert len(joined) == len(a[1]) + len(b[1])
     assert [s.code for s in spans] == [HAPPY, DISGUST]
     assert spans[0].start == 0 and spans[1].end == pytest.approx(10.0)
 
 
 def test_concat_identical_states():
-    a, b = make_clip(5, utt="x1"), make_clip(5, utt="x2")
-    _, final, _ = concat_augment([a, b], [FEAR, FEAR])
-    assert final == FEAR
+    joined, spans = join([make_clip(5, FEAR, utt="x1"), make_clip(5, FEAR, utt="x2")])
+    assert [s.code for s in spans] == [FEAR, FEAR]
+    assert len(joined) == 10 * SR
 
 
 def test_concat_mismatches():
     a = make_clip(5, speaker="s1")
     b = make_clip(5, speaker="s2")
-    with pytest.raises(DataError):
-        concat_augment([a, b], [HAPPY, FEAR])
-    with pytest.raises(DataError):
-        concat_augment([make_clip(5)], [HAPPY])
+    with pytest.raises(DataError, match="speaker mismatch: 's2' vs 's1'"):
+        join([a, b])
+    with pytest.raises(DataError, match="at least two clips"):
+        join([make_clip(5)])
 
 
-@pytest.mark.parametrize("texts, emotions, message", [
-    (("t1", "t2"), [HAPPY, FEAR], "text mismatch: 't2' vs 't1'"),
-    (("t1", "t1"), [HAPPY], "one emotion code per clip"),
-], ids=["text-mismatch", "emotion-too-few"])
-def test_concat_rejects_other_texts_and_missing_emotions(texts, emotions, message):
-    clips = [make_clip(5, utt=f"x{i}", text=t) for i, t in enumerate(texts)]
+@pytest.mark.parametrize("texts, spans, gap_s, message", [
+    (("t1", "t2"), [1, 1], 0.0, "text mismatch: 't2' vs 't1'"),
+    (("t1", "t1"), [1, 0], 0.0, "x1: augment needs one labelled span per record, got 0"),
+    (("t1", "t1"), [1, 2], 0.0, "x1: augment needs one labelled span per record, got 2"),
+    (("t1", "t1"), [1, 1], -1.0, "gap_s must be a non-negative number"),
+], ids=["text-mismatch", "emotion-too-few", "emotion-too-many", "gap-negative"])
+def test_concat_rejects_other_texts_and_missing_emotions(texts, spans, gap_s, message):
+    """Every rule is checked on the records alone, before a clip is drawn,
+    so a generator that decodes clips decodes none for a rejected group."""
+    records = [ClipRecord(f"x{i}.wav", "s", f"x{i}", t, [LabelSpan(0, 5, FEAR)] * k, "train")
+               for i, (t, k) in enumerate(zip(texts, spans))]
+    undrawn = (pytest.fail("a clip was drawn") for _ in records)
     with pytest.raises(DataError, match=message):
-        concat_augment(clips, emotions)
+        concat_augment(records, undrawn, gap_s)
 
 
 def test_concat_gap():
-    a, b = make_clip(5), make_clip(5)
-    joined, _, spans = concat_augment([a, b], [HAPPY, FEAR], gap_s=1.0)
-    assert len(joined.samples) == 11 * SR
+    joined, spans = join([make_clip(5, HAPPY), make_clip(5, FEAR)], gap_s=1.0)
+    assert len(joined) == 11 * SR
     assert spans[1].start == pytest.approx(6.0)
+
+
+def test_wrong_rate_rejected(tmp_path):
+    """A clip is 16 kHz: load_wav and wav_length reject an 8 kHz file alike."""
+    path = tmp_path / "x.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(bytes(16000))
+    for read in (load_wav, wav_length):
+        with pytest.raises(DataError, match="sample rate must be 16000 Hz, got 8000"):
+            read(path)
 
 
 def test_wav_roundtrip(tmp_path):
@@ -141,10 +176,10 @@ def test_wav_roundtrip(tmp_path):
     samples = rng.uniform(-0.5, 0.5, SR * 2)
     path = tmp_path / "x.wav"
     write_wav(path, samples)
-    clip = load_wav(path, "s", "u")
-    assert clip.sample_rate == SR
-    assert len(clip.samples) == len(samples)
-    assert np.max(np.abs(clip.samples - samples)) < 1.0 / 32768
+    got = load_wav(path)
+    assert got.dtype == np.float64
+    assert len(got) == len(samples)
+    assert np.max(np.abs(got - samples)) < 1.0 / 32768
 
 
 def test_load_wav_scales_every_int16_exactly(tmp_path):
@@ -158,7 +193,7 @@ def test_load_wav_scales_every_int16_exactly(tmp_path):
         wf.setsampwidth(2)
         wf.setframerate(SR)
         wf.writeframes(pcm.tobytes())
-    samples = load_wav(path).samples
+    samples = load_wav(path)
     assert samples.dtype == np.float64
     assert np.array_equal(samples, pcm / 32768.0)
 
