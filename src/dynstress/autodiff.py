@@ -1,17 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Just enough generic ops for the sequence models: addition, multiplication,
-division, sigmoid, sums, slicing, row gathers and concatenation.  Only a
-constant operand broadcasts in them; an operand that needs a gradient must
-have the result's shape.  A projection by a 2-D weight (``linear``) and
-multi-head scaled dot-product attention are one node each, and the model's
-heavier layers build their own single nodes with ``Tensor._make``.
-Gradients are exact; the test suite checks them against central finite
-differences.
+The tape holds only the nodes the sequence models run: ``Tensor``'s one op,
+``+`` (residuals, and constants such as the positional encoding, the only
+operands that broadcast), row gathers (``take_rows``, ``pick_rows``), a
+projection by a 2-D weight (``linear``) and multi-head attention, one node
+each.  The model's layers, dropout and head, and the training loss, build
+their own single nodes with ``Tensor._make``.  Gradients are exact; the test
+suite checks them against central finite differences.
 
 A tensor holds float32 when it is given float32 and float64 otherwise, and
-every node computes in its inputs' dtype, so a float32 model trains in
-float32 while float64 callers get float64 arithmetic throughout.
+every node computes in its inputs' dtype (the batch loss alone is a float64
+scalar), so a float32 model trains in float32 while float64 callers get
+float64 arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 
-_BASIC_KEYS = (int, np.integer, slice, type(None), type(Ellipsis))
 _F32 = np.dtype(np.float32)
 
 
@@ -64,77 +63,18 @@ class Tensor:
 
     # -- arithmetic --
 
-    def _binary(self, other, op):
-        # Only a constant broadcasts, so no backward sums over broadcast axes.
-        o = other if isinstance(other, Tensor) else Tensor(other)
-        out = op(self.data, o.data)
+    def __add__(self, o: Tensor) -> Tensor:
+        # Only a constant broadcasts, so the backward sums over no axis.
+        out = self.data + o.data
         if any(t.requires_grad and t.shape != out.shape for t in (self, o)):
             raise ValueError(f"shapes {self.shape} and {o.shape}: an operand that "
                              "needs a gradient must not broadcast")
-        return o, out
-
-    def __add__(self, other):
-        o, out = self._binary(other, np.add)
         def back(g):
             if self.requires_grad:
                 self._accum(g)
             if o.requires_grad:
                 o._accum(g)
         return self._make(out, (self, o), back)
-
-    def __mul__(self, other):
-        o, out = self._binary(other, np.multiply)
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * o.data)
-            if o.requires_grad:
-                o._accum(g * self.data)
-        return self._make(out, (self, o), back)
-
-    def __truediv__(self, other):
-        o, out = self._binary(other, np.divide)
-        def back(g):
-            if self.requires_grad:
-                self._accum(g / o.data)
-            if o.requires_grad:
-                o._accum(-g * self.data / (o.data * o.data))
-        return self._make(out, (self, o), back)
-
-    # -- activations --
-
-    def sigmoid(self):
-        # exp(-x) overflows to inf for x below about -88 (float32) or -709
-        # (float64); the sigmoid is then exactly 0, which is right
-        with np.errstate(over="ignore"):
-            val = 1.0 / (1.0 + np.exp(-self.data))
-        def back(g):
-            self._accum(g * val * (1.0 - val))
-        return self._make(val, (self,), back)
-
-    # -- reductions --
-
-    def sum(self):
-        def back(g):
-            self._accum(np.broadcast_to(g, self.data.shape))
-        return self._make(self.data.sum(), (self,), back)
-
-    def mean(self):
-        return self.sum() / self.data.size
-
-    # -- slicing --
-
-    def __getitem__(self, key):
-        # Basic keys only: each element of the result then reads a distinct
-        # element of ``self``, so the backward can add ``g`` into a view.
-        parts = key if isinstance(key, tuple) else (key,)
-        if any(isinstance(k, bool) or not isinstance(k, _BASIC_KEYS) for k in parts):
-            raise TypeError(
-                f"Tensor index must be ints, slices, None or Ellipsis, got {key!r}")
-        def back(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[key] += g
-        return self._make(self.data[key], (self,), back)
 
     # -- backprop driver --
 
@@ -161,20 +101,6 @@ class Tensor:
 
 
 # -- functional helpers --
-
-def concat(tensors, axis=0):
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    def back(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + size)
-            if t.requires_grad:
-                t._accum(g[tuple(sl)])
-            offset += size
-    return Tensor._make(np.concatenate(datas, axis=axis), tuple(tensors), back)
-
 
 def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
     """Rows ``x[index]`` along the first axis, as one node; a row of ``x`` may

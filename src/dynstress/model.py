@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, attention, concat, linear, pick_rows, take_rows
+from .autodiff import Tensor, attention, linear, pick_rows, take_rows
 from .segmentation import DataError, open_input, read_f32_npy
 from .vad import ALL_CODES, DEFAULT_CODE, VadCode
 
@@ -270,8 +270,12 @@ def cross_attention_states(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def _dropout(t: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout of ``t`` with rate ``p``, as one node: a mask drawn
+    from ``rng`` zeroes each element or scales it by 1 / (1 - p)."""
     mask = (rng.random(t.shape) >= p).astype(t.data.dtype) / (1.0 - p)
-    return t * Tensor(mask)
+    def back(g):
+        t._accum(g * mask)
+    return Tensor._make(t.data * mask, (t,), back)
 
 
 def context_array(previous_labels: Sequence[VadCode]) -> np.ndarray:
@@ -360,13 +364,36 @@ def context_memo(
     return {}
 
 
+def _head(x: np.ndarray, params) -> np.ndarray:
+    """The VAD probabilities of head inputs ``x`` (..., head_in): the sigmoids
+    of ``x @ head.w + head.b``.  The caller enters ``np.errstate(over="ignore")``:
+    a logit below about -88 (float32) or -709 (float64) gives exactly 0."""
+    return 1.0 / (1.0 + np.exp(-(x @ params["head.w"].data + params["head.b"].data)))
+
+
 def readout(q: Tensor, hc: Tensor, k: Tensor, v: Tensor, params, cfg) -> Tensor:
     """Probabilities (B, 3) of projected queries ``q`` (B, 1, H) over context
-    states ``hc`` and their keys and values: cross-attention and head."""
-    last = cross_attention_states(q, k, v)[:, -1, :]
-    if cfg.arch == "lstm":
-        last = concat([last, hc[:, -1, :]], axis=1)
-    return linear(last, params["head.w"], params["head.b"]).sigmoid()
+    states ``hc`` and their keys and values: cross-attention, then the head
+    as one node on the last cross-attention row and, for the LSTM, the last
+    context state."""
+    ins = (cross_attention_states(q, k, v), *((hc,) if cfg.arch == "lstm" else ()))
+    x = np.concatenate([t.data[:, -1] for t in ins], axis=1)
+    w, b = params["head.w"], params["head.b"]
+    with np.errstate(over="ignore"):
+        probs = _head(x, params)
+    def back(g):
+        gz = g * probs * (1.0 - probs)  # through the sigmoid
+        if w.requires_grad:
+            w._accum(x.T @ gz)
+        if b.requires_grad:
+            b._accum(gz.sum(axis=0))
+        # hc, a parent, takes its last row's gradient before its keys and values add theirs
+        for t, gt in zip(ins, np.split(gz @ w.data.T, len(ins), axis=1)):
+            if t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
+                t.grad[:, -1] += gt
+    return Tensor._make(probs, (*ins, w, b), back)
 
 
 def readout_array(
@@ -375,15 +402,13 @@ def readout_array(
     """Probabilities (3,) of one projected query ``q`` (H,) over one context's
     keys and values ``k``, ``v`` (L, H) and its last state ``last`` (H,), which
     only the LSTM head reads: :func:`readout` on plain arrays, without a tape.
-    The caller enters ``np.errstate(over="ignore")``: a logit below about -88
-    (float32) overflows the sigmoid's exp to inf, and its probability is then
-    exactly 0, as :meth:`Tensor.sigmoid` gives."""
+    The caller enters ``np.errstate(over="ignore")``, as :func:`_head` asks."""
     s = (k @ q) * (1.0 / math.sqrt(q.shape[0]))  # a Python float keeps float32
     e = np.exp(s - s.max())
     x = q + (e / e.sum()) @ v
     if cfg.arch == "lstm":
         x = np.concatenate((x, last))
-    return 1.0 / (1.0 + np.exp(-(x @ params["head.w"].data + params["head.b"].data)))
+    return _head(x, params)
 
 
 def _distinct_rows(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

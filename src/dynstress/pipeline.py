@@ -57,8 +57,12 @@ def clip_features(
     (`mfcc+deltas`, d = 80), the rows of the precomputed embedding file
     `<dir>/<utterance_id>.fseq` (`file:<dir>`), or none (None, d = 0).  Only
     MFCC decodes the clip's WAV; every other spec reads just its sample
-    count, under the same checks."""
-    if feature_spec in ("mfcc", "mfcc+deltas"):
+    count, under the same checks.  The spec is checked before any file is read."""
+    mfcc = feature_spec in ("mfcc", "mfcc+deltas")
+    if not (mfcc or feature_spec is None or feature_spec.startswith("file:")):
+        raise DataError(f"unknown feature spec {feature_spec!r}: "
+                        "use mfcc, mfcc+deltas or file:<dir>")
+    if mfcc:
         samples = load_clip(rec, base_dir)
         segment(len(samples), rec.utterance_id)  # a short clip is a DataError
         return window_mfcc(samples, feature_spec == "mfcc+deltas")
@@ -66,9 +70,6 @@ def clip_features(
     windows = segment(wav_length(Path(base_dir) / rec.audio_path), rec.utterance_id)
     if feature_spec is None:
         return np.zeros((len(windows), 0))
-    if not feature_spec.startswith("file:"):
-        raise DataError(f"unknown feature spec {feature_spec!r}: "
-                        "use mfcc, mfcc+deltas or file:<dir>")
     mat = read_fseq(Path(feature_spec[5:]) / f"{rec.utterance_id}.fseq")
     if mat.shape[0] != len(windows):
         raise DataError(f"{rec.utterance_id}: embedding file has {mat.shape[0]} rows, "

@@ -137,7 +137,8 @@ def concat_augment(
     windows can straddle transitions; the last span's code is the final
     state.  Joins are raw abutment, optionally separated by ``gap_s`` of
     silence.  Every rule is checked before the first clip is drawn, so a
-    generator that decodes them decodes none for a rejected group.
+    generator that decodes them decodes none for a rejected group; a clip
+    without samples is rejected as it is drawn.
     """
     if len(records) < 2:
         raise DataError("concat_augment needs at least two clips")
@@ -158,6 +159,8 @@ def concat_augment(
     pieces, spans = [], []
     cursor = 0.0
     for r, samples in zip(records, clips, strict=True):
+        if not len(samples):
+            raise DataError(f"{r.utterance_id}: {r.audio_path} holds no samples to join")
         if pieces and len(gap):
             pieces.append(gap)
             cursor += len(gap) / REQUIRED_SAMPLE_RATE

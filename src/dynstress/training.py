@@ -56,24 +56,28 @@ class TrainConfig:
                 f"learning_rate must be positive and finite, got {self.learning_rate}")
 
 
-def _bce_terms(probs: Tensor, targets) -> Tensor:
-    """Elementwise binary cross-entropy as one node; probabilities clamped
-    to [1e-7, 1 - 1e-7] before the logs, so the gradient is zero outside."""
-    t = np.asarray(targets, dtype=probs.data.dtype)
-    p = np.clip(probs.data, _CLAMP, 1.0 - _CLAMP)
-    def back(g):
-        inside = (probs.data >= _CLAMP) & (probs.data <= 1.0 - _CLAMP)
-        probs._accum(g * ((1.0 - t) / (1.0 - p) - t / p) * inside)
-    return Tensor._make(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)),
-                        (probs,), back)
+def _bce_terms(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Elementwise BCE of probabilities ``p`` against 0/1 targets ``t`` of their
+    dtype, ``p`` clamped to [1e-7, 1 - 1e-7] before the logs."""
+    p = np.clip(p, _CLAMP, 1.0 - _CLAMP)
+    return -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
 
 
 def batch_loss_graph(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean BCE over a batch, inside the autodiff graph.
+    """Mean BCE over a batch as one node of the autodiff graph, a float64
+    scalar; the gradient is zero where the clamp holds a probability.
 
     ``probs`` is (B, 3); ``targets`` is a float (B, 3) array of 0/1.
     """
-    return _bce_terms(probs, targets).mean()
+    t = np.asarray(targets, dtype=probs.data.dtype)
+    terms = _bce_terms(probs.data, t)
+    def back(g):
+        p = np.clip(probs.data, _CLAMP, 1.0 - _CLAMP)
+        inside = (probs.data >= _CLAMP) & (probs.data <= 1.0 - _CLAMP)
+        g = np.full(terms.shape, g / terms.size, dtype=terms.dtype)
+        probs._accum(g * ((1.0 - t) / (1.0 - p) - t / p) * inside)
+    # float64 for float32 terms too: the divisor is a float64 scalar
+    return Tensor._make(terms.sum() / np.float64(terms.size), (probs,), back)
 
 
 def gradient(
@@ -212,9 +216,9 @@ def evaluate_loss(samples: Sequence[TrainSample], params,
         chunk = samples[lo : lo + EVAL_BATCH]
         X = np.stack([s.features for s in chunk])
         S = np.stack([s.context for s in chunk])
-        probs = forward_batch(X, S, params, cfg)
-        total += float(_bce_terms(probs, _targets(chunk)).data.mean(axis=1).sum())
-        preds += [is_stress(decode(p)) for p in probs.data]
+        probs = forward_batch(X, S, params, cfg).data
+        total += float(_bce_terms(probs, _targets(chunk).astype(probs.dtype)).mean(axis=1).sum())
+        preds += [is_stress(decode(p)) for p in probs]
         truths += [is_stress(s.target) for s in chunk]
     return total / max(len(samples), 1), EvalReport.from_pairs(preds, truths)
 

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dynstress.autodiff import Tensor, attention, concat, linear, pick_rows, take_rows
-from dynstress.model import _gelu, layer_norm, lstm_states
-from dynstress.training import _bce_terms, numerical_gradient
+from dynstress.autodiff import Tensor, attention, linear, pick_rows, take_rows
+from dynstress.model import ModelConfig, _dropout, _gelu, layer_norm, lstm_states, readout
+from dynstress.training import batch_loss_graph, numerical_gradient
 
 A = np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 4))
 B = np.random.default_rng(1).uniform(0.5, 2.0, size=(3, 4))
@@ -16,24 +16,41 @@ def lstm_on(x, w, u, b):
     return lstm_states(linear(x, w, b), u)
 
 
+def weighted_sum(out, weights):
+    """The scalar ``sum(out * weights)`` as one node, the loss of the
+    gradient checks: each element of ``out`` gets its weight as gradient."""
+    def back(g):
+        out._accum(g * weights)
+    return Tensor._make(np.sum(out.data * weights), (out,), back)
+
+
+def head_readout(arch):
+    """``readout`` of one architecture with the head weights ``w`` and ``b``
+    as arguments; its config reads only the architecture."""
+    cfg = ModelConfig(arch, feature_dim=1, hidden=4)
+    def apply(q, hc, k, v, w, b):
+        return readout(q, hc, k, v, {"head.w": w, "head.b": b}, cfg)
+    return apply
+
+
 # every op and fused layer node of the tape, applied to constant inputs
 OPS = {
     "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "truediv": lambda a, b: a / b,
     "matmul": lambda a, b: linear(a, Tensor(b.data.T)),
-    "linear": lambda a, b: linear(a, Tensor(b.data.T), b[0, :3]),
-    "sigmoid": lambda a, b: a.sigmoid(),
-    "sum": lambda a, b: a.sum(),
-    "mean": lambda a, b: a.mean(),
-    "getitem": lambda a, b: a[:, 1:3],
-    "concat": lambda a, b: concat([a, b], axis=1),
+    "linear": lambda a, b: linear(a, Tensor(b.data.T), Tensor(B[0, :3])),
     "take_rows": lambda a, b: take_rows(a, [2, 0, 2]),
-    "lstm": lambda a, b: lstm_on(a[None], linear(Tensor(b.data.T), b), b[:1], b[0]),
-    "layer_norm": lambda a, b: layer_norm(a, b[0], b[1]),
-    "attention": lambda a, b: attention(a[None], b[None], b[None], 2),
+    "lstm": lambda a, b: lstm_on(Tensor(A[None]), linear(Tensor(B.T), b), Tensor(B[:1]),
+                                 Tensor(B[0])),
+    "layer_norm": lambda a, b: layer_norm(a, Tensor(B[0]), Tensor(B[1])),
+    "attention": lambda a, b: attention(Tensor(A[None]), Tensor(B[None]), Tensor(B[None]), 2),
     "gelu": lambda a, b: _gelu(a),
-    "bce": lambda a, b: _bce_terms(a, (B > 1.0).astype(float)),
+    "dropout": lambda a, b: _dropout(a, 0.5, np.random.default_rng(0)),
+    # the rows of A and B as queries, context states, keys and values
+    **{f"readout_{arch}": lambda a, b, arch=arch: head_readout(arch)(
+        Tensor(A[:, None]), Tensor(B[:, None]), Tensor(B[:, None]), Tensor(B[:, None]),
+        Tensor(np.ones((8 if arch == "lstm" else 4, 3))), Tensor(B[0, :3]))
+       for arch in ("lstm", "transformer")},
+    "bce": lambda a, b: batch_loss_graph(a, (B > 1.0).astype(float)),
 }
 
 
@@ -45,59 +62,31 @@ def test_constant_inputs_record_no_tape(op):
     assert out._backward is None
 
 
-# binary ops, linear and concat with one operand a constant, on either side;
-# "matmul" has a constant weight or input, "linear" a constant bias or a
-# constant input and weight
+# addition and linear with one operand a constant, on either side: "matmul"
+# has a constant weight or input, "linear" a constant bias or a constant
+# input and weight; each with the shapes of its first and second operands
 MIXED = {
-    "add": lambda x, c: x + c,
-    "mul": lambda x, c: x * c,
-    "truediv": lambda x, c: x / c,
-    "matmul": lambda x, c: linear(x[:, :3], c),
-    "linear": lambda x, c: linear(x[:, :3], x[:3], c[0]),
-    "concat": lambda x, c: concat([x, c], axis=1),
+    "add": (lambda a, b: a + b, (3, 4), (3, 4)),
+    "matmul": (lambda a, b: linear(a, b), (3, 4), (4, 3)),
+    "linear": (lambda a, b: linear(a, a, b), (4, 4), (4,)),
 }
 
 
 @pytest.mark.parametrize("constant_first", [False, True])
 @pytest.mark.parametrize("op", MIXED)
 def test_constant_operand_gets_no_gradient(op, constant_first):
-    x = Tensor(A.copy(), requires_grad=True)
-    c = Tensor(B[:, :3] if op == "concat" else B)
-    weights = np.random.default_rng(2).normal(size=(3, 7 if op == "concat" else 4))
+    node, *shapes = MIXED[op]
+    rng = np.random.default_rng(2)
+    a, b = (Tensor(rng.uniform(0.5, 2.0, size=shape), requires_grad=grad)
+            for shape, grad in zip(shapes, (not constant_first, constant_first)))
+    x, c = (b, a) if constant_first else (a, b)
+    weights = rng.normal(size=node(a, b).shape)
 
     def graph():
-        out = MIXED[op](c, x) if constant_first else MIXED[op](x, c)
-        return (out * weights).sum()
+        return weighted_sum(node(a, b), weights)
 
     graph().backward()
     assert c.grad is None
-    num = numerical_gradient(lambda: float(graph().data), {"x": x}, h=1e-6)
-    assert np.allclose(x.grad, num["x"], rtol=1e-6, atol=1e-8)
-
-
-@pytest.mark.parametrize("key", [np.array([0, 0, 1]), [0, 0, 1],
-                                 (slice(None), np.array([1, 2])),
-                                 A > 1.0, True],
-                         ids=["array", "list", "mixed", "mask", "bool"])
-def test_getitem_rejects_advanced_keys(key):
-    # A repeated index would need an accumulating backward; only basic keys
-    # are taken, so every output element reads a distinct input element.
-    with pytest.raises(TypeError):
-        Tensor(A, requires_grad=True)[key]
-
-
-@pytest.mark.parametrize("key", [(slice(None), slice(1, 3)), (slice(None), -1), 1,
-                                 (Ellipsis, None, 2)],
-                         ids=["columns", "last_column", "row", "ellipsis_newaxis"])
-def test_getitem_basic_key_gradient(key):
-    x = Tensor(A.copy(), requires_grad=True)
-    weights = np.random.default_rng(3).normal(size=A[key].shape)
-
-    def graph():
-        # x is read twice, so the slice backward adds onto an existing grad.
-        return (x[key] * weights).sum() + (x * x).sum()
-
-    graph().backward()
     num = numerical_gradient(lambda: float(graph().data), {"x": x}, h=1e-6)
     assert np.allclose(x.grad, num["x"], rtol=1e-6, atol=1e-8)
 
@@ -109,7 +98,7 @@ def test_take_rows_gradient_with_repeated_and_unread_rows():
     weights = rng.normal(size=(5, 2, 3))
 
     def graph():
-        return (take_rows(x, index) * weights).sum()
+        return weighted_sum(take_rows(x, index), weights)
 
     assert take_rows(x, index).data.tobytes() == x.data[index].tobytes()
     graph().backward()
@@ -141,7 +130,7 @@ def test_linear_gradients_match_einsum_and_finite_differences(case, bias):
     inputs = {"x": x, "w": w, **({"b": b} if bias else {})}
 
     def graph():
-        return (linear(x, w, b) * weights).sum()
+        return weighted_sum(linear(x, w, b), weights)
 
     assert np.allclose(linear(x, w, b).data, want, rtol=1e-12, atol=0)
     graph().backward()
@@ -164,7 +153,7 @@ def test_linear_rejects_mismatched_weight(shape):
         linear(x, Tensor(np.ones(shape)))
 
 
-@pytest.mark.parametrize("op", ["add", "mul", "truediv"])
+@pytest.mark.parametrize("op", ["add"])
 @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 1), (2, 3, 4)],
                          ids=["vector", "row", "column", "batched"])
 def test_broadcast_operand_needing_gradient_is_rejected(op, shape):
@@ -175,9 +164,9 @@ def test_broadcast_operand_needing_gradient_is_rejected(op, shape):
     for pair in ((grows, fixed), (fixed, grows)):
         a, b = (Tensor(np.ones(s), requires_grad=s == grows) for s in pair)
         with pytest.raises(ValueError):
-            MIXED[op](a, b)
+            MIXED[op][0](a, b)
         # constants still broadcast
-        out = MIXED[op](Tensor(np.ones(pair[0])), Tensor(np.ones(pair[1])))
+        out = MIXED[op][0](Tensor(np.ones(pair[0])), Tensor(np.ones(pair[1])))
         assert out.shape == np.broadcast_shapes(grows, fixed)
 
 
@@ -215,9 +204,25 @@ FUSED = {
                   lambda t: pick_rows(t["x"], np.array([3, 0, 2])), 1e-6),
     "gelu": (lambda rng: {"x": _rand(rng, 3, 4, scale=2.0)},
              lambda t: _gelu(t["x"]), 1e-6),
-    # h keeps the clamped probabilities clamped on both sides
+    # B=3, 5 elements each: a fresh generator of one seed draws the same mask
+    "dropout": (lambda rng: {"x": _rand(rng, 3, 5)},
+                lambda t: _dropout(t["x"], 0.5, np.random.default_rng(8)), 1e-6),
+    # B=3, H=4, over 2 context states, whose last one only the LSTM's head
+    # reads; row 2's logits are beyond +-1000, so its probabilities are
+    # exactly 0 or 1 and pass no gradient back
+    **{f"readout_{arch}": (lambda rng, arch=arch: {
+        "q": Tensor(rng.normal(size=(3, 1, 4)) * [[[1.0]], [[1.0]], [[1e4]]],
+                    requires_grad=True),
+        **({"hc": _rand(rng, 3, 2, 4)} if arch == "lstm" else {}),
+        "k": _rand(rng, 3, 2, 4), "v": _rand(rng, 3, 2, 4),
+        "w": _rand(rng, 8 if arch == "lstm" else 4, 3), "b": _rand(rng, 3)},
+        lambda t, arch=arch: head_readout(arch)(
+            t["q"], t.get("hc"), t["k"], t["v"], t["w"], t["b"]), 1e-6)
+       for arch in ("lstm", "transformer")},
+    # the mean loss; h keeps the clamped probabilities clamped on both sides
     "bce": (lambda rng: {"p": Tensor(_bce_probs(), requires_grad=True)},
-            lambda t: _bce_terms(t["p"], [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]), 1e-8),
+            lambda t: batch_loss_graph(t["p"], np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])),
+            1e-8),
 }
 
 
@@ -229,7 +234,7 @@ def test_fused_node_matches_finite_differences(node):
     weights = rng.normal(size=apply(inputs).shape)  # every output gets a gradient
 
     def graph():
-        return (apply(inputs) * weights).sum()
+        return weighted_sum(apply(inputs), weights)
 
     graph().backward()
     num = numerical_gradient(lambda: float(graph().data), inputs, h=h)
@@ -247,6 +252,13 @@ def test_fused_node_matches_finite_differences(node):
     if node == "bce":
         assert np.all(inputs["p"].grad[1] == 0.0)
         assert np.all(inputs["p"].grad[0] != 0.0)
+    if node == "dropout":  # a dropped element gets no gradient
+        kept = _dropout(Tensor(np.ones((3, 5))), 0.5, np.random.default_rng(8)).data != 0.0
+        assert np.all(inputs["x"].grad[~kept] == 0.0) and np.all(inputs["x"].grad[kept] != 0.0)
+    if node.startswith("readout"):  # the saturated row passes back nothing
+        for name in ("q", "hc", "k", "v") if node == "readout_lstm" else ("q", "k", "v"):
+            assert np.all(inputs[name].grad[2] == 0.0), name
+            assert np.all(inputs[name].grad[:2, -1] != 0.0), name
 
 
 def per_head_attention(q, k, v, heads, g):
@@ -278,7 +290,7 @@ def test_attention_matches_per_head_reference(heads):
     q, k, v = (_rand(rng, 2, t, 6) for t in (3, 4, 4))
     g = rng.normal(size=(2, 3, 6))
     out = attention(q, k, v, heads)
-    (out * g).sum().backward()
+    weighted_sum(out, g).backward()
     want = per_head_attention(q.data, k.data, v.data, heads, g)
     for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
@@ -295,12 +307,12 @@ def test_masked_attention_equals_attention_over_the_kept_keys(heads):
                      [True] * 5])
     g = rng.normal(size=(3, 2, 4))
     out = attention(q, k, v, heads, mask)
-    (out * g).sum().backward()
+    weighted_sum(out, g).backward()
     for b, keep in enumerate(mask):
         qb, kb, vb = (Tensor(x, requires_grad=True) for x in (
             q.data[b : b + 1], k.data[b : b + 1, keep], v.data[b : b + 1, keep]))
         want = attention(qb, kb, vb, heads)
-        (want * g[b : b + 1]).sum().backward()
+        weighted_sum(want, g[b : b + 1]).backward()
         for got, ref in ((out.data[b], want.data[0]), (q.grad[b], qb.grad[0]),
                          (k.grad[b, keep], kb.grad[0]), (v.grad[b, keep], vb.grad[0])):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
@@ -312,22 +324,25 @@ def test_masked_attention_equals_attention_over_the_kept_keys(heads):
 def test_saturated_sigmoids_are_exact_and_raise_no_warning(dtype, z):
     """exp(-z) overflows to inf for z = -100 in float32 and -1000 in float64;
     the sigmoid is then exactly 0, its gradient is finite, and numpy's
-    overflow warning is not raised, in ``Tensor.sigmoid`` and in the LSTM's
-    gates alike."""
+    overflow warning is not raised, in the head of ``readout`` and in the
+    LSTM's gates alike."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = Tensor(np.array([-z, z], dtype), requires_grad=True)
-        s = x.sigmoid()
-        s.sum().backward()
-        assert s.data.dtype == dtype and s.data.tolist() == [0.0, 1.0]
-        assert np.all(np.isfinite(x.grad))
+        # one query over one context state, all zero: the logits are the biases
+        ins = [Tensor(np.zeros((1, 1, 2), dtype), requires_grad=True) for _ in range(4)]
+        w = Tensor(np.zeros((4, 3), dtype), requires_grad=True)
+        b = Tensor(np.array([-z, z, 0.0], dtype), requires_grad=True)
+        s = head_readout("lstm")(*ins, w, b)
+        weighted_sum(s, np.ones(3, dtype)).backward()
+        assert s.data.dtype == dtype and s.data.tolist() == [[0.0, 1.0, 0.5]]
+        assert all(np.all(np.isfinite(t.grad)) for t in (*ins, w, b))
         # gates (i, f, g, o) of one unit: the first sequence opens i and o and
         # keeps c = 1; the second closes i and o, so c and h are exactly 0
         acts = Tensor(np.array([[[z, -z, z, z]] * 2, [[-z, -z, z, -z]] * 2], dtype),
                       requires_grad=True)
         u = Tensor(np.ones((1, 4), dtype), requires_grad=True)
         h = lstm_states(acts, u)
-        h.sum().backward()
+        weighted_sum(h, np.ones(h.shape, dtype)).backward()
         assert h.data.dtype == dtype
         assert h.data[0].ravel().tolist() == [np.tanh(dtype(1.0))] * 2
         assert h.data[1].ravel().tolist() == [0.0, 0.0]

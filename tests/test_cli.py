@@ -776,6 +776,38 @@ def test_augment_with_a_joined_id_too_long_for_a_file_name_exits_data(tmp_path, 
     assert f"{'+'.join(names)}.wav: File name too long" in err
 
 
+@pytest.mark.parametrize("empty", ["u1", "u2"])
+def test_augment_of_a_wav_without_samples_names_its_record(empty, tmp_path, capsys):
+    """A record whose WAV holds no samples would join as a zero-length span:
+    the one error line names that record and its file."""
+    for name in ("u1", "u2"):
+        write_wav(tmp_path / f"{name}.wav", np.zeros(0 if name == empty else SR))
+    (tmp_path / "m.jsonl").write_text("".join(
+        manifest_line(name, [(0, 1, "fear")]) + "\n" for name in ("u1", "u2")))
+    assert run(["augment", "--manifest", tmp_path / "m.jsonl",
+                "--out", tmp_path / "aug"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {empty}: {empty}.wav holds no samples to join\n"
+
+
+@pytest.mark.parametrize("first_wav", ["absent", "present"])
+def test_extract_rejects_an_unknown_feature_spec_before_reading_a_wav(
+        first_wav, data_dir, monkeypatch, capsys):
+    """A misspelt ``--features`` is named whether or not the first clip's WAV
+    exists, and no WAV is read to find it out."""
+    if first_wav == "absent":
+        (data_dir / "a.wav").unlink()
+    read = []
+    read_pcm = segmentation._read_pcm
+    monkeypatch.setattr(segmentation, "_read_pcm",
+                        lambda path: read.append(path) or read_pcm(path))
+    assert run(["extract", "--manifest", data_dir / "manifest.jsonl",
+                "--out", data_dir / "run", "--features", "mfc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown feature spec 'mfc'") and err.count("\n") == 1, err
+    assert read == []
+
+
 def test_run_dir_env_fallback(data_dir, monkeypatch, tmp_path):
     target = tmp_path / "envrun"
     monkeypatch.setenv("DYNSTRESS_RUN_DIR", str(target))

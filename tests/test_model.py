@@ -252,7 +252,8 @@ def test_masked_transformer_states_equal_the_unpadded_run(layers):
     mask = np.arange(5) < lengths[:, None]
     got = transformer_states(P, params, cfg, "enc", cfg.layers, mask=mask).data
     for b, n in enumerate(lengths):
-        want = transformer_states(P[b : b + 1, :n], params, cfg, "enc", cfg.layers).data
+        want = transformer_states(Tensor(P.data[b : b + 1, :n]), params, cfg, "enc",
+                                  cfg.layers).data
         np.testing.assert_allclose(got[b, :n], want[0], rtol=1e-12, atol=1e-15)
     # the last layer computing only each sequence's own last row
     last = transformer_states(P, params, cfg, "enc", cfg.layers, lengths - 1, mask).data

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from dynstress import model, training
-from dynstress.autodiff import Tensor, linear
+from dynstress.autodiff import Tensor, linear, pick_rows
 from dynstress.evaluation import EvalReport
 from dynstress.model import (
     ModelConfig,
+    _dropout,
     context_memory,
     context_states,
     forward_batch,
@@ -81,7 +82,7 @@ def test_bce_perfect_probs_near_zero():
 
 
 def test_bce_spot_value():
-    terms = _bce_terms(Tensor(np.array([[0.9, 0.8, 0.1]])), [[1, 1, 0]]).data[0]
+    terms = _bce_terms(np.array([[0.9, 0.8, 0.1]]), np.array([[1.0, 1.0, 0.0]]))[0]
     np.testing.assert_allclose(terms, -np.log([0.9, 0.8, 0.9]), rtol=0, atol=1e-10)
     expect = (-math.log(0.9) - math.log(0.8) - math.log(0.9)) / 3
     assert bce([[0.9, 0.8, 0.1]], [[1, 1, 0]]) == pytest.approx(expect, abs=1e-10)
@@ -92,9 +93,26 @@ def test_bce_total_is_mean_of_components():
     dimensions alike."""
     probs = np.array([[0.3, 0.6, 0.9], [0.2, 0.7, 0.4]])
     targets = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.float64)
-    terms = _bce_terms(Tensor(probs), targets).data
+    terms = _bce_terms(probs, targets)
     assert terms.shape == (2, 3)
     assert bce(probs, targets) == pytest.approx(terms.mean(), abs=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_loss_is_float64_and_its_gradient_takes_the_probabilities_dtype(dtype):
+    """The mean BCE of float32 probabilities is a float64 scalar, as the
+    float64 divisor of a float32 sum gives under value-based casting and
+    NEP 50 alike, while the probabilities' gradient stays float32; float64
+    probabilities give float64 throughout."""
+    probs = Tensor(np.array([[0.3, 0.6, 0.9], [0.2, 0.7, 0.4]], dtype), requires_grad=True)
+    targets = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.float64)
+    loss = batch_loss_graph(probs, targets)
+    assert loss.data.dtype == np.float64 and loss.shape == ()
+    loss.backward()
+    assert probs.grad.dtype == dtype
+    t, p = targets, probs.data.astype(np.float64)
+    want = ((1.0 - t) / (1.0 - p) - t / p) / t.size
+    np.testing.assert_allclose(probs.grad, want, rtol=1e-6 if dtype == np.float32 else 1e-15)
 
 
 @pytest.mark.parametrize("arch, dropout, repeated", [
@@ -184,10 +202,9 @@ def plain_forward(X, S, params, cfg, rng=None):
         hs = lstm_states(P, params["speech_lstm.u"])
     else:
         hs = transformer_states(P, params, cfg, "enc", cfg.layers)
-    hs, hc = hs[:, -1:, :], context_states(S, params, cfg)
+    hs, hc = pick_rows(hs, np.full(len(X), X.shape[1] - 1)), context_states(S, params, cfg)
     if rng is not None and cfg.dropout > 0:  # the speech mask first, as in fuse
-        hs = hs * Tensor((rng.random(hs.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
-        hc = hc * Tensor((rng.random(hc.shape) >= cfg.dropout) / (1.0 - cfg.dropout))
+        hs, hc = _dropout(hs, cfg.dropout, rng), _dropout(hc, cfg.dropout, rng)
     q = linear(hs, params["attn.wq"], params["attn.bq"])
     return readout(q, *context_memory(hc, params), params, cfg)
 
@@ -300,13 +317,39 @@ def float32_params(cfg, rng):
     return params
 
 
+# tensors of one LSTM step: the speech and context inputs, their
+# projections, recurrences and row gathers (8), the two dropout nodes, the
+# query, key and value projections, attention, its residual, the head and
+# the loss; the transformer's encoder layers make up the rest of its count
+STEP_TENSORS = {"lstm": 17, "transformer": 58}
+
+
+@pytest.mark.parametrize("arch", STEP_TENSORS)
+def test_a_training_step_records_only_the_models_nodes(arch, monkeypatch):
+    """A paper-sized step (B = 16, T = 5, d = 40, hidden 128, dropout on)
+    makes one tensor per node: dropout, the head and the batch loss are one
+    node each, and no constant operand is wrapped in a tensor of its own."""
+    rng = np.random.default_rng(44)
+    cfg = ModelConfig(arch, feature_dim=40)
+    params = float32_params(cfg, rng)
+    X, S, targets = random_batch(rng, B=16, T=5, d=40)
+    made = []
+    init = Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(Tensor, "__init__", recording)
+    gradient(params, X, S, targets, cfg, rng=np.random.default_rng(0))
+    assert len(made) == STEP_TENSORS[arch]
+
+
 @pytest.mark.parametrize("arch", ["lstm", "transformer"])
 def test_a_float32_step_records_no_float64_array(arch, monkeypatch):
     """A float32 rollout, gradient and Adam step, dropout on, from float64
-    features, contexts and targets: the only float64 tensors on the tape are
-    scalars (the mean's divisor and the loss), no backward hands on a
-    float64 gradient array, and every gradient and both Adam moments are
-    float32."""
+    features, contexts and targets: the only float64 tensor on the tape is
+    the scalar loss, no backward hands on a float64 gradient array, and
+    every gradient and both Adam moments are float32."""
     rng = np.random.default_rng(41)
     cfg = replace(reduced_cfg(arch), dropout=0.3)
     params = float32_params(cfg, rng)
