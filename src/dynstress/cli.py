@@ -206,9 +206,7 @@ def cmd_train(args, out):
         args, records, val_split, args.features, "validate on", train_recs)
     train_samples = pipeline.build_samples(train_recs, args.n)
     val_samples = pipeline.build_samples(val_recs, args.n)
-    if not train_samples or not val_samples:
-        raise DataError("no usable training/validation samples in manifest")
-    d = train_samples[0].features.shape[1]
+    d = train_recs[0].features.shape[1]
     mcfg = ModelConfig(arch=args.arch, feature_dim=d, hidden=args.hidden,
                        dropout=args.dropout)
     tcfg = TrainConfig(

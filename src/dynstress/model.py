@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import zipfile
-import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -501,25 +500,10 @@ def save_checkpoint(path: str | Path, params, cfg: ModelConfig) -> None:
             np.lib.format.write_array(f, flat, version=(1, 0), allow_pickle=False)
 
 
-def _stored_member(z: zipfile.ZipFile, fp: io.BytesIO, blob: bytes, name: str) -> memoryview:
-    """The bytes of the stored member ``name`` of the archive ``z`` read from
-    ``fp``, which holds ``blob``: a view of ``blob``, with the local header
-    and CRC-32 checks of ``ZipFile.read`` but without its copy."""
-    info = z.getinfo(name)
-    with z.open(info):  # checks the local header and leaves fp at the member's data
-        start = fp.tell()
-    data = memoryview(blob)[start : start + info.file_size]
-    if len(data) != info.file_size or info.compress_size != info.file_size:
-        raise EOFError(f"{name}: {len(data)} bytes stored, {info.compress_size} "
-                       f"declared stored, {info.file_size} declared")
-    if zlib.crc32(data) != info.CRC:
-        raise zipfile.BadZipFile(f"Bad CRC-32 for file {name!r}")
-    return data
-
-
 def load_checkpoint(path: str | Path) -> tuple[LoadedParams, ModelConfig]:
     """A :func:`save_checkpoint` file's tensors, as read-only float32 views of
-    ``params.npy`` in a read-only mapping that also holds their context
+    one aligned copy of ``params.npy`` (read with ``ZipFile``'s local-header
+    and CRC-32 checks) in a read-only mapping that also holds their context
     memory, and its config; each header field is checked first."""
     with open_input(path, "checkpoint") as f:
         blob = f.read()  # read whole: no member a corrupt zip declares can be larger
@@ -527,8 +511,7 @@ def load_checkpoint(path: str | Path) -> tuple[LoadedParams, ModelConfig]:
         raise DataError(f"{path}: SPCK (version 1) checkpoints are retired; "
                         "train again to write an .npz checkpoint")
     try:
-        fp = io.BytesIO(blob)
-        z = zipfile.ZipFile(fp)
+        z = zipfile.ZipFile(io.BytesIO(blob))
         # stored members only: no decompressor runs on the file's bytes
         if any(info.compress_type != zipfile.ZIP_STORED for info in z.infolist()):
             raise DataError("a member is compressed")
@@ -553,7 +536,7 @@ def load_checkpoint(path: str | Path) -> tuple[LoadedParams, ModelConfig]:
             if want is None or got != [want[0], list(want[1])]:
                 raise DataError(f"header lists tensor {got!r} where the model has {want!r}")
         ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
-        flat = read_f32_npy(_stored_member(z, fp, blob, "params.npy"), "params.npy")
+        flat = read_f32_npy(z.read("params.npy"), "params.npy")
         if flat.shape != (ends[-1],):
             raise DataError(f"params.npy holds float32 {flat.shape}, not ({ends[-1]},)")
     except (zipfile.BadZipFile, KeyError, NotImplementedError, EOFError, ValueError,

@@ -40,11 +40,11 @@ def open_input(path: str | Path, what: str) -> BinaryIO:
         raise DataError(f"cannot read {what} {path}: {getattr(e, 'strerror', e)}") from None
 
 
-def read_f32_npy(raw: bytes | memoryview, what: str) -> np.ndarray:
+def read_f32_npy(raw: bytes, what: str) -> np.ndarray:
     """The read-only float32 array of ``.npy`` bytes, in its declared shape, a
     view of ``raw``; the header is checked against the byte count before the
     payload is read."""
-    f = io.BytesIO(raw[: 10 + 0xFFFF])  # a version 1.0 header fits: the payload is not copied
+    f = io.BytesIO(raw)
     try:
         np.lib.format.read_magic(f)
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)

@@ -250,7 +250,7 @@ def train(
     (config, seed).
     """
     if not train_samples or not val_samples:
-        raise ValueError("train and validation sets must be non-empty")
+        raise DataError(f"no {'validation' if train_samples else 'training'} samples")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = init_params(mcfg, _step_rng(tcfg.seed, 0))

@@ -22,7 +22,7 @@ from dynstress.features import (
     window_mfcc,
     write_fseq,
 )
-from dynstress.segmentation import DataError
+from dynstress.segmentation import DataError, read_f32_npy
 
 SR = 16000
 TEN_S = 10 * SR
@@ -381,6 +381,23 @@ def test_read_fseq_reads_np_save_rows_as_read_only_float32(tmp_path):
     assert not out.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         out[0, 0] = 1.0
+
+
+def test_a_feature_file_is_read_as_an_aligned_view_of_its_bytes(tmp_path):
+    """The payload is not copied: read_f32_npy's array is a read-only view
+    whose base chain ends at the bytes it was given, and read_fseq's rows,
+    behind a header numpy pads to 64 bytes, are aligned for the products
+    they feed."""
+    p = tmp_path / "x.fseq"
+    write_fseq(p, np.arange(4096.0).reshape(4, 1024))
+    raw = p.read_bytes()
+    out = read_f32_npy(raw, str(p))
+    assert not out.flags.writeable and np.array_equal(out, np.arange(4096.0).reshape(4, 1024))
+    base = out
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert base is raw
+    assert all(row.flags.aligned for row in read_fseq(p))
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=["1-D", "3-D"])

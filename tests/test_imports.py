@@ -91,3 +91,24 @@ def test_every_library_definition_is_reached():
         and not reached(node.name, used, perfbench)
     )
     assert not unreached, "defined in src/dynstress, reached by nothing:\n" + "\n".join(unreached)
+
+
+def test_every_module_import_is_read():
+    """An import that outlives its last use, such as a module a deleted
+    helper needed, is read nowhere: each name a ``src/dynstress`` module
+    imports at top level is read in that module as a name (``__all__``
+    counts, in ``__init__.py``); ``from __future__`` imports bind none."""
+    unread = []
+    for module, tree in library_trees().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        unread += [f"{module}: {name}" for name in bound if name not in read]
+    assert not unread, "imported in src/dynstress, read nowhere there:\n" + "\n".join(unread)

@@ -443,6 +443,28 @@ def test_checkpoint_roundtrip(tmp_path):
             assert loaded[n].data.tobytes() == params[n].data.astype(np.float32).tobytes()
 
 
+@pytest.mark.parametrize("arch", ["lstm", "transformer"])
+def test_loaded_tensors_are_aligned_wherever_params_npy_starts(tmp_path, arch):
+    """Each dropout's header.json is one byte longer than the last, so
+    params.npy starts at every offset mod 4 in the file; each loaded tensor
+    is aligned all the same, so no product copies a weight before it runs."""
+    fields = {"heads": 2, "layers": 1, "ffn": 8} if arch == "transformer" else {}
+    offsets = set()
+    for dropout in (0.5, 0.25, 0.125, 0.0625):
+        cfg = ModelConfig(arch, feature_dim=5, hidden=8, dropout=dropout, **fields)
+        params = make_params(cfg, seed=11)
+        p = tmp_path / f"{dropout}.ckpt"
+        save_checkpoint(p, params, cfg)
+        offsets.add(p.read_bytes().index(b"\x93NUMPY") % 4)
+        loaded, _ = load_checkpoint(p)
+        for n in params:
+            data = loaded[n].data
+            assert data.flags.aligned and not data.flags.writeable, (dropout, n)
+            assert data.dtype == np.float32, (dropout, n)
+            assert data.tobytes() == params[n].data.astype(np.float32).tobytes(), (dropout, n)
+    assert offsets == {0, 1, 2, 3}
+
+
 def test_checkpoint_bytes_depend_on_the_parameters_only(tmp_path, monkeypatch):
     """Two saves of one model, at different wall-clock times, write the same
     bytes: no member carries the time of the save."""

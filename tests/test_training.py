@@ -24,6 +24,7 @@ from dynstress.model import (
     transformer_states,
 )
 from dynstress.pipeline import RecordingData, build_samples
+from dynstress.segmentation import DataError
 from dynstress.training import (
     EVAL_BATCH,
     Adam,
@@ -765,9 +766,14 @@ def test_train_runs_one_validation_forward_per_epoch(tmp_path, monkeypatch, arch
 
 
 def test_train_rejects_empty(tmp_path):
+    """A DataError (a ValueError) naming the empty set, before any file is written."""
     cfg = ModelConfig("lstm", feature_dim=8, hidden=8)
-    with pytest.raises(ValueError):
-        train([], [], TrainConfig(), cfg, tmp_path)
+    with pytest.raises(DataError, match="^no training samples$"):
+        train([], [], TrainConfig(), cfg, tmp_path / "run")
+    sample = TrainSample(np.zeros((1, 8)), np.zeros((1, 3)), DEFAULT_CODE)
+    with pytest.raises(DataError, match="^no validation samples$"):
+        train([sample], [], TrainConfig(), cfg, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_gradient_rejects_an_empty_batch():
